@@ -113,10 +113,7 @@ def main(argv=None) -> int:
                 pipeline.write_report(results, args.out)
             bad = any(r.matched_expected is False or r.error is not None for r in results)
             return 1 if bad else 0
-    except KakimizuError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (KakimizuError, OSError, UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     return 0

@@ -7,9 +7,20 @@ exactly when the graph reduces to a single bare vertex under two moves:
 * delete a loop;
 * contract a non-loop edge with an endpoint of valence 2.
 
-Nothing guarantees the move system is confluent, so reduction is a
-backtracking search over move sequences, memoised on canonically labelled
-graphs.  Successful searches return a replayable certificate.  A homogeneous
+Every move drops the edge count by one, so the system terminates.  It is
+also locally confluent up to isomorphism:
+
+* two loop deletions commute;
+* a loop deletion and a contraction commute: the valence-2 end of a
+  contractible edge carries no loop, and a loop deletion changes only the
+  degree of its own vertex;
+* a contraction leaves the degree of every surviving vertex unchanged, so
+  two contractions whose edges share no valence-2 vertex commute;
+* two contractions whose edges share a valence-2 vertex lie on a path
+  through it or form a parallel pair at it, and give isomorphic graphs.
+
+By Newman's lemma the system has one normal form, so a single greedy run
+decides reducibility and records a replayable certificate.  A homogeneous
 link is fibred exactly when each special alternating summand of its Murasugi
 decomposition is.
 """
@@ -18,14 +29,11 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from itertools import permutations
 
 from .errors import InputError, StructureError
 
 _GRAPH_RE = re.compile(r"^\s*v\s*=\s*(\d+)\s*;\s*edges\s*=\s*((?:\(\s*\d+\s*,\s*\d+\s*\))*)\s*$")
 _PAIR_RE = re.compile(r"\(\s*(\d+)\s*,\s*(\d+)\s*\)")
-
-_CANON_PERM_LIMIT = 50_000
 
 
 @dataclass(frozen=True)
@@ -80,6 +88,8 @@ class ReductionGraph:
             raise InputError(f"cannot parse graph literal {text!r}")
         n = int(m.group(1))
         pairs = [(int(a), int(b)) for a, b in _PAIR_RE.findall(m.group(2))]
+        if n > len(pairs) + 1:
+            raise InputError(f"{n} vertices cannot be connected by {len(pairs)} edges")
         for u, v in pairs:
             if u >= n or v >= n:
                 raise InputError(f"edge ({u},{v}) outside vertex range 0..{n - 1}")
@@ -142,100 +152,28 @@ class ReductionGraph:
         return len(self.vertices) == 1 and not self.edges
 
 
-def _refine_colors(g: ReductionGraph) -> dict:
-    """Iterated degree/neighbourhood refinement; a colour per vertex."""
-    loops: dict = {v: 0 for v in g.vertices}
-    for u, v in g.edges:
-        if u == v:
-            loops[u] += 1
-    color = {v: (g.degree(v), loops[v]) for v in g.vertices}
-    while True:
-        new = {}
-        for v in g.vertices:
-            around = sorted(color[b if a == v else a]
-                            for a, b in g.edges if v in (a, b) and a != b)
-            new[v] = (color[v], tuple(around))
-        # compress to small ints, keep the partition stable
-        ranks = {c: i for i, c in enumerate(sorted(set(new.values())))}
-        new = {v: ranks[new[v]] for v in g.vertices}
-        if len(set(new.values())) == len(set(color.values())):
-            return new
-        color = new
-
-
-def canonical_form(g: ReductionGraph):
-    """An isomorphism-invariant key for memoisation.
-
-    Vertices are grouped by refined colour and the minimal edge encoding
-    over all colour-respecting relabellings is chosen.  When a graph is so
-    symmetric that trying every relabelling would be expensive, the exact
-    labelled encoding is used instead (tagged separately, so the key is
-    merely finer, never wrong).
-    """
-    color = _refine_colors(g)
-    classes: dict = {}
-    for v in sorted(g.vertices):
-        classes.setdefault(color[v], []).append(v)
-    blocks = [classes[c] for c in sorted(classes)]
-    count = 1
-    for b in blocks:
-        for i in range(2, len(b) + 1):
-            count *= i
-        if count > _CANON_PERM_LIMIT:
-            return ("raw", tuple(sorted(g.vertices)), g.edges)
-
-    best = None
-    for perm_blocks in _block_permutations(blocks):
-        relabel = {}
-        idx = 0
-        for block in perm_blocks:
-            for v in block:
-                relabel[v] = idx
-                idx += 1
-        enc = tuple(sorted(tuple(sorted((relabel[u], relabel[v]))) for u, v in g.edges))
-        if best is None or enc < best:
-            best = enc
-    return ("canon", len(g.vertices), best)
-
-
-def _block_permutations(blocks):
-    if not blocks:
-        yield []
-        return
-    head, rest = blocks[0], blocks[1:]
-    for perm in permutations(head):
-        for tail in _block_permutations(rest):
-            yield [list(perm)] + tail
-
-
 def reduction_certificate(g: ReductionGraph):
     """A replayable move sequence reducing g to a bare vertex, or None.
 
     Moves are ('delete_loop', (v, v)) and ('contract', (u, v)), named by
-    the labels current when the move fires.  Both moves drop the edge count
-    by one, so the search terminates; memoisation on canonical forms prunes
-    revisits of shapes already known to be dead ends.
+    the labels current when the move fires.  The move system has one
+    normal form, so taking the first available move at each step never
+    loses a reduction: the answer is None only when no move applies.
     """
-    dead: set = set()
-
-    def search(h: ReductionGraph):
-        if h.is_reduced():
-            return []
-        key = canonical_form(h)
-        if key in dead:
+    moves = []
+    h = g
+    while not h.is_reduced():
+        loops = h.loops()
+        if loops:
+            moves.append(("delete_loop", loops[0]))
+            h = h.delete_loop(loops[0])
+            continue
+        contractible = h.contractible()
+        if not contractible:
             return None
-        for loop in h.loops():
-            tail = search(h.delete_loop(loop))
-            if tail is not None:
-                return [("delete_loop", loop)] + tail
-        for edge in h.contractible():
-            tail = search(h.contract(edge))
-            if tail is not None:
-                return [("contract", edge)] + tail
-        dead.add(key)
-        return None
-
-    return search(g)
+        moves.append(("contract", contractible[0]))
+        h = h.contract(contractible[0])
+    return moves
 
 
 def replay_certificate(g: ReductionGraph, moves) -> bool:

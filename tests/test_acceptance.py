@@ -145,8 +145,8 @@ def test_criterion_8_fibredness():
             assert cert is not None and len(cert) == len(g.edges)
             agreements += 1
     assert agreements > 10
-    print(f"criterion 8 PASS: loop-only fibred, triple edge not; search "
-          f"confirmed all {agreements} greedy successes")
+    print(f"criterion 8 PASS: loop-only fibred, triple edge not; fixed-order greedy "
+          f"reducer certified all {agreements} random-order greedy successes")
 
 
 def test_criterion_9_rule_engine():

@@ -99,6 +99,20 @@ class TestFibred:
         code, _, err = run(capsys, "fibred", "--graph", "nope.txt")
         assert code == 2
 
+    def test_bouquet_deeper_than_recursion_limit(self, capsys, tmp_path):
+        path = tmp_path / "g.txt"
+        path.write_text("v=1; edges=" + "(0,0)" * 1500)
+        code, out, _ = run(capsys, "fibred", "--graph", str(path))
+        assert code == 0
+        assert out.strip() == "fibred"
+
+    def test_oversized_vertex_count(self, capsys, tmp_path):
+        path = tmp_path / "g.txt"
+        path.write_text("v=1000000000; edges=(0,0)")
+        code, _, err = run(capsys, "fibred", "--graph", str(path))
+        assert code == 2
+        assert err.startswith("error:") and "Traceback" not in err
+
 
 class TestBatch:
     def test_shipped_table_exits_zero(self, capsys, data_dir, tmp_path):
@@ -130,6 +144,15 @@ class TestBatch:
         code, _, err = run(capsys, "batch", str(table))
         assert code == 2
         assert "error" in err
+
+
+@pytest.mark.parametrize("command", [["fibred", "--graph"], ["theta"], ["batch"]])
+def test_non_utf8_file_exits_two(capsys, tmp_path, command):
+    path = tmp_path / "input.txt"
+    path.write_bytes(b"\xff\xfe\x00")
+    code, _, err = run(capsys, *command, str(path))
+    assert code == 2
+    assert err.startswith("error:")
 
 
 def test_module_entry_point_subprocess():
