@@ -20,8 +20,8 @@ from .rational import (evaluate_cfe, even_cfe, expand_index, format_fraction,
                        normalize_two_bridge, parse_fraction)
 from .thetagraph import (PlanarMultigraph, Region, ThetaGraph, add_zero_edges,
                          build_theta, reduce_bigons, region_signatures, theta_subgraph)
-from .twobridge import (BandChain, IsotopyOrbit, apply_band, band_chain,
-                        hopf_orbits, is_applicable, maximal_cycles)
+from .twobridge import (BandChain, IsotopyOrbit, apply_band, hopf_orbits, is_applicable,
+                        maximal_cycles)
 
 __version__ = "0.1.0"
 
@@ -29,7 +29,7 @@ __all__ = [
     "BandChain", "ComplexShape", "InputError", "IsotopyOrbit", "KakimizuError",
     "KnotRecord", "MarkingFlags", "MoveError", "PlanarMultigraph", "Region",
     "ReductionGraph", "ResultRecord", "SimplicialComplex", "SizeLimitError",
-    "StructureError", "ThetaGraph", "add_zero_edges", "apply_band", "band_chain",
+    "StructureError", "ThetaGraph", "add_zero_edges", "apply_band",
     "build_theta", "classify_and_compute", "evaluate_cfe",
     "even_cfe", "expand_index", "flag_closure", "format_fraction", "hopf_orbits",
     "is_applicable",

@@ -6,7 +6,8 @@ is a flag complex (it is determined by its 1-skeleton), the module provides
 the flag closure of a graph via maximal-clique enumeration, a flag test,
 isomorphism testing for small complexes, recognition of the shapes that occur
 in knot tables (point, path, single simplex), and deterministic DOT and JSON
-exports.
+exports.  It also holds the full-pass engine that both move calculi use to
+find maximal simplices, and the connected/flag check every build ends with.
 """
 
 from __future__ import annotations
@@ -16,10 +17,9 @@ from dataclasses import dataclass
 from itertools import combinations
 from typing import Iterable
 
-from .errors import InputError, SizeLimitError
+from .errors import InputError, SizeLimitError, StructureError
 
 Label = object
-Simplex = frozenset
 
 ISO_VERTEX_LIMIT = 64
 
@@ -35,10 +35,6 @@ def label_text(label: Label) -> str:
     if isinstance(label, tuple):
         return "(" + ",".join(str(x) for x in label) + ")"
     return str(label)
-
-
-def _label_key(label: Label) -> str:
-    return label_text(label)
 
 
 @dataclass(frozen=True)
@@ -86,7 +82,7 @@ class SimplicialComplex:
         return cls(frozenset(verts), frozenset(maximal))
 
     def sorted_vertices(self) -> list:
-        return sorted(self.vertices, key=_label_key)
+        return sorted(self.vertices, key=label_text)
 
     def one_skeleton(self) -> set:
         """All 1-simplices, as frozenset pairs."""
@@ -94,9 +90,6 @@ class SimplicialComplex:
         for s in self.simplices:
             edges.update(frozenset(p) for p in combinations(s, 2))
         return edges
-
-    def dimension(self) -> int:
-        return max(len(s) for s in self.simplices) - 1
 
     def degrees(self) -> dict:
         deg = {v: 0 for v in self.vertices}
@@ -112,7 +105,7 @@ def flag_closure(edges: Iterable[Iterable[Label]], vertices: Iterable[Label]) ->
     Maximal simplices are the maximal cliques of the edge graph, enumerated
     by Bron-Kerbosch with a deterministic sorted pivot choice.
     """
-    verts = sorted(set(vertices), key=_label_key)
+    verts = sorted(set(vertices), key=label_text)
     if not verts:
         raise InputError("flag closure of the empty vertex set")
     adj: dict = {v: set() for v in verts}
@@ -131,8 +124,8 @@ def flag_closure(edges: Iterable[Iterable[Label]], vertices: Iterable[Label]) ->
         if not p and not x:
             cliques.append(frozenset(r))
             return
-        pivot = max(sorted(p | x, key=_label_key), key=lambda v: len(adj[v] & p))
-        for v in sorted(p - adj[pivot], key=_label_key):
+        pivot = max(sorted(p | x, key=label_text), key=lambda v: len(adj[v] & p))
+        for v in sorted(p - adj[pivot], key=label_text):
             expand(r | {v}, p & adj[v], x & adj[v])
             p = p - {v}
             x = x | {v}
@@ -162,6 +155,52 @@ def is_connected(c: SimplicialComplex) -> bool:
                 seen.add(w)
                 stack.append(w)
     return seen == c.vertices
+
+
+def check_complex(c: SimplicialComplex) -> None:
+    """Raise StructureError unless c is connected and flag, as Kakimizu complexes are."""
+    if not is_connected(c):
+        raise StructureError("Kakimizu complex must be connected")
+    if not is_flag(c):
+        raise StructureError("Kakimizu complex must be a flag complex")
+
+
+def full_passes(start, moves, step, label) -> frozenset:
+    """Label sets visited by the full passes of `moves` from `start`.
+
+    A full pass applies every move once, each applicable when its turn
+    comes: ``step(state, move)`` is the next state, or None where the move
+    does not apply.  The result holds, once each, the sets of labels of the
+    states that passes visit; it is empty when no ordering applies.
+
+    Band moves flip bits and region moves add signs, so the state after a
+    set M of moves is ``start XOR flank(M)`` or ``w0 + signs(M)`` whatever
+    the order; only applicability depends on it.  The walk therefore runs
+    over the 2^n subsets of moves, not the n! orderings: layer k maps each
+    mask of k moves that an applicable ordering reaches to its state and
+    the visited sets of those orderings.  StructureError is raised when two
+    orderings reach one mask in different states, or when the full mask
+    does not return to `start`.
+    """
+    moves = tuple(moves)
+    layer = {0: (start, {frozenset([label(start)])})}
+    for _ in moves:
+        nxt: dict = {}
+        for mask, (state, seen) in layer.items():
+            for i, move in enumerate(moves):
+                after = None if mask >> i & 1 else step(state, move)
+                if after is None:
+                    continue
+                reached, sets = nxt.setdefault(mask | 1 << i, (after, set()))
+                if reached != after:
+                    raise StructureError("the state after a set of moves depends on their order")
+                here = frozenset([label(after)])
+                sets.update(v | here for v in seen)
+        layer = nxt
+    end, seen = layer.get((1 << len(moves)) - 1, (start, ()))
+    if end != start:
+        raise StructureError("a full pass must return to its start")
+    return frozenset(seen)
 
 
 def _vertex_profile(c: SimplicialComplex) -> dict:
@@ -205,14 +244,14 @@ def isomorphic(a: SimplicialComplex, b: SimplicialComplex,
         adj_a[y].add(x)
 
     # most-constrained-first assignment order
-    order = sorted(a.vertices, key=lambda v: (-prof_a[v][0], _label_key(v)))
+    order = sorted(a.vertices, key=lambda v: (-prof_a[v][0], label_text(v)))
 
     def extend(i: int, mapping: dict, used: set) -> bool:
         if i == len(order):
             mapped = {frozenset(mapping[v] for v in s) for s in a.simplices}
             return mapped == set(b.simplices)
         v = order[i]
-        for w in sorted(b.vertices - used, key=_label_key):
+        for w in sorted(b.vertices - used, key=label_text):
             if prof_a[v] != prof_b[w]:
                 continue
             ok = True
@@ -303,7 +342,8 @@ class ComplexShape:
             verts = [f"{prefix}{i}" for i in range(1, self.size + 1)]
             return SimplicialComplex.from_maximal(
                 [[verts[i], verts[i + 1]] for i in range(self.size - 1)])
-        assert self.complex is not None
+        if self.complex is None:
+            raise StructureError(f"{self.kind} shape carries no complex")
         return self.complex
 
     def equivalent(self, other: "ComplexShape") -> bool:

@@ -28,6 +28,7 @@ decomposition is.
 from __future__ import annotations
 
 import re
+from collections import Counter
 from dataclasses import dataclass
 
 from .errors import InputError, StructureError
@@ -109,11 +110,8 @@ class ReductionGraph:
 
     def contractible(self) -> list:
         """Distinct non-loop edges with an endpoint of valence 2."""
-        out = set()
-        for u, v in self.edges:
-            if u != v and (self.degree(u) == 2 or self.degree(v) == 2):
-                out.add((u, v))
-        return sorted(out)
+        degree = Counter(end for edge in self.edges for end in edge)
+        return sorted({(u, v) for u, v in self.edges if u != v and 2 in (degree[u], degree[v])})
 
     def delete_loop(self, edge) -> "ReductionGraph":
         u, v = edge

@@ -37,7 +37,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from . import thetagraph, twobridge
-from .complexes import ComplexShape, SimplicialComplex, is_connected, is_flag, label_text, recognize
+from .complexes import ComplexShape, SimplicialComplex, check_complex, label_text, recognize
 from .errors import InputError, KakimizuError
 from .twobridge import DEFAULT_MAX_BANDS
 
@@ -235,12 +235,12 @@ def run_batch(records, max_bands: int = DEFAULT_MAX_BANDS,
         began = time.perf_counter()
         try:
             complex_ = classify_and_compute(rec, max_bands=max_bands, max_vertices=max_vertices)
-            assert is_connected(complex_) and is_flag(complex_)
+            check_complex(complex_)
             shape = recognize(complex_)
             matched = shape.equivalent(rec.expected) if rec.expected is not None else None
             results.append(ResultRecord(rec.name, complex_, shape, matched,
                                         time.perf_counter() - began))
-        except (KakimizuError, AssertionError) as exc:
+        except KakimizuError as exc:
             results.append(ResultRecord(rec.name, None, None, None,
                                         time.perf_counter() - began, error=str(exc)))
     return results

@@ -19,7 +19,7 @@ import math
 import re
 from fractions import Fraction
 
-from .errors import InputError
+from .errors import InputError, StructureError
 
 _FRACTION_RE = re.compile(r"^(-?\d+)/(\d+)$")
 
@@ -93,7 +93,8 @@ def even_cfe(f: Fraction) -> tuple[int, ...]:
         if abs(r) >= 1:
             # only reachable when inv is an odd integer, i.e. both entries odd
             raise InputError(f"{format_fraction(f)} admits no all-even expansion")
-        assert e % 2 == 0 and e != 0
+        if e % 2 != 0 or e == 0:
+            raise StructureError(f"expansion of {format_fraction(f)} produced entry {e}")
         entries.append(int(e))
         x = r
     return tuple(entries)
@@ -115,7 +116,8 @@ def evaluate_cfe(entries) -> Fraction:
     acc = Fraction(0)
     for e in reversed(entries):
         den = Fraction(e) - acc
-        assert den != 0, "intermediate denominator vanished"
+        if den == 0:
+            raise StructureError("intermediate denominator vanished")
         acc = 1 / den
     return acc
 

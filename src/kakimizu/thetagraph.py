@@ -28,9 +28,8 @@ where an edge end is ``<edge-id>`` or, for loops, ``<edge-id>:0`` /
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import permutations
 
-from .complexes import SimplicialComplex, is_connected, is_flag
+from .complexes import SimplicialComplex, check_complex, full_passes
 from .errors import InputError, MoveError, SizeLimitError, StructureError
 
 Dart = tuple  # (edge id, end index 0 or 1)
@@ -382,9 +381,6 @@ class Region:
     index: int
     boundary: tuple  # of (edge id, sign)
 
-    def signs(self) -> dict:
-        return dict(self.boundary)
-
 
 def region_signatures(tg: PlanarMultigraph) -> tuple:
     """Signed boundaries of all regions, from coherent face traversal.
@@ -405,7 +401,8 @@ def region_signatures(tg: PlanarMultigraph) -> tuple:
             per_edge.setdefault(eid, []).append(sign)
         regions.append(Region(idx, tuple(sorted(boundary))))
     for eid, signs in per_edge.items():
-        assert sorted(signs) == [-1, 1], f"edge {eid} signs {signs} do not cancel"
+        if sorted(signs) != [-1, 1]:
+            raise StructureError(f"edge {eid} signs {signs} do not cancel")
     return tuple(regions)
 
 
@@ -421,27 +418,14 @@ def apply_region(w: dict, region: Region) -> dict:
     return out
 
 
-def _try_region(w: dict, region: Region):
-    out = dict(w)
-    for eid, sign in region.boundary:
-        out[eid] += sign
-        if out[eid] < 0:
-            return None
-    return out
-
-
-def weight_label(tg: ThetaGraph, w: dict) -> tuple:
-    return tuple(w[eid] for eid in tg.edge_order())
-
-
 def build_complex(tg: ThetaGraph, w0: dict,
                   max_vertices: int = DEFAULT_MAX_VERTICES) -> SimplicialComplex:
     """The Kakimizu complex reachable from the starting weight vector.
 
-    Vertices are the weight vectors reachable through applicable regions;
-    for every vertex, each ordering of the regions that stays applicable
-    contributes the set of vectors it visits as a simplex (such a pass ends
-    where it started).  Inclusion-maximal visited sets are the maximal
+    Vertices are the weight tuples, in ``tg.edge_order()``, reachable by
+    applicable regions.  From every vertex, each full pass (every region
+    once, no weight below zero; see :func:`~kakimizu.complexes.full_passes`)
+    visits a simplex.  Inclusion-maximal visited sets are the maximal
     simplices; the result must come out connected and flag.
     """
     regions = region_signatures(tg)
@@ -457,36 +441,30 @@ def build_complex(tg: ThetaGraph, w0: dict,
     if any(not isinstance(x, int) or x < 0 for x in w0.values()):
         raise InputError("weights must be non-negative integers")
 
-    seen = {weight_label(tg, w0): dict(w0)}
-    frontier = [dict(w0)]
+    order = tg.edge_order()
+    shifts = [tuple(sum(s for e, s in region.boundary if e == eid) for eid in order)
+              for region in regions]
+
+    def step(w, shift):
+        out = tuple(a + b for a, b in zip(w, shift))
+        return None if min(out) < 0 else out
+
+    start = tuple(w0[eid] for eid in order)
+    seen = {start}
+    frontier = [start]
     while frontier:
         w = frontier.pop()
-        for region in regions:
-            w2 = _try_region(w, region)
-            if w2 is None:
-                continue
-            lab = weight_label(tg, w2)
-            if lab not in seen:
+        for shift in shifts:
+            w2 = step(w, shift)
+            if w2 is not None and w2 not in seen:
                 if len(seen) >= max_vertices:
                     raise SizeLimitError(f"more than {max_vertices} reachable surfaces")
-                seen[lab] = w2
+                seen.add(w2)
                 frontier.append(w2)
 
-    simplices = {frozenset([lab]) for lab in seen}
-    for lab0, start in seen.items():
-        for perm in permutations(regions):
-            w = dict(start)
-            visited = {lab0}
-            for region in perm:
-                w = _try_region(w, region)
-                if w is None:
-                    break
-                visited.add(weight_label(tg, w))
-            else:
-                assert weight_label(tg, w) == lab0, "a full pass must close up"
-                simplices.add(frozenset(visited))
-
+    simplices = {frozenset([w]) for w in seen}
+    for w in seen:
+        simplices |= full_passes(w, shifts, step, lambda v: v)
     complex_ = SimplicialComplex.from_maximal(simplices)
-    assert is_connected(complex_), "theta complex must be connected"
-    assert is_flag(complex_), "theta complex must be flag"
+    check_complex(complex_)
     return complex_

@@ -20,7 +20,7 @@ from fractions import Fraction
 from itertools import product
 
 from . import rational
-from .complexes import SimplicialComplex, is_connected, is_flag
+from .complexes import SimplicialComplex, check_complex, full_passes
 from .errors import InputError, MoveError, SizeLimitError
 
 SurfaceTuple = tuple  # of 0/1 ints, one per plumbing disk
@@ -68,11 +68,6 @@ class BandChain:
         if text.startswith("["):
             return cls(rational.parse_cfe(text))
         return cls.from_fraction(rational.parse_fraction(text))
-
-
-def band_chain(cfe) -> BandChain:
-    """Wrap an all-even continued fraction as a chain of twisted bands."""
-    return BandChain(tuple(cfe))
 
 
 def flanking_disks(chain: BandChain, k: int) -> tuple:
@@ -197,21 +192,9 @@ def maximal_cycles(chain: BandChain, start) -> frozenset:
 
 
 def _cycles_from(chain: BandChain, start, label_of) -> frozenset:
-    n = chain.n
-    results = set()
-
-    def walk(t, remaining, visited):
-        if not remaining:
-            assert t == start, "a full pass must return to its starting surface"
-            results.add(frozenset(visited))
-            return
-        for k in remaining:
-            if is_applicable(chain, t, k):
-                t2 = apply_band(chain, t, k)
-                walk(t2, remaining - {k}, visited | {label_of[t2]})
-
-    walk(start, frozenset(range(1, n + 1)), frozenset({label_of[start]}))
-    return frozenset(results)
+    def step(t, k):
+        return apply_band(chain, t, k) if is_applicable(chain, t, k) else None
+    return full_passes(start, range(1, chain.n + 1), step, label_of.__getitem__)
 
 
 def build_complex(chain: BandChain, max_bands: int = DEFAULT_MAX_BANDS) -> SimplicialComplex:
@@ -230,10 +213,6 @@ def build_complex(chain: BandChain, max_bands: int = DEFAULT_MAX_BANDS) -> Simpl
         simplices |= _cycles_from(chain, start, label_of)
     simplices |= {frozenset([o.label]) for o in orbits}
     complex_ = SimplicialComplex.from_maximal(simplices)
-    assert is_connected(complex_), "Kakimizu complex of a 2-bridge knot must be connected"
-    assert is_flag(complex_), "Kakimizu complex must be a flag complex"
+    check_complex(complex_)
     return complex_
 
-
-def complex_from_fraction(f: Fraction, max_bands: int = DEFAULT_MAX_BANDS) -> SimplicialComplex:
-    return build_complex(BandChain.from_fraction(f), max_bands=max_bands)

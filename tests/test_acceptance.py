@@ -17,7 +17,7 @@ from kakimizu.pipeline import (KnotRecord, MarkingFlags, classify_and_compute,
 from kakimizu.rational import (evaluate_cfe, even_cfe, normalize_two_bridge,
                                parse_fraction)
 from kakimizu.thetagraph import apply_region, build_complex as theta_complex, region_signatures
-from kakimizu.twobridge import band_chain, build_complex as chain_complex, hopf_orbits
+from kakimizu.twobridge import BandChain, build_complex as chain_complex, hopf_orbits
 
 from catalog import CONFLICT_CFE, CONFLICT_NAMES, ROWS
 from randgraphs import random_sphere_graph
@@ -75,12 +75,12 @@ def test_criterion_3_unique_surface_fraction():
 def test_criterion_4_table_shapes():
     began = time.perf_counter()
     for row in ROWS:
-        c = chain_complex(band_chain(row.cfe))
+        c = chain_complex(BandChain(row.cfe))
         expected = ComplexShape.parse(row.shape).as_complex()
         assert isomorphic(c, expected), row.name
     elapsed = time.perf_counter() - began
     assert elapsed < 10.0
-    conflict_shape = recognize(chain_complex(band_chain(CONFLICT_CFE)))
+    conflict_shape = recognize(chain_complex(BandChain(CONFLICT_CFE)))
     print(f"criterion 4 PASS: {len(ROWS)} catalogued complexes match in "
           f"{elapsed:.2f}s; rows {'/'.join(CONFLICT_NAMES)} share one fraction yet "
           f"different catalogued complexes, excluded; computed shape for their "
@@ -89,7 +89,7 @@ def test_criterion_4_table_shapes():
 
 def test_criterion_5_orbit_oracle():
     for row in ROWS:
-        chain = band_chain(row.cfe)
+        chain = BandChain(row.cfe)
         assert len(hopf_orbits(chain)) == bfs_orbit_count(row.cfe), row.name
     print(f"criterion 5 PASS: union-find orbit counts equal the independent "
           f"breadth-first closure on all {len(ROWS)} chains")

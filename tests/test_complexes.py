@@ -2,10 +2,10 @@ import random
 
 import pytest
 
-from kakimizu.complexes import (ComplexShape, SimplicialComplex, flag_closure,
-                                is_connected, is_flag, isomorphic, label_text,
-                                recognize, to_dot, to_json)
-from kakimizu.errors import InputError, SizeLimitError
+from kakimizu.complexes import (ComplexShape, SimplicialComplex, check_complex,
+                                flag_closure, full_passes, is_connected, is_flag,
+                                isomorphic, label_text, recognize, to_dot, to_json)
+from kakimizu.errors import InputError, SizeLimitError, StructureError
 
 
 def path_complex(n, prefix="T"):
@@ -74,6 +74,68 @@ class TestConnectivity:
     def test_disjoint_union(self):
         c = SimplicialComplex.from_maximal([["a", "b"], ["c", "d"]])
         assert not is_connected(c)
+
+
+class TestCheckComplex:
+    def test_connected_flag_passes(self):
+        check_complex(path_complex(4))
+        check_complex(ComplexShape.simplex(2).as_complex())
+
+    def test_disconnected_raises(self):
+        with pytest.raises(StructureError, match="connected"):
+            check_complex(SimplicialComplex.from_maximal([["a", "b"], ["c", "d"]]))
+
+    def test_hollow_triangle_raises(self):
+        hollow = SimplicialComplex.from_maximal([["a", "b"], ["b", "c"], ["a", "c"]])
+        with pytest.raises(StructureError, match="flag"):
+            check_complex(hollow)
+
+
+def _add(state, move):
+    return state + move
+
+
+def _add_nonnegative(state, move):
+    return state + move if state + move >= 0 else None
+
+
+def _same(state):
+    return state
+
+
+def _sign(state):
+    return (state > 0) - (state < 0)
+
+
+class TestFullPasses:
+    """The pass engine on a toy calculus: integer states, moves that add."""
+
+    def test_every_order_applies(self):
+        # +1 then -1 visits 1, -1 then +1 visits -1
+        assert full_passes(0, (1, -1), _add, _same) == {frozenset({0, 1}), frozenset({0, -1})}
+
+    def test_blocked_order_is_dropped(self):
+        assert full_passes(0, (1, -1), _add_nonnegative, _same) == {frozenset({0, 1})}
+
+    def test_labels_merge_passes(self):
+        assert full_passes(0, (1, 1, -2), _add, _sign) == {
+            frozenset({0, 1}), frozenset({0, 1, -1}), frozenset({0, -1})}
+
+    def test_no_moves_visit_the_start(self):
+        assert full_passes(5, (), _add, _same) == {frozenset({5})}
+
+    def test_no_applicable_ordering_is_empty(self):
+        assert full_passes(0, (1, -1), lambda s, m: None, _same) == frozenset()
+        assert full_passes(0, (-1, -2, 1), _add_nonnegative, _same) == frozenset()
+
+    def test_order_dependent_step_raises(self):
+        # the state records the order the moves came in
+        with pytest.raises(StructureError, match="order"):
+            full_passes((), ("a", "b"), lambda s, m: s + (m,), len)
+
+    def test_pass_that_does_not_close_raises(self):
+        with pytest.raises(StructureError, match="return"):
+            full_passes(0, (1, 2), _add, _same)
 
 
 class TestIsomorphism:

@@ -1,10 +1,12 @@
 import random
 from collections import Counter
+from itertools import permutations
 
 import pytest
 
-from kakimizu.complexes import is_connected, is_flag, recognize
-from kakimizu.errors import InputError, MoveError, SizeLimitError, StructureError
+from kakimizu.complexes import SimplicialComplex, is_connected, is_flag, recognize
+from kakimizu.errors import (InputError, KakimizuError, MoveError, SizeLimitError,
+                             StructureError)
 from kakimizu.pipeline import load_theta_file
 from kakimizu.thetagraph import (Edge, PlanarMultigraph, ThetaGraph, add_zero_edges,
                                  apply_region, build_complex, build_theta,
@@ -37,6 +39,72 @@ def square_with_chord():
         "y": [("4", 0), ("3", 1)],
     }
     return PlanarMultigraph(["u", "v", "x", "y"], edges, rotation)
+
+
+def permutation_complex(tg, w0):
+    """Reference oracle: the complex from every ordering of the regions.
+
+    Restates the region moves on weight dicts and walks all permutations
+    of the regions from every reachable vector, with no shared code beyond
+    the region signs.
+    """
+    regions = region_signatures(tg)
+    order = tg.edge_order()
+
+    def label(w):
+        return tuple(w[eid] for eid in order)
+
+    def try_region(w, region):
+        out = dict(w)
+        for eid, sign in region.boundary:
+            out[eid] += sign
+            if out[eid] < 0:
+                return None
+        return out
+
+    seen = {label(w0): dict(w0)}
+    frontier = [dict(w0)]
+    while frontier:
+        w = frontier.pop()
+        for region in regions:
+            w2 = try_region(w, region)
+            if w2 is not None and label(w2) not in seen:
+                seen[label(w2)] = w2
+                frontier.append(w2)
+    simplices = {frozenset([lab]) for lab in seen}
+    for lab0, start in seen.items():
+        for perm in permutations(regions):
+            w = start
+            visited = {lab0}
+            for region in perm:
+                w = try_region(w, region)
+                if w is None:
+                    break
+                visited.add(label(w))
+            else:
+                assert label(w) == lab0, "a full pass must close up"
+                simplices.add(frozenset(visited))
+    return SimplicialComplex.from_maximal(simplices)
+
+
+def orient_coherently(g):
+    """Orient every edge out of one colour class of a bipartite graph, so
+    that face walks alternate forward and backward edges and every region's
+    signs balance.  Returns False when g is not bipartite."""
+    colour = {g.vertices[0]: 0}
+    stack = [g.vertices[0]]
+    while stack:
+        v = stack.pop()
+        for eid, end in g.rotation[v]:
+            w = g.end_vertex(eid, 1 - end)
+            if w not in colour:
+                colour[w] = 1 - colour[v]
+                stack.append(w)
+    for e in g.edges.values():
+        if colour[e.u] == colour[e.v]:
+            return False
+        e.direction = 1 if colour[e.u] == 0 else -1
+    return True
 
 
 class TestFaces:
@@ -352,6 +420,56 @@ class TestBuildComplex:
             build_complex(tg, {"0": 1})
         with pytest.raises(InputError):
             build_complex(tg, {eid: -1 for eid in tg.edges})
+
+    def test_matches_permutation_oracle_on_fixtures(self, data_dir):
+        starts = []
+        for name in ("theta_11_94.txt", "theta_11_237.txt", "theta_11_340.txt"):
+            tg = load_theta_file(data_dir / name)
+            starts.append((tg, tg.weights()))
+        tg = load_theta_file(data_dir / "theta_11_237.txt")
+        starts.append((tg, dict(zip(tg.edge_order(), (0, 1, 0)))))
+        tg = theta_subgraph(parallel_edges(3, weights=[3, 0, 0]))
+        starts.append((tg, tg.weights()))
+        for tg, w0 in starts:
+            assert build_complex(tg, w0) == permutation_complex(tg, w0)
+
+    def test_matches_permutation_oracle_on_random_weighted_graphs(self):
+        # 50 coherently oriented random sphere graphs with 0/1 weights; the
+        # regions act on the embedded graph itself, without the theta
+        # construction, and refused graphs (too many regions or surfaces,
+        # or a complex that fails its check) are skipped
+        rng = random.Random(1)
+        compared = 0
+        while compared < 50:
+            g = random_sphere_graph(rng, ops=rng.randint(2, 10))
+            if not orient_coherently(g):
+                continue
+            for e in g.edges.values():
+                e.weight = rng.randint(0, 1)
+            try:
+                c = build_complex(g, g.weights(), max_vertices=100)
+            except KakimizuError:
+                continue
+            assert c == permutation_complex(g, g.weights())
+            compared += 1
+
+    def test_matches_permutation_oracle_on_random_seifert_graphs(self):
+        # random sphere graphs as weight-1 Seifert graphs; those with
+        # incoherent directions or a unique surface are refused
+        rng = random.Random(9)
+        built = 0
+        for _ in range(50):
+            g = random_sphere_graph(rng, ops=rng.randint(2, 10))
+            for e in g.edges.values():
+                e.weight = 1
+            try:
+                tg = build_theta(g)
+                c = build_complex(tg, tg.weights())
+            except KakimizuError:
+                continue
+            assert c == permutation_complex(tg, tg.weights())
+            built += 1
+        assert built >= 10
 
     def test_incoherent_directions_rejected(self):
         g = parallel_edges(2, weights=[1, 0], dirs=[1, -1])

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from kakimizu.complexes import ComplexShape, is_connected, is_flag, recognize
 from kakimizu.errors import InputError, MoveError, SizeLimitError
-from kakimizu.twobridge import (BandChain, apply_band, band_chain, build_complex,
+from kakimizu.twobridge import (BandChain, apply_band, build_complex,
                                 flanking_disks, hopf_orbits, is_applicable,
                                 maximal_cycles)
 
@@ -49,23 +49,42 @@ def bfs_orbit_count(bands):
     return count
 
 
+def walk_cycles(chain, start, label_of):
+    """Reference oracle: visited-orbit sets of a recursive walk over every
+    ordering of the bands, restating the full-pass definition directly."""
+    results = set()
+
+    def walk(t, remaining, visited):
+        if not remaining:
+            assert t == start, "a full pass must return to its starting surface"
+            results.add(frozenset(visited))
+            return
+        for k in remaining:
+            if is_applicable(chain, t, k):
+                t2 = apply_band(chain, t, k)
+                walk(t2, remaining - {k}, visited | {label_of[t2]})
+
+    walk(start, frozenset(range(1, chain.n + 1)), frozenset({label_of[start]}))
+    return frozenset(results)
+
+
 class TestBandChain:
     def test_from_cfe(self):
-        chain = band_chain((2, -6, -2, 2))
+        chain = BandChain((2, -6, -2, 2))
         assert chain.n == 4 and chain.disks == 3
         assert chain.hopf_positions() == (1, 3, 4)
 
     def test_no_hopf(self):
-        assert band_chain((-8, -4)).hopf_positions() == ()
+        assert BandChain((-8, -4)).hopf_positions() == ()
 
     def test_single_band(self):
-        chain = band_chain((2,))
+        chain = BandChain((2,))
         assert chain.disks == 0
 
     @pytest.mark.parametrize("bad", [(), (3,), (0,), (2.0,)])
     def test_rejects(self, bad):
         with pytest.raises(InputError):
-            band_chain(bad)
+            BandChain(bad)
 
     def test_from_fraction_normalises(self):
         assert BandChain.from_fraction(Fraction(33, 73)).bands == (-2, -6, -4, -2)
@@ -73,38 +92,38 @@ class TestBandChain:
 
 class TestMoves:
     def test_interior_needs_equal_flanks(self):
-        chain = band_chain((-4, -2, -2, -2, -4, -2))
+        chain = BandChain((-4, -2, -2, -2, -4, -2))
         assert not is_applicable(chain, (1, 0, 1, 0, 0), 2)
         assert is_applicable(chain, (1, 1, 1, 0, 0), 2)
 
     def test_boundary_always_applicable(self):
-        chain = band_chain((-8, -4))
+        chain = BandChain((-8, -4))
         assert is_applicable(chain, (0,), 1)
         assert is_applicable(chain, (0,), 2)
 
     def test_apply_end_band(self):
-        chain = band_chain((-8, -4))
+        chain = BandChain((-8, -4))
         assert apply_band(chain, (0,), 1) == (1,)
         assert apply_band(chain, (0,), 2) == (1,)
 
     def test_apply_interior_double_flip(self):
-        chain = band_chain((-4, -2, -2, -2, -4, -2))
+        chain = BandChain((-4, -2, -2, -2, -4, -2))
         assert apply_band(chain, (0, 0, 0, 0, 0), 3) == (0, 1, 1, 0, 0)
 
     def test_not_applicable_raises(self):
-        chain = band_chain((-4, -2, -2, -2, -4, -2))
+        chain = BandChain((-4, -2, -2, -2, -4, -2))
         with pytest.raises(MoveError):
             apply_band(chain, (1, 0, 1, 0, 0), 2)
 
     def test_index_out_of_range(self):
-        chain = band_chain((-8, -4))
+        chain = BandChain((-8, -4))
         with pytest.raises(InputError):
             flanking_disks(chain, 3)
 
     @given(st.lists(st.sampled_from(CHAIN_ENTRIES), min_size=2, max_size=7), st.data())
     @settings(max_examples=200, deadline=None)
     def test_involution(self, bands, data):
-        chain = band_chain(tuple(bands))
+        chain = BandChain(tuple(bands))
         t = tuple(data.draw(st.sampled_from([0, 1])) for _ in range(chain.disks))
         k = data.draw(st.integers(1, chain.n))
         if is_applicable(chain, t, k):
@@ -121,16 +140,16 @@ class TestHopfOrbits:
         ((2, -6, -2, 2), 1),
     ])
     def test_counts(self, bands, count):
-        assert len(hopf_orbits(band_chain(bands))) == count
+        assert len(hopf_orbits(BandChain(bands))) == count
 
     def test_orbit_sizes(self):
         # 32 tuples split into 5 orbits; the free end bit doubles the sizes
         # of the 6,4,4,1,1 partition of the interior 4-bit cube
-        orbits = hopf_orbits(band_chain((-4, -2, -2, -2, -4, -2)))
+        orbits = hopf_orbits(BandChain((-4, -2, -2, -2, -4, -2)))
         assert sorted(len(o.members) for o in orbits) == [2, 2, 8, 8, 12]
 
     def test_partition(self):
-        chain = band_chain((4, 2, -4, 2))
+        chain = BandChain((4, 2, -4, 2))
         orbits = hopf_orbits(chain)
         everything = set(product((0, 1), repeat=chain.disks))
         union = set()
@@ -142,37 +161,37 @@ class TestHopfOrbits:
         assert union == everything
 
     def test_no_hopf_identity_partition(self):
-        chain = band_chain((4, -6, 4))
+        chain = BandChain((4, -6, 4))
         assert len(hopf_orbits(chain)) == 2 ** chain.disks
 
     @given(st.lists(st.sampled_from(CHAIN_ENTRIES), min_size=1, max_size=5))
     @settings(max_examples=250, deadline=None)
     def test_against_bfs_oracle(self, bands):
-        assert len(hopf_orbits(band_chain(tuple(bands)))) == bfs_orbit_count(bands)
+        assert len(hopf_orbits(BandChain(tuple(bands)))) == bfs_orbit_count(bands)
 
     def test_against_bfs_oracle_exhaustive(self):
         # every chain with at most 5 bands over the table's twist range
         checked = 0
         for n in range(1, 6):
             for bands in product(CHAIN_ENTRIES, repeat=n):
-                assert len(hopf_orbits(band_chain(bands))) == bfs_orbit_count(bands)
+                assert len(hopf_orbits(BandChain(bands))) == bfs_orbit_count(bands)
                 checked += 1
         assert checked == 6 + 36 + 216 + 1296 + 7776
 
 
 class TestMaximalCycles:
     def test_two_band_edge(self):
-        chain = band_chain((-8, -4))
+        chain = BandChain((-8, -4))
         cycles = maximal_cycles(chain, (0,))
         assert cycles == frozenset({frozenset({(0,), (1,)})})
 
     def test_unique_surface_single_orbit(self):
-        chain = band_chain((2, -6, -2, 2))
+        chain = BandChain((2, -6, -2, 2))
         (orbit,) = hopf_orbits(chain)
         assert maximal_cycles(chain, (0, 0, 0)) == frozenset({frozenset({orbit.label})})
 
     def test_no_three_orbit_cycle(self):
-        chain = band_chain((4, 2, -4, 2))
+        chain = BandChain((4, 2, -4, 2))
         label_of = {}
         for o in hopf_orbits(chain):
             for t in o.members:
@@ -181,46 +200,58 @@ class TestMaximalCycles:
         assert frozenset({label_of[(1, 0, 0)], label_of[(0, 0, 0)]}) in cycles
         assert all(len(c) <= 2 for c in cycles)
 
+    def test_matches_ordering_walk_exhaustive(self):
+        # every (chain, start) pair with at most 4 bands of twist 2 or 4
+        pairs = 0
+        for n in range(1, 5):
+            for bands in product((-4, -2, 2, 4), repeat=n):
+                chain = BandChain(bands)
+                label_of = {t: o.label for o in hopf_orbits(chain) for t in o.members}
+                for start in product((0, 1), repeat=chain.disks):
+                    assert maximal_cycles(chain, start) == walk_cycles(chain, start, label_of)
+                    pairs += 1
+        assert pairs == 2340
+
 
 class TestBuildComplex:
     def test_point(self):
-        c = build_complex(band_chain((2, -6, -2, 2)))
+        c = build_complex(BandChain((2, -6, -2, 2)))
         assert str(recognize(c)) == "point"
 
     def test_edge(self):
-        c = build_complex(band_chain((-2, -6, -4, -2)))
+        c = build_complex(BandChain((-2, -6, -4, -2)))
         assert str(recognize(c)) == "simplex(1)"
 
     def test_path5(self):
-        c = build_complex(band_chain((-4, -2, -2, -2, -4, -2)))
+        c = build_complex(BandChain((-4, -2, -2, -2, -4, -2)))
         assert str(recognize(c)) == "path(5)"
 
     def test_single_band_point(self):
-        c = build_complex(band_chain((2,)))
+        c = build_complex(BandChain((2,)))
         assert str(recognize(c)) == "point"
 
     def test_two_triangles_share_an_edge(self):
         # the smallest chain with a non-path complex
-        c = build_complex(band_chain((4, 4, 4)))
+        c = build_complex(BandChain((4, 4, 4)))
         assert len(c.vertices) == 4
         assert sorted(len(s) for s in c.simplices) == [3, 3]
         assert is_flag(c) and is_connected(c)
 
     def test_size_bound(self):
         with pytest.raises(SizeLimitError):
-            build_complex(band_chain((4,) * 13))
+            build_complex(BandChain((4,) * 13))
         with pytest.raises(SizeLimitError):
-            build_complex(band_chain((4, 4, 4)), max_bands=2)
+            build_complex(BandChain((4, 4, 4)), max_bands=2)
 
     def test_catalog_shapes(self):
         for row in ROWS:
-            c = build_complex(band_chain(row.cfe))
+            c = build_complex(BandChain(row.cfe))
             assert str(recognize(c)) == str(ComplexShape.parse(row.shape)), row.name
 
     @given(st.lists(st.sampled_from(CHAIN_ENTRIES), min_size=1, max_size=5))
     @settings(max_examples=150, deadline=None)
     def test_connected_and_flag(self, bands):
-        c = build_complex(band_chain(tuple(bands)))
+        c = build_complex(BandChain(tuple(bands)))
         assert is_connected(c)
         assert is_flag(c)
 
@@ -231,7 +262,7 @@ def test_single_move_adjacency_matches_cycles_diagnostic(capsys):
     chains, and divergences are reported."""
     diverging = []
     for row in ROWS:
-        chain = band_chain(row.cfe)
+        chain = BandChain(row.cfe)
         orbits = hopf_orbits(chain)
         label_of = {t: o.label for o in orbits for t in o.members}
         move_edges = set()
@@ -253,7 +284,7 @@ def test_single_move_adjacency_matches_cycles_diagnostic(capsys):
 
 def test_randomised_start_order_independence():
     rng = random.Random(11)
-    chain = band_chain((-4, 2, -2, -4))
+    chain = BandChain((-4, 2, -2, -4))
     reference = build_complex(chain)
     for _ in range(5):
         starts = list(product((0, 1), repeat=chain.disks))
