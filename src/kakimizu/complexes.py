@@ -52,10 +52,8 @@ class SimplicialComplex:
                 raise InputError("empty maximal simplex")
             if not s <= self.vertices:
                 raise InputError(f"simplex {sorted(map(label_text, s))} not within vertex set")
-        for a in self.simplices:
-            for b in self.simplices:
-                if a < b:
-                    raise InputError("maximal simplices must form an antichain")
+        if len(_maximal(self.simplices)) < len(self.simplices):
+            raise InputError("maximal simplices must form an antichain")
         covered = frozenset().union(*self.simplices) if self.simplices else frozenset()
         if covered != self.vertices:
             raise InputError("every vertex must lie in at least one maximal simplex")
@@ -78,8 +76,7 @@ class SimplicialComplex:
             verts |= extra
         if not verts:
             raise InputError("a simplicial complex needs at least one vertex")
-        maximal = {s for s in sims if not any(s < other for other in sims)}
-        return cls(frozenset(verts), frozenset(maximal))
+        return cls(frozenset(verts), frozenset(_maximal(sims)))
 
     def sorted_vertices(self) -> list:
         return sorted(self.vertices, key=label_text)
@@ -97,6 +94,35 @@ class SimplicialComplex:
             for v in e:
                 deg[v] += 1
         return deg
+
+
+def _maximal(sims) -> list:
+    """The sets among the distinct `sims` that no other one strictly contains.
+
+    One inverted index maps every vertex to the bitmask of the sets that
+    hold it.  The AND of those masks over a set's vertices is the set of
+    its supersets, itself included; the sets being distinct, any other bit
+    is a strict superset.  A single set needs no index.
+    """
+    sims = list(sims)
+    if len(sims) < 2:
+        return sims
+    holders: dict = {}
+    bit = 1
+    for s in sims:
+        for v in s:
+            holders[v] = holders.get(v, 0) | bit
+        bit <<= 1
+    maximal = []
+    bit = 1
+    for s in sims:
+        supersets = -1
+        for v in s:
+            supersets &= holders[v]
+        if supersets == bit:
+            maximal.append(s)
+        bit <<= 1
+    return maximal
 
 
 def flag_closure(edges: Iterable[Iterable[Label]], vertices: Iterable[Label]) -> SimplicialComplex:

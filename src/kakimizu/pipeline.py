@@ -158,9 +158,11 @@ def _unique_base_params(params: str):
 def classify_and_compute(rec: KnotRecord,
                          max_bands: int = DEFAULT_MAX_BANDS,
                          max_vertices: int = thetagraph.DEFAULT_MAX_VERTICES) -> SimplicialComplex:
-    """Dispatch a record to its algorithm and return the complex."""
-    if rec.klass == "fibred":
-        return ComplexShape.point().as_complex()
+    """Dispatch a record to its algorithm and return the checked complex.
+
+    The two builders check the complexes they build; the rule-based classes
+    are checked here, so every complex is checked exactly once.
+    """
     if rec.klass == "two_bridge":
         return twobridge.build_complex(twobridge.BandChain.parse(rec.params),
                                        max_bands=max_bands)
@@ -170,15 +172,19 @@ def classify_and_compute(rec: KnotRecord,
             path = rec.base_dir / path
         tg = load_theta_file(path)
         return thetagraph.build_complex(tg, tg.weights(), max_vertices=max_vertices)
-    if rec.klass == "unique_base_plus_fibred":
+    if rec.klass == "fibred":
+        complex_ = ComplexShape.point().as_complex()
+    elif rec.klass == "unique_base_plus_fibred":
         base_unique, count = _unique_base_params(rec.params)
         complex_, _ = strip_fibred_summands(base_unique, count)
-        return complex_
-    if rec.klass == "plumbing_unique_pair":
-        return plumbing_theorem_complex(MarkingFlags.parse(rec.params))
-    if rec.klass == "table_expected":
-        return ComplexShape.parse(rec.params).as_complex()
-    raise InputError(f"unknown knot class {rec.klass!r}")
+    elif rec.klass == "plumbing_unique_pair":
+        complex_ = plumbing_theorem_complex(MarkingFlags.parse(rec.params))
+    elif rec.klass == "table_expected":
+        complex_ = ComplexShape.parse(rec.params).as_complex()
+    else:
+        raise InputError(f"unknown knot class {rec.klass!r}")
+    check_complex(complex_)
+    return complex_
 
 
 def load_theta_file(path) -> thetagraph.ThetaGraph:
@@ -235,7 +241,6 @@ def run_batch(records, max_bands: int = DEFAULT_MAX_BANDS,
         began = time.perf_counter()
         try:
             complex_ = classify_and_compute(rec, max_bands=max_bands, max_vertices=max_vertices)
-            check_complex(complex_)
             shape = recognize(complex_)
             matched = shape.equivalent(rec.expected) if rec.expected is not None else None
             results.append(ResultRecord(rec.name, complex_, shape, matched,

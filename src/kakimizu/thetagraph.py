@@ -262,36 +262,47 @@ class ThetaGraph(PlanarMultigraph):
                         "bigon between weight-positive edges was not reduced")
 
 
-def reduce_bigons(g: PlanarMultigraph, rng=None) -> PlanarMultigraph:
+def reduce_bigons(g: PlanarMultigraph) -> PlanarMultigraph:
     """Merge parallel edge pairs bounding bigons until none remain.
 
-    Both edges of a bigon face are rotation-adjacent parallels; the survivor
-    keeps the smaller id and carries the weight sum.  Requires the all
-    weight-1 Seifert graph as input.  `rng` (tests only) shuffles the merge
-    order; the result does not depend on it.
+    Merging the two edges of a bigon deletes one of them.  The face on the
+    far side of the deleted edge then runs along its partner instead, and
+    no face changes length; so the bigons of every later stage are those
+    of the input with merged edges substituted, and no new bigon appears.
+    Merging until none remain therefore joins exactly the classes of the
+    relation "bound a common bigon" on the input's edges, whatever the
+    order.  The faces are computed once, each class is found by union-find,
+    and its edge with the smallest id survives with the class's weight
+    sum.  Requires the all weight-1 Seifert graph as input.
     """
     if any(e.weight != 1 for e in g.edges.values()):
         raise InputError("bigon reduction starts from the weight-1 Seifert graph")
     g = g.copy()
-    while True:
-        bigons = []
-        for walk in g.faces():
-            if len(walk) != 2:
-                continue
-            (e1, _), (e2, _) = walk
-            if e1 == e2:
-                continue
-            if frozenset(g.edges[e1].ends()) == frozenset(g.edges[e2].ends()) \
-                    and g.edges[e1].u != g.edges[e1].v:
-                bigons.append(tuple(sorted((e1, e2), key=_edge_key)))
-        if not bigons:
-            return g
-        bigons.sort()
-        keep, drop = bigons[0] if rng is None else rng.choice(bigons)
-        g.edges[keep].weight += g.edges[drop].weight
-        for v in g.vertices:
-            g.rotation[v] = [d for d in g.rotation[v] if d[0] != drop]
-        del g.edges[drop]
+    parent = {eid: eid for eid in g.edges}
+
+    def root(eid):
+        while parent[eid] != eid:
+            parent[eid] = eid = parent[parent[eid]]
+        return eid
+
+    def id_key(eid):
+        return _edge_key(eid), eid
+
+    for walk in g.faces():
+        if len(walk) != 2:
+            continue
+        (e1, _), (e2, _) = walk
+        if e1 == e2 or g.edges[e1].u == g.edges[e1].v \
+                or frozenset(g.edges[e1].ends()) != frozenset(g.edges[e2].ends()):
+            continue
+        keep, drop = sorted((root(e1), root(e2)), key=id_key)
+        parent[drop] = keep
+    dropped = {eid for eid in g.edges if root(eid) != eid}
+    for eid in dropped:
+        g.edges[root(eid)].weight += g.edges.pop(eid).weight
+    for v in g.vertices:
+        g.rotation[v] = [d for d in g.rotation[v] if d[0] not in dropped]
+    return g
 
 
 def add_zero_edges(g: PlanarMultigraph) -> PlanarMultigraph:

@@ -25,7 +25,10 @@ from .errors import InputError, MoveError, SizeLimitError
 
 SurfaceTuple = tuple  # of 0/1 ints, one per plumbing disk
 
-DEFAULT_MAX_BANDS = 12
+# the slowest ladder at 9 bands, (-4)^9, builds in about 17 s, and one more
+# band multiplies a ladder's time by 4 to 15 (``perfbench/rungs.py``, Python
+# 3.11 on one core of a shared VM)
+DEFAULT_MAX_BANDS = 9
 
 
 @dataclass(frozen=True)

@@ -1,10 +1,12 @@
 import json
 import subprocess
 import sys
+import time
 
 import pytest
 
 from kakimizu.cli import main
+from kakimizu.twobridge import DEFAULT_MAX_BANDS
 
 
 def run(capsys, *argv):
@@ -137,6 +139,17 @@ class TestBatch:
         code, out, _ = run(capsys, "batch", str(table))
         assert code == 1
         assert "ERR" in out
+
+    def test_chain_over_default_cap_refused_at_once(self, capsys, tmp_path):
+        # an 11-band alternating chain would take minutes to build
+        bands = ",".join(["-2", "-4"] * 5 + ["-2"])
+        table = tmp_path / "t.csv"
+        table.write_text(f'name,class,params,expected\nk,two_bridge,"[{bands}]",point\n')
+        began = time.perf_counter()
+        code, out, _ = run(capsys, "batch", str(table))
+        assert time.perf_counter() - began < 5
+        assert code == 1
+        assert f"chain has 11 bands, limit is {DEFAULT_MAX_BANDS}" in out
 
     def test_malformed_table_exits_two(self, capsys, tmp_path):
         table = tmp_path / "t.csv"

@@ -12,6 +12,29 @@ def path_complex(n, prefix="T"):
     return ComplexShape.path(n).as_complex(prefix)
 
 
+def pairwise_maximal(simplices):
+    """Reference oracle: the candidates no other candidate strictly contains,
+    found by comparing every pair."""
+    sims = {frozenset(s) for s in simplices}
+    sims.discard(frozenset())
+    return {s for s in sims if not any(s < other for other in sims)}
+
+
+def random_family(rng):
+    """Random subsets of a small vertex set, with duplicates, the empty set,
+    a nested chain and several sets of one size mixed in."""
+    verts = list(range(rng.randint(1, 9)))
+    family = [rng.sample(verts, rng.randint(0, len(verts))) for _ in range(rng.randint(1, 12))]
+    family += [list(s) for s in rng.sample(family, rng.randint(0, len(family)))]
+    family.append([])
+    chain = rng.sample(verts, len(verts))
+    family += [chain[:k] for k in range(rng.randint(1, len(verts)), len(verts) + 1)]
+    size = rng.randint(1, len(verts))
+    family += [rng.sample(verts, size) for _ in range(rng.randint(2, 5))]
+    rng.shuffle(family)
+    return family
+
+
 class TestConstruction:
     def test_absorbs_contained(self):
         c = SimplicialComplex.from_maximal([["a", "b"], ["a"], ["a", "b", "c"]])
@@ -31,6 +54,38 @@ class TestConstruction:
             SimplicialComplex(frozenset({"a", "b"}), frozenset({frozenset({"a"})}))
         with pytest.raises(InputError):
             SimplicialComplex.from_maximal([])
+        # one strict inclusion among many incomparable simplices
+        rows = [frozenset({f"a{i}", f"b{i}", "c"}) for i in range(40)]
+        with pytest.raises(InputError):
+            SimplicialComplex(frozenset().union(*rows),
+                              frozenset(rows + [frozenset({"a7", "c"})]))
+
+    def test_absorption_matches_pairwise_oracle(self):
+        rng = random.Random(3)
+        for _ in range(500):
+            family = random_family(rng)
+            if not any(family):
+                continue
+            c = SimplicialComplex.from_maximal(family)
+            assert c.simplices == pairwise_maximal(family)
+            assert c.vertices == frozenset().union(*map(frozenset, family))
+
+    def test_antichain_check_matches_pairwise_oracle(self):
+        rng = random.Random(4)
+        raised = 0
+        for _ in range(500):
+            sims = {frozenset(s) for s in random_family(rng)} - {frozenset()}
+            if not sims:
+                continue
+            verts = frozenset().union(*sims)
+            SimplicialComplex(verts, frozenset(pairwise_maximal(sims)))
+            if pairwise_maximal(sims) == sims:
+                SimplicialComplex(verts, frozenset(sims))
+            else:
+                with pytest.raises(InputError):
+                    SimplicialComplex(verts, frozenset(sims))
+                raised += 1
+        assert raised >= 100
 
 
 class TestFlagClosure:

@@ -1,7 +1,9 @@
+import hashlib
 import json
 
 import pytest
 
+from kakimizu import complexes, pipeline, thetagraph, twobridge
 from kakimizu.complexes import ComplexShape, recognize
 from kakimizu.errors import InputError
 from kakimizu.pipeline import (KnotRecord, MarkingFlags, classify_and_compute,
@@ -167,6 +169,27 @@ class TestRunBatch:
         results = run_batch([KnotRecord("k", "fibred", "-")])
         assert results[0].matched_expected is None
 
+    def test_each_record_checked_once(self, data_dir, monkeypatch):
+        # the builders check their own complexes and classify_and_compute
+        # checks the rule-based ones; run_batch adds no second check
+        calls = []
+
+        def counting(c):
+            calls.append(c)
+            return complexes.check_complex(c)
+
+        for module in (pipeline, twobridge, thetagraph):
+            monkeypatch.setattr(module, "check_complex", counting)
+        records = load_table(data_dir / "knots11_mixed.csv")
+        classes = set()
+        for rec in records:
+            calls.clear()
+            (result,) = run_batch([rec])
+            assert result.error is None, rec.name
+            assert calls == [result.computed], rec.name
+            classes.add(rec.klass)
+        assert classes == set(pipeline.KNOT_CLASSES)
+
 
 class TestReport:
     def test_report_is_deterministic(self, tmp_path):
@@ -200,6 +223,16 @@ class TestShippedTables:
     def test_mixed_classes_all_match(self, data_dir):
         results = run_batch(load_table(data_dir / "knots11_mixed.csv"))
         assert all(r.matched_expected is True for r in results), summary_table(results)
+
+    @pytest.mark.parametrize("table, digest", [
+        ("knots11.csv", "d2e51e67933decd0e14cf5b48ec9fec82ed993ec4df04a9d4d8d6af35644486b"),
+        ("knots11_lists.csv", "4100125591aad6940e95edb178d3f11095b27e18ade07c99311ae1d4032b0367"),
+        ("knots11_mixed.csv", "f67e27683230cdc1ed58c5137c181184d53a507354ab56374ed26fe02f6dc565"),
+    ])
+    def test_report_bytes_pinned(self, data_dir, tmp_path, table, digest):
+        out = tmp_path / "report.json"
+        write_report(run_batch(load_table(data_dir / table)), out)
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
 
     def test_catalogued_lists_all_match(self, data_dir):
         results = run_batch(load_table(data_dir / "knots11_lists.csv"))

@@ -8,11 +8,14 @@ from kakimizu.complexes import SimplicialComplex, is_connected, is_flag, recogni
 from kakimizu.errors import (InputError, KakimizuError, MoveError, SizeLimitError,
                              StructureError)
 from kakimizu.pipeline import load_theta_file
-from kakimizu.thetagraph import (Edge, PlanarMultigraph, ThetaGraph, add_zero_edges,
-                                 apply_region, build_complex, build_theta,
+from kakimizu.thetagraph import (Edge, PlanarMultigraph, ThetaGraph, _edge_key,
+                                 add_zero_edges, apply_region, build_complex, build_theta,
                                  reduce_bigons, region_signatures, theta_subgraph)
 
+from euler import euler_characteristic
 from randgraphs import random_sphere_graph
+
+FIXTURES = ("theta_11_94.txt", "theta_11_237.txt", "theta_11_340.txt")
 
 
 def parallel_edges(k, weights=None, dirs=None):
@@ -39,6 +42,41 @@ def square_with_chord():
         "y": [("4", 0), ("3", 1)],
     }
     return PlanarMultigraph(["u", "v", "x", "y"], edges, rotation)
+
+
+def sequential_reduce_bigons(g, rng=None):
+    """Reference oracle: merge one bigon at a time, recomputing the faces.
+
+    Each round lists the bigons of the current graph and merges one of
+    them, the first in sorted order or, with `rng`, a random one; the
+    survivor keeps the smaller id and carries the weight sum.
+    """
+    g = g.copy()
+    while True:
+        bigons = []
+        for walk in g.faces():
+            if len(walk) != 2:
+                continue
+            (e1, _), (e2, _) = walk
+            if e1 == e2:
+                continue
+            if frozenset(g.edges[e1].ends()) == frozenset(g.edges[e2].ends()) \
+                    and g.edges[e1].u != g.edges[e1].v:
+                bigons.append(tuple(sorted((e1, e2), key=_edge_key)))
+        if not bigons:
+            return g
+        bigons.sort()
+        keep, drop = bigons[0] if rng is None else rng.choice(bigons)
+        g.edges[keep].weight += g.edges[drop].weight
+        for v in g.vertices:
+            g.rotation[v] = [d for d in g.rotation[v] if d[0] != drop]
+        del g.edges[drop]
+
+
+def embedding(g):
+    """Everything reduce_bigons decides: edges in order with their data, and rotations."""
+    return ([(eid, e.u, e.v, e.weight, e.direction) for eid, e in g.edges.items()],
+            g.rotation)
 
 
 def permutation_complex(tg, w0):
@@ -191,15 +229,25 @@ class TestReduceBigons:
             reduce_bigons(parallel_edges(2, weights=[2, 1]))
 
     def test_order_independent(self, data_dir):
-        g = PlanarMultigraph.from_text((data_dir / "theta_11_340.txt").read_text())
-        reference = reduce_bigons(g)
+        # the one-at-a-time oracle, in sorted and in 20 random merge orders
+        for name in FIXTURES:
+            g = PlanarMultigraph.from_text((data_dir / name).read_text())
+            reference = embedding(reduce_bigons(g))
+            for rng in [None] + [random.Random(seed) for seed in range(20)]:
+                assert embedding(sequential_reduce_bigons(g, rng=rng)) == reference
 
-        def key(h):
-            return sorted((frozenset(e.ends()), e.weight) for e in h.edges.values())
-
-        for seed in range(20):
-            shuffled = reduce_bigons(g, rng=random.Random(seed))
-            assert key(shuffled) == key(reference)
+    def test_matches_sequential_oracle_on_random_graphs(self):
+        rng = random.Random(5)
+        merged = 0
+        for _ in range(300):
+            g = random_sphere_graph(rng, ops=rng.randint(2, 16))
+            for e in g.edges.values():
+                e.weight = 1
+            expected = sequential_reduce_bigons(g, rng=random.Random(rng.random()))
+            reduced = reduce_bigons(g)
+            assert embedding(reduced) == embedding(expected)
+            merged += len(g.edges) > len(reduced.edges)
+        assert merged >= 100
 
     def test_edge_count_strictly_decreases(self):
         g = parallel_edges(4)
@@ -431,7 +479,9 @@ class TestBuildComplex:
         tg = theta_subgraph(parallel_edges(3, weights=[3, 0, 0]))
         starts.append((tg, tg.weights()))
         for tg, w0 in starts:
-            assert build_complex(tg, w0) == permutation_complex(tg, w0)
+            c = build_complex(tg, w0)
+            assert c == permutation_complex(tg, w0)
+            assert euler_characteristic(c) == 1
 
     def test_matches_permutation_oracle_on_random_weighted_graphs(self):
         # 50 coherently oriented random sphere graphs with 0/1 weights; the
@@ -451,6 +501,7 @@ class TestBuildComplex:
             except KakimizuError:
                 continue
             assert c == permutation_complex(g, g.weights())
+            assert euler_characteristic(c) == 1
             compared += 1
 
     def test_matches_permutation_oracle_on_random_seifert_graphs(self):
@@ -468,6 +519,7 @@ class TestBuildComplex:
             except KakimizuError:
                 continue
             assert c == permutation_complex(tg, tg.weights())
+            assert euler_characteristic(c) == 1
             built += 1
         assert built >= 10
 

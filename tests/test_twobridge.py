@@ -13,6 +13,7 @@ from kakimizu.twobridge import (BandChain, apply_band, build_complex,
                                 maximal_cycles)
 
 from catalog import ROWS
+from euler import euler_characteristic
 
 CHAIN_ENTRIES = [-6, -4, -2, 2, 4, 6]
 
@@ -247,6 +248,16 @@ class TestBuildComplex:
         for row in ROWS:
             c = build_complex(BandChain(row.cfe))
             assert str(recognize(c)) == str(ComplexShape.parse(row.shape)), row.name
+
+    def test_euler_characteristic_is_one_exhaustive(self):
+        # Kakimizu complexes are contractible; every chain with at most 5
+        # bands of twist 2 or 4
+        built = 0
+        for n in range(1, 6):
+            for bands in product((-4, -2, 2, 4), repeat=n):
+                assert euler_characteristic(build_complex(BandChain(bands))) == 1, bands
+                built += 1
+        assert built == 1364
 
     @given(st.lists(st.sampled_from(CHAIN_ENTRIES), min_size=1, max_size=5))
     @settings(max_examples=150, deadline=None)
