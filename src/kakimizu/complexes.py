@@ -8,6 +8,11 @@ isomorphism testing for small complexes, recognition of the shapes that occur
 in knot tables (point, path, single simplex), and deterministic DOT and JSON
 exports.  It also holds the full-pass engine that both move calculi use to
 find maximal simplices, and the connected/flag check every build ends with.
+
+The flag closure, the flag test and the connectivity test share one kernel
+on integer bitmasks: vertices are indexed once, each vertex's neighbourhood
+is one int, Bron-Kerbosch with Tomita's pivot enumerates the maximal cliques
+over those masks, and connectivity is a breadth-first search over them.
 """
 
 from __future__ import annotations
@@ -125,62 +130,111 @@ def _maximal(sims) -> list:
     return maximal
 
 
+def _bits(mask: int):
+    """The positions of the set bits of `mask`, lowest first."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
+def _maximal_cliques(adj: list):
+    """Yield every maximal clique of the graph with adjacency masks `adj`.
+
+    Bron-Kerbosch with Tomita's pivot (Tomita, Tanaka, Takahashi, TCS 363,
+    2006): a branch (R, P, X) tries only the vertices of P outside the
+    neighbourhood of the vertex of P | X with most neighbours in P.  Vertex i
+    is bit i of the masks P and X, and a clique R is the tuple of its
+    vertices.  Open branches wait on an explicit stack as [R, P, X, vertices
+    left to try], one per vertex of R, and each child is made when its turn
+    comes.
+    """
+    def branch(r, p, x):
+        if not p:
+            return [r, p, x, 0]
+        pivot = max(_bits(p | x), key=lambda u: (p & adj[u]).bit_count())
+        return [r, p, x, p & ~adj[pivot]]
+
+    stack = [branch((), (1 << len(adj)) - 1, 0)]
+    while stack:
+        frame = stack[-1]
+        r, p, x, todo = frame
+        if not todo:
+            stack.pop()
+            if not p and not x:
+                yield r
+            continue
+        bit = todo & -todo
+        v = bit.bit_length() - 1
+        frame[1:] = p ^ bit, x | bit, todo ^ bit
+        stack.append(branch(r + (v,), p & adj[v], x & adj[v]))
+
+
+def _adjacency(c: SimplicialComplex) -> tuple:
+    """The index of each vertex of c in sorted order, and the adjacency masks."""
+    index = {v: i for i, v in enumerate(c.sorted_vertices())}
+    adj = [0] * len(index)
+    for s in c.simplices:
+        ids = [index[v] for v in s]
+        mask = 0
+        for i in ids:
+            mask |= 1 << i
+        for i in ids:
+            adj[i] |= mask
+    for i in range(len(adj)):
+        adj[i] ^= 1 << i   # every vertex lies in a simplex, so bit i is set
+    return index, adj
+
+
 def flag_closure(edges: Iterable[Iterable[Label]], vertices: Iterable[Label]) -> SimplicialComplex:
     """The flag complex on `vertices` whose 1-skeleton is `edges`.
 
-    Maximal simplices are the maximal cliques of the edge graph, enumerated
-    by Bron-Kerbosch with a deterministic sorted pivot choice.
+    Maximal simplices are the maximal cliques of the edge graph.
     """
     verts = sorted(set(vertices), key=label_text)
     if not verts:
         raise InputError("flag closure of the empty vertex set")
-    adj: dict = {v: set() for v in verts}
+    index = {v: i for i, v in enumerate(verts)}
+    adj = [0] * len(verts)
     for e in edges:
         a, b = tuple(e)
         if a == b:
             raise InputError("loop edges are not 1-simplices")
-        if a not in adj or b not in adj:
+        if a not in index or b not in index:
             raise InputError("edge endpoint outside vertex set")
-        adj[a].add(b)
-        adj[b].add(a)
-
-    cliques: list = []
-
-    def expand(r: set, p: set, x: set) -> None:
-        if not p and not x:
-            cliques.append(frozenset(r))
-            return
-        pivot = max(sorted(p | x, key=label_text), key=lambda v: len(adj[v] & p))
-        for v in sorted(p - adj[pivot], key=label_text):
-            expand(r | {v}, p & adj[v], x & adj[v])
-            p = p - {v}
-            x = x | {v}
-
-    expand(set(), set(verts), set())
+        adj[index[a]] |= 1 << index[b]
+        adj[index[b]] |= 1 << index[a]
+    cliques = [[verts[i] for i in q] for q in _maximal_cliques(adj)]
     return SimplicialComplex.from_maximal(cliques, vertices=verts)
 
 
 def is_flag(c: SimplicialComplex) -> bool:
-    """True when the complex equals the flag closure of its own 1-skeleton."""
-    return flag_closure(c.one_skeleton(), c.vertices) == c
+    """True when the complex equals the flag closure of its own 1-skeleton.
+
+    Every simplex is a clique of the 1-skeleton and so lies in a maximal
+    clique.  If every maximal clique is a simplex, each simplex lies in a
+    simplex that is a maximal clique, which is the simplex itself because
+    the maximal simplices form an antichain: the maximal simplices are then
+    exactly the maximal cliques, which is flagness; conversely, in a flag
+    complex every maximal clique is a simplex.  So the clique search stops
+    at the first maximal clique that is not a simplex.
+    """
+    index, adj = _adjacency(c)
+    sims = {frozenset([index[v] for v in s]) for s in c.simplices}
+    return all(frozenset(q) in sims for q in _maximal_cliques(adj))
 
 
 def is_connected(c: SimplicialComplex) -> bool:
-    adj: dict = {v: set() for v in c.vertices}
-    for e in c.one_skeleton():
-        a, b = tuple(e)
-        adj[a].add(b)
-        adj[b].add(a)
-    start = c.sorted_vertices()[0]
-    seen = {start}
-    stack = [start]
-    while stack:
-        v = stack.pop()
-        for w in adj[v]:
-            if w not in seen:
-                seen.add(w)
-                stack.append(w)
-    return seen == c.vertices
+    """True when the 1-skeleton is connected, by a breadth-first search over masks."""
+    _, adj = _adjacency(c)
+    seen = frontier = 1
+    while frontier:
+        reach = 0
+        for i in _bits(frontier):
+            reach |= adj[i]
+        frontier = reach & ~seen
+        seen |= frontier
+    return seen == (1 << len(adj)) - 1
 
 
 def check_complex(c: SimplicialComplex) -> None:
@@ -396,8 +450,9 @@ def recognize(c: SimplicialComplex) -> ComplexShape:
 
 def to_json(c: SimplicialComplex) -> str:
     """Canonical JSON with sorted vertices and sorted maximal simplices."""
-    verts = [label_text(v) for v in c.sorted_vertices()]
-    sims = sorted(sorted(label_text(v) for v in s) for s in c.simplices)
+    text = {v: label_text(v) for v in c.vertices}
+    verts = sorted(text.values())
+    sims = sorted(sorted(text[v] for v in s) for s in c.simplices)
     return json.dumps({"vertices": verts, "maximal_simplices": sims},
                       indent=2, sort_keys=True) + "\n"
 
@@ -408,12 +463,13 @@ def to_dot(c: SimplicialComplex) -> str:
     Maximal simplices of dimension two or more are annotated as comments so
     that filled cliques survive the drop to the 1-skeleton.
     """
+    text = {v: label_text(v) for v in c.vertices}
     lines = ["graph kakimizu {", "  node [shape=circle];"]
-    for v in c.sorted_vertices():
-        lines.append(f'  "{label_text(v)}";')
-    for e in sorted(sorted(label_text(v) for v in e) for e in c.one_skeleton()):
+    for v in sorted(text.values()):
+        lines.append(f'  "{v}";')
+    for e in sorted(sorted(text[v] for v in e) for e in c.one_skeleton()):
         lines.append(f'  "{e[0]}" -- "{e[1]}";')
-    for s in sorted(sorted(label_text(v) for v in s) for s in c.simplices):
+    for s in sorted(sorted(text[v] for v in s) for s in c.simplices):
         if len(s) >= 3:
             lines.append("  // filled simplex: " + " ".join(s))
     lines.append("}")

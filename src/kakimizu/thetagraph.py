@@ -34,7 +34,11 @@ from .errors import InputError, MoveError, SizeLimitError, StructureError
 
 Dart = tuple  # (edge id, end index 0 or 1)
 
-DEFAULT_MAX_VERTICES = 100_000
+# route graphs with R = 4 regions and W parallel edges, the slower of the
+# two measured ladders, built 17 296 vertices (W = 45) in 14 s and 23 426
+# (W = 50) in 26.5 s; R = 3 built 45 451 (W = 300) in 15 s (Python 3.11
+# on one core of a shared VM, one build per rung)
+DEFAULT_MAX_VERTICES = 20_000
 MAX_REGIONS = 8
 
 
@@ -51,7 +55,7 @@ class Edge:
 
 def _edge_key(eid: str):
     # numeric ids sort numerically, generated ids (z1, z2, ...) after them
-    return (0, int(eid), "") if eid.isdigit() else (1, 0, eid)
+    return (0, int(eid), "") if eid.isdecimal() else (1, 0, eid)
 
 
 class PlanarMultigraph:
@@ -373,9 +377,8 @@ def theta_subgraph(g: PlanarMultigraph) -> ThetaGraph:
     if not keep:
         raise StructureError("theta graph is empty: the knot has a unique surface")
     verts = sorted({v for eid in keep for v in g.edges[eid].ends()})
-    edges = {eid: Edge(g.edges[eid].u, g.edges[eid].v,
-                       g.edges[eid].weight, g.edges[eid].direction)
-             for eid in keep}
+    edges = {eid: Edge(e.u, e.v, e.weight, e.direction)
+             for eid, e in g.edges.items() if eid in keep}
     rotation = {v: [d for d in g.rotation[v] if d[0] in keep] for v in verts}
     return ThetaGraph(verts, edges, rotation)
 
@@ -438,6 +441,13 @@ def build_complex(tg: ThetaGraph, w0: dict,
     once, no weight below zero; see :func:`~kakimizu.complexes.full_passes`)
     visits a simplex.  Inclusion-maximal visited sets are the maximal
     simplices; the result must come out connected and flag.
+
+    The reachability search interns each weight tuple as an index and
+    records, per index and region, the index the region leads to.  The
+    passes run on indices, stepping by table lookup; interning is a
+    bijection, so the pass engine's order and return checks hold on the
+    indices exactly when they hold on the tuples, and the visited index
+    sets are mapped back to tuples once, for the assembly.
     """
     regions = region_signatures(tg)
     if len(regions) > MAX_REGIONS:
@@ -456,26 +466,36 @@ def build_complex(tg: ThetaGraph, w0: dict,
     shifts = [tuple(sum(s for e, s in region.boundary if e == eid) for eid in order)
               for region in regions]
 
-    def step(w, shift):
-        out = tuple(a + b for a, b in zip(w, shift))
-        return None if min(out) < 0 else out
-
-    start = tuple(w0[eid] for eid in order)
-    seen = {start}
-    frontier = [start]
-    while frontier:
-        w = frontier.pop()
+    # intern the reachable weight tuples breadth first: states[i] is the
+    # tuple of index i, succ[i][r] the index region r leads to, or None
+    states = [tuple(w0[eid] for eid in order)]
+    index = {states[0]: 0}
+    succ = []
+    for w in states:
+        row = []
         for shift in shifts:
-            w2 = step(w, shift)
-            if w2 is not None and w2 not in seen:
-                if len(seen) >= max_vertices:
+            w2 = tuple(a + b for a, b in zip(w, shift))
+            if min(w2) < 0:
+                row.append(None)
+                continue
+            j = index.get(w2)
+            if j is None:
+                if len(states) >= max_vertices:
                     raise SizeLimitError(f"more than {max_vertices} reachable surfaces")
-                seen.add(w2)
-                frontier.append(w2)
+                j = index[w2] = len(states)
+                states.append(w2)
+            row.append(j)
+        succ.append(row)
 
-    simplices = {frozenset([w]) for w in seen}
-    for w in seen:
-        simplices |= full_passes(w, shifts, step, lambda v: v)
+    def step(i, r):
+        return succ[i][r]
+
+    moves = range(len(shifts))
+    visited = {frozenset([i]) for i in range(len(states))}
+    for i in range(len(states)):
+        visited |= full_passes(i, moves, step, int)   # an index is its own label
+    simplices = [frozenset([states[i] for i in s]) for s in visited]
+    del visited   # not needed for the assembly, which peaks in memory
     complex_ = SimplicialComplex.from_maximal(simplices)
     check_complex(complex_)
     return complex_

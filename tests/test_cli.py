@@ -1,7 +1,9 @@
 import json
+import os
 import subprocess
 import sys
 import time
+from pathlib import Path
 
 import pytest
 
@@ -72,6 +74,18 @@ class TestTheta:
         assert code == 0
         payload = json.loads(out)
         assert payload["vertices"] == ["(0,0,1)", "(0,1,0)", "(1,0,0)"]
+
+    def test_non_ascii_digit_edge_id(self, tmp_path):
+        # '²' passes str.isdigit() but int() rejects it
+        path = tmp_path / "g.txt"
+        path.write_text("vertex a\nvertex b\nedge \u00b2 a b\nedge 1 a b\n"
+                        "rot a \u00b2 1\nrot b 1 \u00b2\n", encoding="utf-8")
+        src = Path(__file__).resolve().parent.parent / "src"
+        proc = subprocess.run([sys.executable, "-m", "kakimizu.cli", "theta", str(path)],
+                              env=dict(os.environ, PYTHONPATH=str(src)),
+                              capture_output=True, text=True, timeout=60)
+        assert "Traceback" not in proc.stderr
+        assert proc.returncode in (0, 1, 2)
 
     def test_wrong_weight_count(self, capsys, data_dir):
         code, _, err = run(capsys, "theta", str(data_dir / "theta_11_94.txt"),

@@ -1,4 +1,9 @@
+import os
 import random
+import subprocess
+import sys
+from itertools import combinations
+from pathlib import Path
 
 import pytest
 
@@ -18,6 +23,81 @@ def pairwise_maximal(simplices):
     sims = {frozenset(s) for s in simplices}
     sims.discard(frozenset())
     return {s for s in sims if not any(s < other for other in sims)}
+
+
+def set_flag_closure(edges, vertices):
+    """Reference oracle: the flag closure by set-based Bron-Kerbosch with a
+    sorted pivot choice, the implementation the bitmask kernel replaced."""
+    verts = sorted(set(vertices), key=label_text)
+    adj = {v: set() for v in verts}
+    for e in edges:
+        a, b = tuple(e)
+        adj[a].add(b)
+        adj[b].add(a)
+    cliques = []
+
+    def expand(r, p, x):
+        if not p and not x:
+            cliques.append(frozenset(r))
+            return
+        pivot = max(sorted(p | x, key=label_text), key=lambda v: len(adj[v] & p))
+        for v in sorted(p - adj[pivot], key=label_text):
+            expand(r | {v}, p & adj[v], x & adj[v])
+            p = p - {v}
+            x = x | {v}
+
+    expand(set(), set(verts), set())
+    return SimplicialComplex.from_maximal(cliques, vertices=verts)
+
+
+def set_is_flag(c):
+    """Reference oracle: c equals the flag closure of its 1-skeleton."""
+    return set_flag_closure(c.one_skeleton(), c.vertices) == c
+
+
+def set_is_connected(c):
+    """Reference oracle: a depth-first search over neighbour sets."""
+    adj = {v: set() for v in c.vertices}
+    for e in c.one_skeleton():
+        a, b = tuple(e)
+        adj[a].add(b)
+        adj[b].add(a)
+    start = c.sorted_vertices()[0]
+    seen = {start}
+    stack = [start]
+    while stack:
+        for w in adj[stack.pop()]:
+            if w not in seen:
+                seen.add(w)
+                stack.append(w)
+    return seen == c.vertices
+
+
+def random_size(rng):
+    """Mostly up to 10 vertices; one time in five 30 to 80, so that vertex
+    masks span several machine words."""
+    return rng.randint(1, 10) if rng.random() < 0.8 else rng.randint(30, 80)
+
+
+def random_graph(rng):
+    """A random graph of random density, some vertices isolated."""
+    verts = list(range(random_size(rng)))
+    density = rng.random() * min(1, 6 / len(verts))
+    edges = [(a, b) for a, b in combinations(verts, 2) if rng.random() < density]
+    return edges, verts
+
+
+def random_complex(rng):
+    """A random complex, flag or not: random simplices of up to 4 vertices,
+    some vertices isolated."""
+    verts = list(range(random_size(rng)))
+    family = [rng.sample(verts, rng.randint(1, min(4, len(verts))))
+              for _ in range(rng.randint(1, 2 * len(verts) + 2))]
+    return SimplicialComplex.from_maximal(family, vertices=verts)
+
+
+HOLLOW_TRIANGLE = [["a", "b"], ["b", "c"], ["a", "c"]]
+SIMPLEX_BOUNDARY = [list(face) for face in combinations("abcd", 3)]
 
 
 def random_family(rng):
@@ -88,6 +168,52 @@ class TestConstruction:
         assert raised >= 100
 
 
+class TestCliqueKernel:
+    """The bitmask kernel against the set-based oracles it replaced."""
+
+    def test_flag_closure_matches_oracle(self):
+        rng = random.Random(11)
+        for _ in range(1500):
+            edges, verts = random_graph(rng)
+            assert flag_closure(edges, verts) == set_flag_closure(edges, verts)
+
+    def test_is_flag_and_is_connected_match_oracles(self):
+        rng = random.Random(12)
+        verdicts = set()
+        for _ in range(2000):
+            c = random_complex(rng)
+            flag, connected = is_flag(c), is_connected(c)
+            assert flag == set_is_flag(c)
+            assert connected == set_is_connected(c)
+            verdicts.add((flag, connected))
+        assert len(verdicts) == 4
+
+    @pytest.mark.parametrize("simplices", [HOLLOW_TRIANGLE, SIMPLEX_BOUNDARY],
+                             ids=["hollow_triangle", "simplex_boundary"])
+    def test_named_non_flag(self, simplices):
+        c = SimplicialComplex.from_maximal(simplices)
+        assert is_connected(c)
+        assert not is_flag(c)
+        assert not set_is_flag(c)
+        with pytest.raises(StructureError, match="flag"):
+            check_complex(c)
+
+    def test_check_survives_optimised_mode(self):
+        # python -O strips asserts; the check must raise all the same
+        code = ("from kakimizu.complexes import SimplicialComplex, check_complex\n"
+                "from kakimizu.errors import StructureError\n"
+                "c = SimplicialComplex.from_maximal([['a','b'], ['b','c'], ['a','c']])\n"
+                "try:\n"
+                "    check_complex(c)\n"
+                "except StructureError as exc:\n"
+                "    print('raised:', exc)\n")
+        src = Path(__file__).resolve().parent.parent / "src"
+        proc = subprocess.run([sys.executable, "-O", "-c", code], capture_output=True,
+                              text=True, env=dict(os.environ, PYTHONPATH=str(src)), timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "raised: Kakimizu complex must be a flag complex"
+
+
 class TestFlagClosure:
     def test_triangle(self):
         c = flag_closure([("a", "b"), ("b", "c"), ("a", "c")], ["a", "b", "c"])
@@ -129,6 +255,8 @@ class TestConnectivity:
     def test_disjoint_union(self):
         c = SimplicialComplex.from_maximal([["a", "b"], ["c", "d"]])
         assert not is_connected(c)
+        assert not set_is_connected(c)
+        assert is_flag(c) and set_is_flag(c)
 
 
 class TestCheckComplex:
@@ -141,7 +269,7 @@ class TestCheckComplex:
             check_complex(SimplicialComplex.from_maximal([["a", "b"], ["c", "d"]]))
 
     def test_hollow_triangle_raises(self):
-        hollow = SimplicialComplex.from_maximal([["a", "b"], ["b", "c"], ["a", "c"]])
+        hollow = SimplicialComplex.from_maximal(HOLLOW_TRIANGLE)
         with pytest.raises(StructureError, match="flag"):
             check_complex(hollow)
 

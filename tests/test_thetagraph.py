@@ -1,6 +1,11 @@
+import os
 import random
+import subprocess
+import sys
+import time
 from collections import Counter
 from itertools import permutations
+from pathlib import Path
 
 import pytest
 
@@ -8,14 +13,34 @@ from kakimizu.complexes import SimplicialComplex, is_connected, is_flag, recogni
 from kakimizu.errors import (InputError, KakimizuError, MoveError, SizeLimitError,
                              StructureError)
 from kakimizu.pipeline import load_theta_file
-from kakimizu.thetagraph import (Edge, PlanarMultigraph, ThetaGraph, _edge_key,
-                                 add_zero_edges, apply_region, build_complex, build_theta,
-                                 reduce_bigons, region_signatures, theta_subgraph)
+from kakimizu.thetagraph import (DEFAULT_MAX_VERTICES, Edge, PlanarMultigraph, ThetaGraph,
+                                 _edge_key, add_zero_edges, apply_region, build_complex,
+                                 build_theta, reduce_bigons, region_signatures, theta_subgraph)
 
 from euler import euler_characteristic
 from randgraphs import random_sphere_graph
 
 FIXTURES = ("theta_11_94.txt", "theta_11_237.txt", "theta_11_340.txt")
+TESTS = Path(__file__).resolve().parent
+
+# prints the edge order of build_theta on seeded random Seifert graphs
+EDGE_ORDER_DUMP = """
+import random
+from kakimizu.errors import KakimizuError
+from kakimizu.thetagraph import build_theta
+from randgraphs import random_sphere_graph
+rng = random.Random(5)
+for _ in range(40):
+    g = random_sphere_graph(rng, ops=rng.randint(4, 12))
+    for e in g.edges.values():
+        e.weight = 1
+    try:
+        tg = build_theta(g)
+    except KakimizuError as exc:
+        print("refused:", exc)
+        continue
+    print(list(tg.edges), {v: tg.rotation[v] for v in tg.vertices})
+"""
 
 
 def parallel_edges(k, weights=None, dirs=None):
@@ -318,6 +343,19 @@ class TestThetaSubgraph:
             assert len(tg.edges) == count
             assert sum(e.weight for e in tg.edges.values()) == 1
 
+    def test_edge_order_independent_of_hash_seed(self):
+        def dump(seed):
+            env = dict(os.environ, PYTHONHASHSEED=seed,
+                       PYTHONPATH=os.pathsep.join([str(TESTS.parent / "src"), str(TESTS)]))
+            proc = subprocess.run([sys.executable, "-c", EDGE_ORDER_DUMP], env=env,
+                                  capture_output=True, text=True, timeout=60)
+            assert proc.returncode == 0, proc.stderr
+            return proc.stdout
+
+        first = dump("0")
+        assert first.count("refused:") < 30
+        assert dump("1") == first
+
     def test_unreduced_bigon_rejected(self):
         with pytest.raises(StructureError):
             ThetaGraph(["u", "v"],
@@ -461,6 +499,15 @@ class TestBuildComplex:
         tg = theta_subgraph(parallel_edges(2, weights=[5, 0]))
         with pytest.raises(SizeLimitError):
             build_complex(tg, tg.weights(), max_vertices=3)
+
+    def test_default_vertex_cap_refuses_at_once(self):
+        # three regions over weight 200 reach C(202, 2) = 20 301 surfaces,
+        # a build of several seconds; the search stops at the cap
+        tg = theta_subgraph(parallel_edges(3, weights=[200, 0, 0]))
+        began = time.perf_counter()
+        with pytest.raises(SizeLimitError, match=f"more than {DEFAULT_MAX_VERTICES} "):
+            build_complex(tg, tg.weights())
+        assert time.perf_counter() - began < 5
 
     def test_bad_weights_rejected(self):
         tg = theta_subgraph(parallel_edges(2, weights=[1, 0]))
