@@ -23,15 +23,30 @@ By Newman's lemma the system has one normal form, so a single greedy run
 decides reducibility and records a replayable certificate.  A homogeneous
 link is fibred exactly when each special alternating summand of its Murasugi
 decomposition is.
+
+Moves run on one mutable working graph, built once from a validated
+``ReductionGraph``; the search, the certificate replay and the graph's own
+move methods share it.  Connectivity is checked once, when the
+``ReductionGraph`` is built, and never per move, because neither move can
+disconnect the graph: a loop is never a bridge, and a contraction merges
+the two ends of an edge, so every path through either end becomes a path
+through the merged vertex.
+
+A move costs O(log E) for E edges plus the degree of the absorbed vertex,
+whose edges are renamed to the surviving label.  The search finds its next
+move on two lazy heaps, vertices with loops and non-loop edges that may be
+contractible.  A move pushes an entry only for an edge it renames or for an
+end it drops to valence 2, and a stale entry is discarded once, when it
+reaches the top.
 """
 
 from __future__ import annotations
 
 import re
-from collections import Counter
 from dataclasses import dataclass
+from heapq import heapify, heappop, heappush
 
-from .errors import InputError, StructureError
+from .errors import InputError
 
 _GRAPH_RE = re.compile(r"^\s*v\s*=\s*(\d+)\s*;\s*edges\s*=\s*((?:\(\s*\d+\s*,\s*\d+\s*\))*)\s*$")
 _PAIR_RE = re.compile(r"\(\s*(\d+)\s*,\s*(\d+)\s*\)")
@@ -87,8 +102,11 @@ class ReductionGraph:
         m = _GRAPH_RE.match(text.strip())
         if not m:
             raise InputError(f"cannot parse graph literal {text!r}")
-        n = int(m.group(1))
-        pairs = [(int(a), int(b)) for a, b in _PAIR_RE.findall(m.group(2))]
+        try:
+            n = int(m.group(1))
+            pairs = [(int(a), int(b)) for a, b in _PAIR_RE.findall(m.group(2))]
+        except ValueError as exc:   # more digits than int() converts
+            raise InputError("graph literal has a number too long to read") from exc
         if n > len(pairs) + 1:
             raise InputError(f"{n} vertices cannot be connected by {len(pairs)} edges")
         for u, v in pairs:
@@ -108,22 +126,8 @@ class ReductionGraph:
     def loops(self) -> list:
         return sorted({e for e in self.edges if e[0] == e[1]})
 
-    def contractible(self) -> list:
-        """Distinct non-loop edges with an endpoint of valence 2."""
-        degree = Counter(end for edge in self.edges for end in edge)
-        return sorted({(u, v) for u, v in self.edges if u != v and 2 in (degree[u], degree[v])})
-
     def delete_loop(self, edge) -> "ReductionGraph":
-        u, v = edge
-        if u != v or edge not in self.edges:
-            raise InputError(f"{edge} is not a loop of this graph")
-        edges = list(self.edges)
-        edges.remove(edge)
-        verts = self.vertices
-        if not edges and len(verts) > 1:
-            raise StructureError("deleting the loop disconnected the graph")
-        # an isolated vertex can only be the final single vertex
-        return ReductionGraph(verts, tuple(edges))
+        return self._after(("delete_loop", edge))
 
     def contract(self, edge) -> "ReductionGraph":
         """Contract a non-loop edge, merging into the smaller label.
@@ -131,23 +135,125 @@ class ReductionGraph:
         Parallel copies of the contracted edge become loops; loops at the
         absorbed vertex move to the surviving one.
         """
-        u, v = edge
-        if u == v or edge not in self.edges:
-            raise InputError(f"{edge} is not a non-loop edge of this graph")
-        if self.degree(u) != 2 and self.degree(v) != 2:
-            raise InputError(f"contraction of {edge} needs an endpoint of valence 2")
-        keep, gone = min(u, v), max(u, v)
-        edges = list(self.edges)
-        edges.remove(edge)
-        renamed = []
-        for a, b in edges:
-            a = keep if a == gone else a
-            b = keep if b == gone else b
-            renamed.append(tuple(sorted((a, b))))
-        return ReductionGraph(self.vertices - {gone}, tuple(sorted(renamed)))
+        return self._after(("contract", edge))
+
+    def _after(self, move) -> "ReductionGraph":
+        work = _WorkingGraph(self)
+        work.apply(move)
+        return work.graph()
 
     def is_reduced(self) -> bool:
         return len(self.vertices) == 1 and not self.edges
+
+
+class _WorkingGraph:
+    """A reduction graph that applies moves in place.
+
+    ``incidence[v]`` counts the edges from v to each neighbour, a loop at v
+    once under v itself; the keys of ``incidence`` are the live vertices.
+    """
+
+    def __init__(self, g: ReductionGraph) -> None:
+        incidence = {v: {} for v in g.vertices}
+        degree = dict.fromkeys(g.vertices, 0)
+        for u, v in g.edges:
+            incidence[u][v] = incidence[u].get(v, 0) + 1
+            if u != v:
+                incidence[v][u] = incidence[v].get(u, 0) + 1
+            degree[u] += 1
+            degree[v] += 1
+        self.incidence = incidence
+        self.degree = degree
+        self.edge_count = len(g.edges)
+        self.looped = [v for v, around in incidence.items() if v in around]
+        self.contractible = [(u, v) for u, around in incidence.items() for v in around
+                             if u < v and 2 in (degree[u], degree[v])]
+        heapify(self.looped)
+        heapify(self.contractible)
+
+    def is_reduced(self) -> bool:
+        return len(self.incidence) == 1 and not self.edge_count
+
+    def graph(self) -> ReductionGraph:
+        edges = sorted((u, v) for u, around in self.incidence.items()
+                       for v, count in around.items() if u <= v for _ in range(count))
+        return ReductionGraph(frozenset(self.incidence), tuple(edges))
+
+    def next_move(self):
+        """The first sorted loop, else the first sorted contractible edge."""
+        incidence, degree = self.incidence, self.degree
+        looped, contractible = self.looped, self.contractible
+        while looped:
+            v = looped[0]
+            if v in incidence and v in incidence[v]:
+                return "delete_loop", (v, v)
+            heappop(looped)
+        while contractible:
+            u, v = contractible[0]
+            if u in incidence and v in incidence[u] and 2 in (degree[u], degree[v]):
+                return "contract", (u, v)
+            heappop(contractible)
+        return None
+
+    def apply(self, move) -> None:
+        try:
+            kind, (u, v) = move
+        except (TypeError, ValueError):
+            raise InputError(f"certificate move {move!r} is not a kind and an edge") from None
+        if not (isinstance(u, int) and isinstance(v, int)):
+            raise InputError(f"certificate move {move!r} does not name two vertex labels")
+        if kind == "delete_loop":
+            self._delete_loop((u, v))
+        elif kind == "contract":
+            self._contract((u, v))
+        else:
+            raise InputError(f"unknown certificate move {kind!r}")
+
+    def _delete_loop(self, edge) -> None:
+        u, v = edge
+        around = self.incidence.get(u)
+        if u != v or around is None or u not in around:
+            raise InputError(f"{edge} is not a loop of this graph")
+        if around[u] > 1:
+            around[u] -= 1
+        else:
+            around.pop(u)
+        self.degree[u] -= 2
+        self.edge_count -= 1
+        if self.degree[u] == 2:
+            self._offer(u)
+
+    def _contract(self, edge) -> None:
+        keep, gone = edge
+        incidence, degree = self.incidence, self.degree
+        if keep >= gone or keep not in incidence or gone not in incidence[keep]:
+            raise InputError(f"{edge} is not a non-loop edge of this graph")
+        if degree[keep] != 2 and degree[gone] != 2:
+            raise InputError(f"contraction of {edge} needs an endpoint of valence 2")
+        kept = incidence[keep]
+        absorbed = incidence.pop(gone)
+        absorbed.pop(keep)
+        loops = kept.pop(gone) - 1 + absorbed.pop(gone, 0)
+        for w, count in absorbed.items():
+            around = incidence[w]
+            around.pop(gone)
+            around[keep] = around.get(keep, 0) + count
+            kept[w] = kept.get(w, 0) + count
+            if degree[w] == 2:
+                heappush(self.contractible, (min(keep, w), max(keep, w)))
+        if loops:
+            kept[keep] = kept.get(keep, 0) + loops
+            heappush(self.looped, keep)
+        degree[keep] += degree.pop(gone) - 2
+        self.edge_count -= 1
+        if degree[keep] == 2:
+            self._offer(keep)
+
+    def _offer(self, v) -> None:
+        """Queue the non-loop edges at v, which has just reached valence 2."""
+        for w in self.incidence[v]:
+            if w != v:
+                heappush(self.contractible, (min(v, w), max(v, w)))
 
 
 def reduction_certificate(g: ReductionGraph):
@@ -158,33 +264,23 @@ def reduction_certificate(g: ReductionGraph):
     normal form, so taking the first available move at each step never
     loses a reduction: the answer is None only when no move applies.
     """
+    work = _WorkingGraph(g)
     moves = []
-    h = g
-    while not h.is_reduced():
-        loops = h.loops()
-        if loops:
-            moves.append(("delete_loop", loops[0]))
-            h = h.delete_loop(loops[0])
-            continue
-        contractible = h.contractible()
-        if not contractible:
+    while not work.is_reduced():
+        move = work.next_move()
+        if move is None:
             return None
-        moves.append(("contract", contractible[0]))
-        h = h.contract(contractible[0])
+        work.apply(move)
+        moves.append(move)
     return moves
 
 
 def replay_certificate(g: ReductionGraph, moves) -> bool:
     """Check a certificate by applying its moves in order."""
-    h = g
-    for kind, edge in moves:
-        if kind == "delete_loop":
-            h = h.delete_loop(tuple(edge))
-        elif kind == "contract":
-            h = h.contract(tuple(edge))
-        else:
-            raise InputError(f"unknown certificate move {kind!r}")
-    return h.is_reduced()
+    work = _WorkingGraph(g)
+    for move in moves:
+        work.apply(move)
+    return work.is_reduced()
 
 
 def is_fibred_special(g: ReductionGraph) -> bool:

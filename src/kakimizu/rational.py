@@ -33,7 +33,10 @@ def parse_fraction(text: str) -> Fraction:
     m = _FRACTION_RE.match(text.strip())
     if not m:
         raise InputError(f"expected a fraction like 'p/q', got {text!r}")
-    num, den = int(m.group(1)), int(m.group(2))
+    try:
+        num, den = int(m.group(1)), int(m.group(2))
+    except ValueError as exc:   # more digits than int() converts
+        raise InputError(f"fraction {text.strip()[:40]}... is too long") from exc
     if den == 0:
         raise InputError("zero denominator")
     if math.gcd(abs(num), den) != 1:

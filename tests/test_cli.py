@@ -1,14 +1,21 @@
+import contextlib
+import io
 import json
 import os
 import subprocess
 import sys
+import tempfile
 import time
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from kakimizu.cli import main
 from kakimizu.twobridge import DEFAULT_MAX_BANDS
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def run(capsys, *argv):
@@ -37,6 +44,11 @@ class TestExpand:
         code, _, err = run(capsys, "expand", "2/4")
         assert code == 2
         assert "error" in err
+
+    def test_fraction_too_long_to_read(self, capsys):
+        code, _, err = run(capsys, "expand", "1/" + "1" * 5000)
+        assert code == 2
+        assert err.startswith("error:")
 
 
 class TestTwoBridge:
@@ -80,9 +92,8 @@ class TestTheta:
         path = tmp_path / "g.txt"
         path.write_text("vertex a\nvertex b\nedge \u00b2 a b\nedge 1 a b\n"
                         "rot a \u00b2 1\nrot b 1 \u00b2\n", encoding="utf-8")
-        src = Path(__file__).resolve().parent.parent / "src"
         proc = subprocess.run([sys.executable, "-m", "kakimizu.cli", "theta", str(path)],
-                              env=dict(os.environ, PYTHONPATH=str(src)),
+                              env=dict(os.environ, PYTHONPATH=str(SRC)),
                               capture_output=True, text=True, timeout=60)
         assert "Traceback" not in proc.stderr
         assert proc.returncode in (0, 1, 2)
@@ -121,6 +132,13 @@ class TestFibred:
         code, out, _ = run(capsys, "fibred", "--graph", str(path))
         assert code == 0
         assert out.strip() == "fibred"
+
+    def test_number_too_long_to_read(self, capsys, tmp_path):
+        path = tmp_path / "g.txt"
+        path.write_text("v=" + "1" * 5000 + "; edges=(0,0)")
+        code, _, err = run(capsys, "fibred", "--graph", str(path))
+        assert code == 2
+        assert err.startswith("error:")
 
     def test_oversized_vertex_count(self, capsys, tmp_path):
         path = tmp_path / "g.txt"
@@ -187,3 +205,111 @@ def test_module_entry_point_subprocess():
                           capture_output=True, text=True)
     assert proc.returncode == 0
     assert proc.stdout.strip() == "[2,-6,-2,2]"
+
+
+def test_package_runs_as_module():
+    proc = subprocess.run([sys.executable, "-m", "kakimizu", "expand", "28/61"],
+                          env=dict(os.environ, PYTHONPATH=str(SRC)),
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[2,-6,-2,2]"
+
+
+# ------------------------------------------------------------------ fuzz
+# Draws stay small: denominators of at most four digits (the expansion of
+# 1/q has q - 1 bands), band chains under a --max-bands of 4, theta searches
+# under a --max-vertices of 50.
+
+_short_text = st.text(alphabet="0123456789/-[],() =;:vedgsx\n", max_size=6)
+_fraction = st.one_of(
+    st.integers(0, 2000).flatmap(
+        lambda q: st.builds("{}/{}".format, st.integers(-q - 1, q + 1), st.just(q))),
+    _short_text)
+_band_list = st.builds(lambda es: "[" + ",".join(map(str, es)) + "]",
+                       st.lists(st.integers(-6, 6), max_size=6))
+
+
+@st.composite
+def _graph_literal(draw):
+    # a spanning tree plus extra edges, sometimes one label past the range
+    n = draw(st.integers(1, 5))
+    pairs = [(draw(st.integers(0, v - 1)), v) for v in range(1, n)]
+    label = st.integers(0, n - 1) | st.integers(0, n)
+    pairs += draw(st.lists(st.tuples(label, label), max_size=6))
+    return f"v={n}; edges=" + "".join(f"({a},{b})" for a, b in pairs)
+
+
+@st.composite
+def _theta_file(draw):
+    # mostly Seifert graphs: weight 1, oriented from {a, c} to {b, d}
+    edges = draw(st.lists(st.tuples(st.sampled_from("ac"), st.sampled_from("bd"),
+                                    st.sampled_from([1, 1, 1, 0, 2]), st.sampled_from("++-")),
+                          min_size=1, max_size=5))
+    names = sorted({end for u, v, _, _ in edges for end in (u, v)})
+    lines = [f"vertex {v}" for v in names]
+    darts = {v: [] for v in names}
+    for k, (u, v, weight, sign) in enumerate(edges, start=1):
+        lines.append(f"edge {k} {u} {v} weight={weight} dir={sign}")
+        darts[u].append(f"{k}:0")
+        darts[v].append(f"{k}:1")
+    for v in names:
+        lines.append(" ".join(["rot", v] + draw(st.permutations(darts[v]))))
+    return "\n".join(lines) + "\n"
+
+
+_table = st.builds(
+    lambda rows: "name,class,params,expected\n" + "".join(
+        f"k{i},{klass},\"{params}\",{expected}\n" for i, (klass, params, expected) in enumerate(rows)),
+    st.lists(st.tuples(
+        st.sampled_from(["fibred", "two_bridge", "table_expected", "unique_base_plus_fibred",
+                         "plumbing_unique_pair", "special_alternating", "nope"]),
+        st.one_of(_fraction, _band_list, st.sampled_from(
+            ["-", "point", "base_unique=1;fibred_summands=2", "A1=1;A1p=0;A2=1;A2p=1",
+             "missing.txt"])),
+        st.sampled_from(["", "point", "path(2)", "simplex(1)", "blob"])), max_size=3))
+
+_invocation = st.one_of(
+    st.tuples(st.just(["expand", "--"]), _fraction),
+    st.tuples(st.sampled_from([["--max-bands", "4", "two-bridge", "--"],
+                               ["--max-bands", "4", "two-bridge", "--json", "--"],
+                               ["--max-bands", "4", "two-bridge", "--dot", "--"]]),
+              st.one_of(_fraction, _band_list)),
+    st.tuples(st.sampled_from([["fibred", "--graph"], ["fibred", "--certificate", "--graph"]]),
+              st.one_of(_graph_literal(), _short_text).map(lambda text: ("file", text))),
+    st.tuples(st.sampled_from([["--max-vertices", "50", "theta"],
+                               ["--max-vertices", "50", "theta", "--json"]]),
+              st.one_of(_theta_file(), _short_text).map(lambda text: ("file", text))),
+    st.tuples(st.builds(lambda w: ["--max-vertices", "50", "theta", "--weights", w],
+                        st.lists(st.sampled_from("01"), min_size=2, max_size=3).map(",".join)
+                        | st.text(alphabet="012,-", max_size=7)),
+              st.sampled_from(["theta_11_94.txt", "theta_11_237.txt", "theta_11_340.txt"])
+              .map(lambda name: ("fixture", name))),
+    st.tuples(st.sampled_from([["--max-bands", "4", "batch"]]),
+              _table.map(lambda text: ("file", text))),
+    st.tuples(st.sampled_from([["fibred", "--graph"], ["theta"], ["batch"]]),
+              st.just(("dir", None))),
+)
+
+
+@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(_invocation)
+def test_cli_never_prints_a_traceback(invocation):
+    prefix, arg = invocation
+    with tempfile.TemporaryDirectory() as tmp:
+        if isinstance(arg, tuple):
+            kind, text = arg
+            if kind == "file":
+                arg = os.path.join(tmp, "input.txt")
+                Path(arg).write_text(text)
+            elif kind == "fixture":
+                arg = str(SRC / "kakimizu" / "data" / text)
+            else:
+                arg = tmp
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                code = main(prefix + [arg])
+            except SystemExit as exc:   # argparse refuses the command line
+                code = exc.code
+    assert code in (0, 1, 2), (code, err.getvalue())
+    assert "Traceback" not in err.getvalue()

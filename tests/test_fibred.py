@@ -1,9 +1,12 @@
 import itertools
 import random
+import time
+from collections import Counter
+from dataclasses import dataclass
 
 import pytest
 
-from kakimizu.errors import InputError
+from kakimizu.errors import InputError, StructureError
 from kakimizu.fibred import (ReductionGraph, is_fibred_homogeneous, is_fibred_special,
                              reduction_certificate, replay_certificate)
 
@@ -79,6 +82,173 @@ def backtracking_reduces(verts, edges) -> bool:
     if not edges:
         return len(verts) == 1
     return any(backtracking_reduces(*_apply(verts, edges, move)) for move in _moves(edges))
+
+
+@dataclass(frozen=True)
+class PersistentGraph:
+    """The earlier persistent reducer, kept as an oracle: every move builds a
+    new frozen graph and re-sorts its edges.  Its per-move connectivity
+    check is left out; neither move can disconnect the graph."""
+
+    vertices: frozenset
+    edges: tuple
+
+    def degree(self, v) -> int:
+        return sum((u == v) + (w == v) for u, w in self.edges)
+
+    def loops(self) -> list:
+        return sorted({e for e in self.edges if e[0] == e[1]})
+
+    def contractible(self) -> list:
+        degree = Counter(end for edge in self.edges for end in edge)
+        return sorted({(u, v) for u, v in self.edges if u != v and 2 in (degree[u], degree[v])})
+
+    def delete_loop(self, edge) -> "PersistentGraph":
+        u, v = edge
+        if u != v or edge not in self.edges:
+            raise InputError(f"{edge} is not a loop of this graph")
+        edges = list(self.edges)
+        edges.remove(edge)
+        if not edges and len(self.vertices) > 1:
+            raise StructureError("deleting the loop disconnected the graph")
+        return PersistentGraph(self.vertices, tuple(edges))
+
+    def contract(self, edge) -> "PersistentGraph":
+        u, v = edge
+        if u == v or edge not in self.edges:
+            raise InputError(f"{edge} is not a non-loop edge of this graph")
+        if self.degree(u) != 2 and self.degree(v) != 2:
+            raise InputError(f"contraction of {edge} needs an endpoint of valence 2")
+        keep, gone = min(u, v), max(u, v)
+        edges = list(self.edges)
+        edges.remove(edge)
+        renamed = [tuple(sorted((keep if a == gone else a, keep if b == gone else b)))
+                   for a, b in edges]
+        return PersistentGraph(self.vertices - {gone}, tuple(sorted(renamed)))
+
+    def is_reduced(self) -> bool:
+        return len(self.vertices) == 1 and not self.edges
+
+
+def oracle_certificate(g: ReductionGraph):
+    moves = []
+    h = PersistentGraph(g.vertices, g.edges)
+    while not h.is_reduced():
+        loops = h.loops()
+        if loops:
+            moves.append(("delete_loop", loops[0]))
+            h = h.delete_loop(loops[0])
+            continue
+        contractible = h.contractible()
+        if not contractible:
+            return None
+        moves.append(("contract", contractible[0]))
+        h = h.contract(contractible[0])
+    return moves
+
+
+def oracle_replay(g: ReductionGraph, moves) -> bool:
+    h = PersistentGraph(g.vertices, g.edges)
+    for kind, edge in moves:
+        if kind == "delete_loop":
+            h = h.delete_loop(tuple(edge))
+        elif kind == "contract":
+            h = h.contract(tuple(edge))
+        else:
+            raise InputError(f"unknown certificate move {kind!r}")
+    return h.is_reduced()
+
+
+def relabelled_multigraph(rng):
+    """A random connected multigraph on at most 30 vertices with scattered
+    labels: a spanning tree whose edges are mostly doubled, plus loops and
+    at most two extra edges, so that both answers are common."""
+    n = rng.randint(1, 30)
+    labels = rng.sample(range(3 * n), n)
+    pairs = []
+    double = rng.choice((0.9, 1.0))
+    for v in range(1, n):
+        pairs += [(rng.randrange(v), v)] * (2 if rng.random() < double else 1)
+    for _ in range(rng.randint(0, n)):
+        v = rng.randrange(n)
+        pairs.append((v, v))
+    for _ in range(rng.choice((0, 0, 1, 2))):
+        pairs.append((rng.randrange(n), rng.randrange(n)))
+    return ReductionGraph.from_pairs(labels, [(labels[a], labels[b]) for a, b in pairs])
+
+
+def benchmark_families():
+    """The families the fibred benchmark runs: chorded cycles, the ladder,
+    looped paths and cycles, bouquets."""
+    def cycle(n):
+        return [(i, (i + 1) % n) for i in range(n)]
+    for n in (10, 12, 14):
+        yield ReductionGraph.from_pairs(n, cycle(n) + [(0, n // 2)] * 2)
+    for k in (3, 4, 5):
+        yield ReductionGraph.from_pairs(2 * k, [(i, i + 1) for i in range(k - 1)]
+                                        + [(k + i, k + i + 1) for i in range(k - 1)]
+                                        + [(i, k + i) for i in range(k)])
+    for n in (4, 6):
+        pairs = [(i, i + 1) for i in range(n - 1)]
+        for v in range(n):
+            pairs += [(v, v)] * (1 + v % 2)
+        yield ReductionGraph.from_pairs(n, pairs)
+    for n in (3, 20, 40):
+        yield ReductionGraph.from_pairs(n, cycle(n))
+    for n in (12, 16, 20):
+        yield ReductionGraph.from_pairs(n, cycle(n) + [(i, i) for i in range(n)])
+    for loops in (1, 300, 900):
+        yield ReductionGraph.from_pairs(1, [(0, 0)] * loops)
+
+
+def outcome(replay, g, moves):
+    try:
+        return replay(g, moves)
+    except Exception as exc:   # the class is the outcome under comparison
+        return type(exc)
+
+
+def mutations(cert, rng):
+    """The certificate with one move dropped, two moves swapped, and one
+    contracted edge reversed."""
+    i = rng.randrange(len(cert))
+    yield cert[:i] + cert[i + 1:]
+    if len(cert) > 1:
+        i, j = sorted(rng.sample(range(len(cert)), 2))
+        yield cert[:i] + [cert[j]] + cert[i + 1:j] + [cert[i]] + cert[j + 1:]
+    contractions = [k for k, (kind, _) in enumerate(cert) if kind == "contract"]
+    if contractions:
+        k = rng.choice(contractions)
+        u, v = cert[k][1]
+        yield cert[:k] + [("contract", (v, u))] + cert[k + 1:]
+
+
+class TestPersistentOracle:
+    def assert_same(self, graphs, rng):
+        answers = Counter()
+        for g in graphs:
+            cert = reduction_certificate(g)
+            assert cert == oracle_certificate(g), g
+            answers[cert is not None] += 1
+            if cert:
+                assert replay_certificate(g, cert) is True
+                for mutated in mutations(cert, rng):
+                    assert (outcome(replay_certificate, g, mutated)
+                            == outcome(oracle_replay, g, mutated)), (g, mutated)
+        return answers
+
+    def test_every_small_graph(self):
+        answers = self.assert_same(connected_multigraphs(4, 6), random.Random(5))
+        assert sum(answers.values()) == 3181
+
+    def test_random_relabelled_multigraphs(self):
+        rng = random.Random(2024)
+        answers = self.assert_same([relabelled_multigraph(rng) for _ in range(3000)], rng)
+        assert min(answers.values()) > 500, answers
+
+    def test_benchmark_families(self):
+        answers = self.assert_same(list(benchmark_families()), random.Random(3))
+        assert answers[True] and answers[False]
 
 
 class TestReductionGraph:
@@ -199,3 +369,39 @@ class TestDeepReduction:
         cert = reduction_certificate(g)
         assert cert is not None and len(cert) == 1500
         assert replay_certificate(g, cert)
+
+    def test_large_graphs_reduce_in_near_linear_time(self):
+        # a quadratic reducer needs minutes for these
+        n = 20_000
+        graphs = [ReductionGraph.from_pairs(1, [(0, 0)] * n),
+                  ReductionGraph.from_pairs(n, [(i, (i + 1) % n) for i in range(n)]
+                                            + [(i, i) for i in range(n)])]
+        began = time.perf_counter()
+        for g in graphs:
+            cert = reduction_certificate(g)
+            assert cert is not None and len(cert) == len(g.edges)
+            assert replay_certificate(g, cert)
+        assert time.perf_counter() - began < 10
+
+
+class TestMalformedMoves:
+    @pytest.mark.parametrize("move", [("contract", (1,)), ("delete_loop", (0, 0, 0)),
+                                      ("contract", 5)])
+    def test_rejected_as_input(self, move):
+        g = ReductionGraph.from_pairs(2, [(0, 1), (0, 1)])
+        with pytest.raises(InputError):
+            replay_certificate(g, [move])
+
+    @pytest.mark.parametrize("move", [("contract", (1, 0)), ("contract", (0, "1")),
+                                      ("delete_loop", (0, 1)), ("shrink", (0, 1)), 7])
+    def test_illegal_move_rejected(self, move):
+        g = ReductionGraph.from_pairs(2, [(0, 1), (0, 1)])
+        with pytest.raises(InputError):
+            replay_certificate(g, [move])
+
+    def test_graph_moves_share_the_checks(self):
+        g = ReductionGraph.from_pairs(2, [(0, 1), (0, 1), (0, 1)])
+        with pytest.raises(InputError, match="valence 2"):
+            g.contract((0, 1))
+        with pytest.raises(InputError, match="not a loop"):
+            g.delete_loop((1, 1))
