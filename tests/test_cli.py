@@ -284,7 +284,7 @@ _invocation = st.one_of(
                         | st.text(alphabet="012,-", max_size=7)),
               st.sampled_from(["theta_11_94.txt", "theta_11_237.txt", "theta_11_340.txt"])
               .map(lambda name: ("fixture", name))),
-    st.tuples(st.sampled_from([["--max-bands", "4", "batch"]]),
+    st.tuples(st.just(["--max-bands", "4", "batch"]),
               _table.map(lambda text: ("file", text))),
     st.tuples(st.sampled_from([["fibred", "--graph"], ["theta"], ["batch"]]),
               st.just(("dir", None))),
