@@ -79,7 +79,7 @@ def main(argv=None) -> int:
             cfe = rational.expand_index(rational.parse_fraction(args.fraction))
             print("[" + ",".join(str(e) for e in cfe) + "]")
         elif args.command == "two-bridge":
-            chain = twobridge.BandChain.parse(args.chain)
+            chain = twobridge.BandChain.parse(args.chain, max_bands=args.max_bands)
             _emit_complex(args, twobridge.build_complex(chain, max_bands=args.max_bands))
         elif args.command == "theta":
             tg = pipeline.load_theta_file(args.file)

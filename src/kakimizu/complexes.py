@@ -4,10 +4,13 @@ A complex here is a set of labelled vertices together with the family of
 inclusion-maximal simplices.  Because every complex produced by this package
 is a flag complex (it is determined by its 1-skeleton), the module provides
 the flag closure of a graph via maximal-clique enumeration, a flag test,
-isomorphism testing for small complexes, recognition of the shapes that occur
-in knot tables (point, path, single simplex), and deterministic DOT and JSON
-exports.  It also holds the full-pass engine that both move calculi use to
-find maximal simplices, and the connected/flag check every build ends with.
+recognition of the shapes that occur in knot tables (point, path, single
+simplex), and deterministic DOT and JSON exports.
+
+Both move calculi build their complexes here.  :func:`full_passes` finds
+the vertex sets that the full passes from one state visit, and
+:func:`pass_complex` assembles the passes from every start into a complex
+and runs the connected/flag check that every build ends with.
 
 The flag closure, the flag test and the connectivity test share one kernel
 on integer bitmasks: vertices are indexed once, each vertex's neighbourhood
@@ -22,11 +25,9 @@ from dataclasses import dataclass
 from itertools import combinations
 from typing import Iterable
 
-from .errors import InputError, SizeLimitError, StructureError
+from .errors import InputError, StructureError
 
 Label = object
-
-ISO_VERTEX_LIMIT = 64
 
 
 def label_text(label: Label) -> str:
@@ -283,85 +284,39 @@ def full_passes(start, moves, step, label) -> frozenset:
     return frozenset(seen)
 
 
-def _vertex_profile(c: SimplicialComplex) -> dict:
-    deg = c.degrees()
-    prof = {}
-    for v in c.vertices:
-        sizes = sorted(len(s) for s in c.simplices if v in s)
-        prof[v] = (deg[v], tuple(sizes))
-    return prof
+def pass_complex(starts, moves, step, label, names) -> SimplicialComplex:
+    """The checked complex spanned by the full passes from every start.
 
-
-def isomorphic(a: SimplicialComplex, b: SimplicialComplex,
-               max_vertices: int = ISO_VERTEX_LIMIT) -> bool:
-    """Decide complex isomorphism by backtracking over vertex bijections.
-
-    Pruned by degree and by the multiset of maximal-simplex sizes through
-    each vertex; intended for the small complexes arising from knot tables.
+    ``label(state)`` is the index of the state's vertex in `names`.  The
+    passes from each start run on these indices (see :func:`full_passes`);
+    every vertex is added as a singleton, so vertices no pass visits stay
+    in the complex, and the index sets are mapped to `names` once, for the
+    assembly.  The result must come out connected and flag.
     """
-    if len(a.vertices) > max_vertices or len(b.vertices) > max_vertices:
-        raise SizeLimitError(f"isomorphism test limited to {max_vertices} vertices")
-    if len(a.vertices) != len(b.vertices):
-        return False
-    if sorted(len(s) for s in a.simplices) != sorted(len(s) for s in b.simplices):
-        return False
-    prof_a = _vertex_profile(a)
-    prof_b = _vertex_profile(b)
-    if sorted(prof_a.values()) != sorted(prof_b.values()):
-        return False
-
-    edges_a = a.one_skeleton()
-    edges_b = b.one_skeleton()
-    adj_b: dict = {v: set() for v in b.vertices}
-    for e in edges_b:
-        x, y = tuple(e)
-        adj_b[x].add(y)
-        adj_b[y].add(x)
-    adj_a: dict = {v: set() for v in a.vertices}
-    for e in edges_a:
-        x, y = tuple(e)
-        adj_a[x].add(y)
-        adj_a[y].add(x)
-
-    # most-constrained-first assignment order
-    order = sorted(a.vertices, key=lambda v: (-prof_a[v][0], label_text(v)))
-
-    def extend(i: int, mapping: dict, used: set) -> bool:
-        if i == len(order):
-            mapped = {frozenset(mapping[v] for v in s) for s in a.simplices}
-            return mapped == set(b.simplices)
-        v = order[i]
-        for w in sorted(b.vertices - used, key=label_text):
-            if prof_a[v] != prof_b[w]:
-                continue
-            ok = True
-            for u in mapping:
-                if (u in adj_a[v]) != (mapping[u] in adj_b[w]):
-                    ok = False
-                    break
-            if ok:
-                mapping[v] = w
-                used.add(w)
-                if extend(i + 1, mapping, used):
-                    return True
-                del mapping[v]
-                used.discard(w)
-        return False
-
-    return extend(0, {}, set())
+    moves = tuple(moves)
+    visited = {frozenset([i]) for i in range(len(names))}
+    for start in starts:
+        visited |= full_passes(start, moves, step, label)
+    simplices = [frozenset([names[i] for i in s]) for s in visited]
+    del visited   # not needed for the assembly, which peaks in memory
+    complex_ = SimplicialComplex.from_maximal(simplices)
+    check_complex(complex_)
+    return complex_
 
 
 @dataclass(frozen=True)
 class ComplexShape:
-    """Named shape of a complex: point, path(n), simplex(d) or explicit.
+    """Shape of a complex: point, path(n), simplex(d), or explicit(n) for any
+    other complex on n vertices.
 
     Constructors normalise the overlaps path(1) = point, path(2) = simplex(1)
-    and simplex(0) = point, so equal shapes compare equal.
+    and simplex(0) = point, so equal shapes compare equal.  Shape literals
+    parse only to named shapes, and :func:`recognize` names every point,
+    path and simplex, so an explicit shape never equals an expected one.
     """
 
     kind: str
     size: int = 0
-    complex: SimplicialComplex | None = None
 
     @classmethod
     def point(cls) -> "ComplexShape":
@@ -386,10 +341,6 @@ class ComplexShape:
         return cls("simplex", d)
 
     @classmethod
-    def explicit(cls, c: SimplicialComplex) -> "ComplexShape":
-        return cls("explicit", len(c.vertices), c)
-
-    @classmethod
     def parse(cls, text: str) -> "ComplexShape":
         """Parse a shape literal: ``point``, ``path(n)`` or ``simplex(d)``."""
         text = text.strip()
@@ -412,7 +363,7 @@ class ComplexShape:
         return self.kind
 
     def as_complex(self, prefix: str = "T") -> SimplicialComplex:
-        """A representative complex of this shape with labels T1, T2, ..."""
+        """A representative complex of this named shape with labels T1, T2, ..."""
         if self.kind == "point":
             return SimplicialComplex.from_maximal([[f"{prefix}1"]])
         if self.kind == "simplex":
@@ -422,14 +373,7 @@ class ComplexShape:
             verts = [f"{prefix}{i}" for i in range(1, self.size + 1)]
             return SimplicialComplex.from_maximal(
                 [[verts[i], verts[i + 1]] for i in range(self.size - 1)])
-        if self.complex is None:
-            raise StructureError(f"{self.kind} shape carries no complex")
-        return self.complex
-
-    def equivalent(self, other: "ComplexShape") -> bool:
-        if self.kind != "explicit" and other.kind != "explicit":
-            return self == other
-        return isomorphic(self.as_complex(), other.as_complex())
+        raise StructureError(f"{self} has no representative complex")
 
 
 def recognize(c: SimplicialComplex) -> ComplexShape:
@@ -445,7 +389,7 @@ def recognize(c: SimplicialComplex) -> ComplexShape:
         degs = sorted(c.degrees().values())
         if degs == [1, 1] + [2] * (n - 2) and is_connected(c):
             return ComplexShape.path(n)
-    return ComplexShape.explicit(c)
+    return ComplexShape("explicit", n)
 
 
 def to_json(c: SimplicialComplex) -> str:

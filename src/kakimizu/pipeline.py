@@ -164,8 +164,8 @@ def classify_and_compute(rec: KnotRecord,
     are checked here, so every complex is checked exactly once.
     """
     if rec.klass == "two_bridge":
-        return twobridge.build_complex(twobridge.BandChain.parse(rec.params),
-                                       max_bands=max_bands)
+        chain = twobridge.BandChain.parse(rec.params, max_bands=max_bands)
+        return twobridge.build_complex(chain, max_bands=max_bands)
     if rec.klass == "special_alternating":
         path = Path(rec.params)
         if not path.is_absolute() and rec.base_dir is not None:
@@ -242,7 +242,7 @@ def run_batch(records, max_bands: int = DEFAULT_MAX_BANDS,
         try:
             complex_ = classify_and_compute(rec, max_bands=max_bands, max_vertices=max_vertices)
             shape = recognize(complex_)
-            matched = shape.equivalent(rec.expected) if rec.expected is not None else None
+            matched = shape == rec.expected if rec.expected is not None else None
             results.append(ResultRecord(rec.name, complex_, shape, matched,
                                         time.perf_counter() - began))
         except KakimizuError as exc:

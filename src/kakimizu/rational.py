@@ -19,7 +19,7 @@ import math
 import re
 from fractions import Fraction
 
-from .errors import InputError, StructureError
+from .errors import InputError, SizeLimitError, StructureError
 
 _FRACTION_RE = re.compile(r"^(-?\d+)/(\d+)$")
 
@@ -62,18 +62,19 @@ def normalize_two_bridge(f: Fraction) -> Fraction:
     return f
 
 
-def expand_index(f: Fraction) -> tuple[int, ...]:
+def expand_index(f: Fraction, max_entries: int | None = None) -> tuple[int, ...]:
     """Expansion of a 2-bridge index given in either printed form.
 
     A raw index 0 < p/q < 1 is shifted first when p and q are both odd; a
-    fraction in (-1, 0) is taken as already shifted.
+    fraction in (-1, 0) is taken as already shifted.  See :func:`even_cfe`
+    for `max_entries`.
     """
     if 0 < f < 1:
         f = normalize_two_bridge(f)
-    return even_cfe(f)
+    return even_cfe(f, max_entries)
 
 
-def even_cfe(f: Fraction) -> tuple[int, ...]:
+def even_cfe(f: Fraction, max_entries: int | None = None) -> tuple[int, ...]:
     """Expand a fraction in (-1,1) into its all-even continued fraction.
 
     At each step the next entry is the even integer nearest to the
@@ -81,6 +82,9 @@ def even_cfe(f: Fraction) -> tuple[int, ...]:
     inside (-1, 1) and the recursion terminates because denominators
     strictly decrease.  A remainder of magnitude exactly 1 means both
     numerator and denominator were odd, which the precondition excludes.
+
+    With `max_entries` set, SizeLimitError is raised as soon as the
+    expansion grows past it: 1/q alone has q - 1 entries when q is odd.
     """
     if not -1 < f < 1 or f == 0:
         raise InputError(f"expansion needs a fraction in (-1,1) excluding 0, got {format_fraction(f)}")
@@ -99,6 +103,9 @@ def even_cfe(f: Fraction) -> tuple[int, ...]:
         if e % 2 != 0 or e == 0:
             raise StructureError(f"expansion of {format_fraction(f)} produced entry {e}")
         entries.append(int(e))
+        if max_entries is not None and len(entries) > max_entries:
+            raise SizeLimitError(
+                f"expansion has more than {max_entries} bands, limit is {max_entries}")
         x = r
     return tuple(entries)
 

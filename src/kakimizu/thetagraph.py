@@ -29,7 +29,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .complexes import SimplicialComplex, check_complex, full_passes
+from .complexes import SimplicialComplex, pass_complex
 from .errors import InputError, MoveError, SizeLimitError, StructureError
 
 Dart = tuple  # (edge id, end index 0 or 1)
@@ -54,8 +54,15 @@ class Edge:
 
 
 def _edge_key(eid: str):
-    # numeric ids sort numerically, generated ids (z1, z2, ...) after them
-    return (0, int(eid), "") if eid.isdecimal() else (1, 0, eid)
+    # numeric ids sort numerically, generated ids (z1, z2, ...) after them;
+    # a numeric id is compared as its digit string without leading zeros,
+    # by length and then by text, since int() refuses ids over 4 300 digits
+    if not eid.isdecimal():
+        return (1, 0, eid)
+    if not eid.isascii():
+        eid = "".join(str(int(c)) for c in eid)
+    digits = eid.lstrip("0")
+    return (0, len(digits), digits)
 
 
 class PlanarMultigraph:
@@ -446,8 +453,9 @@ def build_complex(tg: ThetaGraph, w0: dict,
     records, per index and region, the index the region leads to.  The
     passes run on indices, stepping by table lookup; interning is a
     bijection, so the pass engine's order and return checks hold on the
-    indices exactly when they hold on the tuples, and the visited index
-    sets are mapped back to tuples once, for the assembly.
+    indices exactly when they hold on the tuples, and
+    :func:`~kakimizu.complexes.pass_complex` maps the visited index sets
+    back to tuples once, for the assembly.
     """
     regions = region_signatures(tg)
     if len(regions) > MAX_REGIONS:
@@ -487,15 +495,5 @@ def build_complex(tg: ThetaGraph, w0: dict,
             row.append(j)
         succ.append(row)
 
-    def step(i, r):
-        return succ[i][r]
-
-    moves = range(len(shifts))
-    visited = {frozenset([i]) for i in range(len(states))}
-    for i in range(len(states)):
-        visited |= full_passes(i, moves, step, int)   # an index is its own label
-    simplices = [frozenset([states[i] for i in s]) for s in visited]
-    del visited   # not needed for the assembly, which peaks in memory
-    complex_ = SimplicialComplex.from_maximal(simplices)
-    check_complex(complex_)
-    return complex_
+    return pass_complex(range(len(states)), range(len(shifts)),
+                        lambda i, r: succ[i][r], int, states)   # an index is its own label

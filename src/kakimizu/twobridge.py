@@ -20,7 +20,7 @@ from fractions import Fraction
 from itertools import product
 
 from . import rational
-from .complexes import SimplicialComplex, check_complex, full_passes
+from .complexes import SimplicialComplex, full_passes, pass_complex
 from .errors import InputError, MoveError, SizeLimitError
 
 SurfaceTuple = tuple  # of 0/1 ints, one per plumbing disk
@@ -60,17 +60,25 @@ class BandChain:
         return tuple(k for k in range(1, self.n + 1) if self.is_hopf(k))
 
     @classmethod
-    def from_fraction(cls, f: Fraction) -> "BandChain":
-        """Chain of a 2-bridge index, raw (shifted first) or already shifted."""
-        return cls(rational.expand_index(f))
+    def from_fraction(cls, f: Fraction, max_bands: int | None = None) -> "BandChain":
+        """Chain of a 2-bridge index, raw (shifted first) or already shifted.
+
+        With `max_bands` set, an expansion longer than it is refused before
+        it is finished.
+        """
+        return cls(rational.expand_index(f, max_bands))
 
     @classmethod
-    def parse(cls, text: str) -> "BandChain":
-        """Accept either a fraction ``p/q`` or a band list ``[e1,e2,...]``."""
+    def parse(cls, text: str, max_bands: int | None = None) -> "BandChain":
+        """Accept either a fraction ``p/q`` or a band list ``[e1,e2,...]``.
+
+        `max_bands` caps the expansion of a fraction (see
+        :meth:`from_fraction`); a band list is checked by the build.
+        """
         text = text.strip()
         if text.startswith("["):
             return cls(rational.parse_cfe(text))
-        return cls.from_fraction(rational.parse_fraction(text))
+        return cls.from_fraction(rational.parse_fraction(text), max_bands)
 
 
 def flanking_disks(chain: BandChain, k: int) -> tuple:
@@ -172,12 +180,12 @@ def hopf_orbits(chain: BandChain) -> tuple:
     return tuple(sorted(orbits, key=lambda o: o.label))
 
 
-def _orbit_label_map(orbits) -> dict:
-    lab = {}
-    for o in orbits:
-        for t in o.members:
-            lab[t] = o.label
-    return lab
+def _band_step(chain: BandChain):
+    """The step of the band calculus: the surface after band k, or None
+    where band k does not apply."""
+    def step(t, k):
+        return apply_band(chain, t, k) if is_applicable(chain, t, k) else None
+    return step
 
 
 def maximal_cycles(chain: BandChain, start) -> frozenset:
@@ -190,14 +198,8 @@ def maximal_cycles(chain: BandChain, start) -> frozenset:
     ordering is fully applicable).
     """
     start = _check_tuple(chain, start)
-    label_of = _orbit_label_map(hopf_orbits(chain))
-    return _cycles_from(chain, start, label_of)
-
-
-def _cycles_from(chain: BandChain, start, label_of) -> frozenset:
-    def step(t, k):
-        return apply_band(chain, t, k) if is_applicable(chain, t, k) else None
-    return full_passes(start, range(1, chain.n + 1), step, label_of.__getitem__)
+    label_of = {t: o.label for o in hopf_orbits(chain) for t in o.members}
+    return full_passes(start, range(1, chain.n + 1), _band_step(chain), label_of.__getitem__)
 
 
 def build_complex(chain: BandChain, max_bands: int = DEFAULT_MAX_BANDS) -> SimplicialComplex:
@@ -205,17 +207,12 @@ def build_complex(chain: BandChain, max_bands: int = DEFAULT_MAX_BANDS) -> Simpl
 
     Vertices are the Hopf orbits, labelled by their minimal member; maximal
     simplices are the inclusion-maximal visited-orbit sets over all starting
-    surfaces and all fully applicable orderings.
+    surfaces and all fully applicable orderings.  The passes step on surface
+    tuples and label each by the index of its orbit.
     """
     if chain.n > max_bands:
         raise SizeLimitError(f"chain has {chain.n} bands, limit is {max_bands}")
     orbits = hopf_orbits(chain)
-    label_of = _orbit_label_map(orbits)
-    simplices = set()
-    for start in all_surface_tuples(chain):
-        simplices |= _cycles_from(chain, start, label_of)
-    simplices |= {frozenset([o.label]) for o in orbits}
-    complex_ = SimplicialComplex.from_maximal(simplices)
-    check_complex(complex_)
-    return complex_
-
+    index = {t: i for i, o in enumerate(orbits) for t in o.members}
+    return pass_complex(all_surface_tuples(chain), range(1, chain.n + 1), _band_step(chain),
+                        index.__getitem__, [o.label for o in orbits])

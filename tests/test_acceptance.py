@@ -9,7 +9,7 @@ from fractions import Fraction
 from itertools import product
 
 from kakimizu.cli import main as cli_main
-from kakimizu.complexes import ComplexShape, isomorphic, recognize
+from kakimizu.complexes import ComplexShape, recognize
 from kakimizu.fibred import ReductionGraph, is_fibred_special, reduction_certificate
 from kakimizu.pipeline import (KnotRecord, MarkingFlags, classify_and_compute,
                                load_theta_file, plumbing_theorem_complex,
@@ -20,6 +20,7 @@ from kakimizu.thetagraph import apply_region, build_complex as theta_complex, re
 from kakimizu.twobridge import BandChain, build_complex as chain_complex, hopf_orbits
 
 from catalog import CONFLICT_CFE, CONFLICT_NAMES, ROWS
+from isomorphism import isomorphic
 from randgraphs import random_sphere_graph
 from test_fibred import greedy_reduces, random_connected_multigraph
 from test_twobridge import bfs_orbit_count

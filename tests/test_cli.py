@@ -73,6 +73,14 @@ class TestTwoBridge:
         assert code == 2
         assert "limit" in err
 
+    def test_long_expansion_refused_at_once(self, capsys):
+        # 1/q expands into q - 1 bands; the expansion stops past the cap
+        began = time.perf_counter()
+        code, _, err = run(capsys, "two-bridge", "1/999999999999")
+        assert time.perf_counter() - began < 5
+        assert code == 2
+        assert f"limit is {DEFAULT_MAX_BANDS}" in err
+
 
 class TestTheta:
     def test_fixture(self, capsys, data_dir):
@@ -92,6 +100,18 @@ class TestTheta:
         path = tmp_path / "g.txt"
         path.write_text("vertex a\nvertex b\nedge \u00b2 a b\nedge 1 a b\n"
                         "rot a \u00b2 1\nrot b 1 \u00b2\n", encoding="utf-8")
+        proc = subprocess.run([sys.executable, "-m", "kakimizu.cli", "theta", str(path)],
+                              env=dict(os.environ, PYTHONPATH=str(SRC)),
+                              capture_output=True, text=True, timeout=60)
+        assert "Traceback" not in proc.stderr
+        assert proc.returncode in (0, 1, 2)
+
+    def test_edge_id_too_long_for_int(self, tmp_path):
+        # int() refuses decimal strings of more than 4 300 digits
+        big = "7" * 5000
+        path = tmp_path / "g.txt"
+        path.write_text(f"vertex a\nvertex b\nedge {big} a b\nedge 1 a b\n"
+                        f"rot a {big} 1\nrot b 1 {big}\n")
         proc = subprocess.run([sys.executable, "-m", "kakimizu.cli", "theta", str(path)],
                               env=dict(os.environ, PYTHONPATH=str(SRC)),
                               capture_output=True, text=True, timeout=60)

@@ -9,8 +9,10 @@ import pytest
 
 from kakimizu.complexes import (ComplexShape, SimplicialComplex, check_complex,
                                 flag_closure, full_passes, is_connected, is_flag,
-                                isomorphic, label_text, recognize, to_dot, to_json)
+                                label_text, recognize, to_dot, to_json)
 from kakimizu.errors import InputError, SizeLimitError, StructureError
+
+from isomorphism import isomorphic
 
 
 def path_complex(n, prefix="T"):
@@ -381,8 +383,13 @@ class TestRecognize:
     def test_explicit(self):
         c = SimplicialComplex.from_maximal([["1", "2", "3"], ["2", "3", "4"]])
         shape = recognize(c)
-        assert shape.kind == "explicit"
-        assert shape.equivalent(ComplexShape.explicit(c))
+        assert shape == ComplexShape("explicit", 4)
+        assert str(shape) == "explicit(4 vertices)"
+        # no shape literal names it, so it never matches an expected shape
+        for literal in ("point", "path(4)", "simplex(3)"):
+            assert shape != ComplexShape.parse(literal)
+        with pytest.raises(StructureError):
+            shape.as_complex()
 
 
 class TestShape:

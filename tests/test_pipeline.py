@@ -3,7 +3,7 @@ import json
 
 import pytest
 
-from kakimizu import complexes, pipeline, thetagraph, twobridge
+from kakimizu import complexes, pipeline
 from kakimizu.complexes import ComplexShape, recognize
 from kakimizu.errors import InputError
 from kakimizu.pipeline import (KnotRecord, MarkingFlags, classify_and_compute,
@@ -170,15 +170,17 @@ class TestRunBatch:
         assert results[0].matched_expected is None
 
     def test_each_record_checked_once(self, data_dir, monkeypatch):
-        # the builders check their own complexes and classify_and_compute
-        # checks the rule-based ones; run_batch adds no second check
+        # both builders end in complexes.pass_complex, which checks what it
+        # assembles, and classify_and_compute checks the rule-based
+        # complexes; run_batch adds no second check
         calls = []
+        check = complexes.check_complex
 
         def counting(c):
             calls.append(c)
-            return complexes.check_complex(c)
+            return check(c)
 
-        for module in (pipeline, twobridge, thetagraph):
+        for module in (pipeline, complexes):
             monkeypatch.setattr(module, "check_complex", counting)
         records = load_table(data_dir / "knots11_mixed.csv")
         classes = set()

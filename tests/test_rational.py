@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from kakimizu.errors import InputError
+from kakimizu.errors import InputError, SizeLimitError
 from kakimizu.rational import (evaluate_cfe, even_cfe, expand_index, format_fraction,
                                normalize_two_bridge, parse_cfe, parse_fraction)
 
@@ -87,6 +87,15 @@ class TestEvenCfe:
         assert expand_index(Fraction(-40, 73)) == (-2, -6, -4, -2)
         with pytest.raises(InputError):
             expand_index(Fraction(-1, 3))  # shifted form must have an even entry
+
+    def test_max_entries_stops_the_expansion(self):
+        # 1/q expands into q - 1 entries for odd q
+        assert len(expand_index(Fraction(1, 11))) == 10
+        assert expand_index(Fraction(1, 11), 10) == expand_index(Fraction(1, 11))
+        with pytest.raises(SizeLimitError, match="limit is 9"):
+            expand_index(Fraction(1, 11), 9)
+        with pytest.raises(SizeLimitError, match="limit is 9"):
+            expand_index(Fraction(1, 999999999999), 9)
 
 
 class TestEvaluate:

@@ -356,6 +356,24 @@ class TestThetaSubgraph:
         assert first.count("refused:") < 30
         assert dump("1") == first
 
+    def test_edge_key_keeps_integer_order(self):
+        # the order int() gives every id it converts, ties included
+        def int_key(eid):
+            return (0, int(eid), "") if eid.isdecimal() else (1, 0, eid)
+
+        rng = random.Random(8)
+        digits = "0123456789\u0660\u0661\u0663\u0669\u0967"
+        ids = ["0", "00", "7", "007", "10", "z1", "z10", "a", "\u00b2"]
+        for _ in range(2000):
+            ids.append("".join(rng.choice(digits) for _ in range(rng.randint(1, 6))))
+            ids.append("z" + str(rng.randint(0, 50)))
+        for _ in range(20):
+            rng.shuffle(ids)
+            assert sorted(ids, key=_edge_key) == sorted(ids, key=int_key)
+        longer = "1" + "0" * 5000
+        assert sorted([longer, "9" * 5000, "z1", "5"], key=_edge_key) == [
+            "5", "9" * 5000, longer, "z1"]
+
     def test_unreduced_bigon_rejected(self):
         with pytest.raises(StructureError):
             ThetaGraph(["u", "v"],

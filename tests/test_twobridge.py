@@ -1,6 +1,7 @@
 import random
 from fractions import Fraction
 from itertools import combinations, product
+from math import factorial, prod
 
 import pytest
 from hypothesis import given, settings
@@ -48,6 +49,20 @@ def bfs_orbit_count(bands):
                     seen.add(nxt)
                     queue.append(nxt)
     return count
+
+
+def closed_form_counts(bands):
+    """Dimensions, vertex count and maximal simplex count of the complex.
+
+    With p_0 < ... < p_m the positions of the bands with |e| != 2 (m = 0
+    when there are fewer than two) and L_i = p_i - p_(i-1), the complex is
+    pure of dimension m, with prod(L_i + 1) vertices and m! * prod(L_i)
+    maximal simplices.
+    """
+    positions = [k for k, e in enumerate(bands) if abs(e) != 2]
+    gaps = [b - a for a, b in zip(positions, positions[1:])]
+    m = len(gaps)
+    return {m}, prod(g + 1 for g in gaps), factorial(m) * prod(gaps)
 
 
 def walk_cycles(chain, start, label_of):
@@ -251,11 +266,15 @@ class TestBuildComplex:
 
     def test_euler_characteristic_is_one_exhaustive(self):
         # Kakimizu complexes are contractible; every chain with at most 5
-        # bands of twist 2 or 4
+        # bands of twist 2 or 4.  The same builds check the closed form of
+        # their counts (see closed_form_counts).
         built = 0
         for n in range(1, 6):
             for bands in product((-4, -2, 2, 4), repeat=n):
-                assert euler_characteristic(build_complex(BandChain(bands))) == 1, bands
+                c = build_complex(BandChain(bands))
+                assert euler_characteristic(c) == 1, bands
+                assert ({len(s) - 1 for s in c.simplices}, len(c.vertices),
+                        len(c.simplices)) == closed_form_counts(bands), bands
                 built += 1
         assert built == 1364
 
