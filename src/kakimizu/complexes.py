@@ -1,9 +1,8 @@
 """Finite simplicial complexes given by their maximal simplices.
 
 A complex here is a set of labelled vertices together with the family of
-inclusion-maximal simplices.  Because every complex produced by this package
-is a flag complex (it is determined by its 1-skeleton), the module provides
-the flag closure of a graph via maximal-clique enumeration, a flag test,
+inclusion-maximal simplices.  Every Kakimizu complex is connected and flag
+(determined by its 1-skeleton), so the module provides the check of both,
 recognition of the shapes that occur in knot tables (point, path, single
 simplex), and deterministic DOT and JSON exports.
 
@@ -12,10 +11,10 @@ the vertex sets that the full passes from one state visit, and
 :func:`pass_complex` assembles the passes from every start into a complex
 and runs the connected/flag check that every build ends with.
 
-The flag closure, the flag test and the connectivity test share one kernel
-on integer bitmasks: vertices are indexed once, each vertex's neighbourhood
-is one int, Bron-Kerbosch with Tomita's pivot enumerates the maximal cliques
-over those masks, and connectivity is a breadth-first search over them.
+The flag test and the connectivity test share one kernel on integer
+bitmasks: vertices are indexed once, each vertex's neighbourhood is one
+int, Bron-Kerbosch with Tomita's pivot enumerates the maximal cliques over
+those masks, and connectivity is a breadth-first search over them.
 """
 
 from __future__ import annotations
@@ -65,21 +64,15 @@ class SimplicialComplex:
             raise InputError("every vertex must lie in at least one maximal simplex")
 
     @classmethod
-    def from_maximal(cls, simplices: Iterable[Iterable[Label]],
-                     vertices: Iterable[Label] | None = None) -> "SimplicialComplex":
+    def from_maximal(cls, simplices: Iterable[Iterable[Label]]) -> "SimplicialComplex":
         """Build a complex from candidate simplices.
 
-        Simplices contained in others are absorbed.  Vertices listed in
-        `vertices` but missing from every simplex become isolated vertices
-        (their own maximal 0-simplex).
+        Simplices contained in others are absorbed; an isolated vertex is
+        passed as its own singleton.
         """
         sims = {frozenset(s) for s in simplices}
         sims.discard(frozenset())
         verts = set().union(*sims) if sims else set()
-        if vertices is not None:
-            extra = set(vertices) - verts
-            sims |= {frozenset([v]) for v in extra}
-            verts |= extra
         if not verts:
             raise InputError("a simplicial complex needs at least one vertex")
         return cls(frozenset(verts), frozenset(_maximal(sims)))
@@ -187,28 +180,6 @@ def _adjacency(c: SimplicialComplex) -> tuple:
     return index, adj
 
 
-def flag_closure(edges: Iterable[Iterable[Label]], vertices: Iterable[Label]) -> SimplicialComplex:
-    """The flag complex on `vertices` whose 1-skeleton is `edges`.
-
-    Maximal simplices are the maximal cliques of the edge graph.
-    """
-    verts = sorted(set(vertices), key=label_text)
-    if not verts:
-        raise InputError("flag closure of the empty vertex set")
-    index = {v: i for i, v in enumerate(verts)}
-    adj = [0] * len(verts)
-    for e in edges:
-        a, b = tuple(e)
-        if a == b:
-            raise InputError("loop edges are not 1-simplices")
-        if a not in index or b not in index:
-            raise InputError("edge endpoint outside vertex set")
-        adj[index[a]] |= 1 << index[b]
-        adj[index[b]] |= 1 << index[a]
-    cliques = [[verts[i] for i in q] for q in _maximal_cliques(adj)]
-    return SimplicialComplex.from_maximal(cliques, vertices=verts)
-
-
 def is_flag(c: SimplicialComplex) -> bool:
     """True when the complex equals the flag closure of its own 1-skeleton.
 
@@ -304,6 +275,14 @@ def pass_complex(starts, moves, step, label, names) -> SimplicialComplex:
     return complex_
 
 
+# the representative of a shape literal is built and checked like any
+# computed complex: simplex(999) / simplex(1999) / simplex(3999) take
+# 0.29 / 1.6 / 8.5 s, path(1000) / path(16000) / path(32000) 0.02 / 1.0 /
+# 2.9 s, through a batch row (Python 3.11 on one core of a shared VM); the
+# shipped tables' largest literal is path(6)
+MAX_SHAPE_VERTICES = 1000
+
+
 @dataclass(frozen=True)
 class ComplexShape:
     """Shape of a complex: point, path(n), simplex(d), or explicit(n) for any
@@ -348,11 +327,15 @@ class ComplexShape:
             return cls.point()
         for name, ctor in (("path", cls.path), ("simplex", cls.simplex)):
             if text.startswith(name + "(") and text.endswith(")"):
-                inner = text[len(name) + 1:-1]
                 try:
-                    return ctor(int(inner))
+                    size = int(text[len(name) + 1:-1])
                 except ValueError as exc:
                     raise InputError(f"bad shape literal {text!r}") from exc
+                # path(n) has n vertices, simplex(d) has d + 1
+                if size + (name == "simplex") > MAX_SHAPE_VERTICES:
+                    raise InputError(f"shape literal {text!r} has more than "
+                                     f"{MAX_SHAPE_VERTICES} vertices")
+                return ctor(size)
         raise InputError(f"unknown shape literal {text!r}")
 
     def __str__(self) -> str:
@@ -392,13 +375,17 @@ def recognize(c: SimplicialComplex) -> ComplexShape:
     return ComplexShape("explicit", n)
 
 
+def rendered(c: SimplicialComplex) -> dict:
+    """The sorted vertex texts and the sorted maximal simplices, each a
+    sorted list of vertex texts: the fields every report of c renders."""
+    text = {v: label_text(v) for v in c.vertices}
+    return {"vertices": sorted(text.values()),
+            "maximal_simplices": sorted(sorted(text[v] for v in s) for s in c.simplices)}
+
+
 def to_json(c: SimplicialComplex) -> str:
     """Canonical JSON with sorted vertices and sorted maximal simplices."""
-    text = {v: label_text(v) for v in c.vertices}
-    verts = sorted(text.values())
-    sims = sorted(sorted(text[v] for v in s) for s in c.simplices)
-    return json.dumps({"vertices": verts, "maximal_simplices": sims},
-                      indent=2, sort_keys=True) + "\n"
+    return json.dumps(rendered(c), indent=2, sort_keys=True) + "\n"
 
 
 def to_dot(c: SimplicialComplex) -> str:

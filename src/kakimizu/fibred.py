@@ -24,13 +24,15 @@ decides reducibility and records a replayable certificate.  A homogeneous
 link is fibred exactly when each special alternating summand of its Murasugi
 decomposition is.
 
-Moves run on one mutable working graph, built once from a validated
-``ReductionGraph``; the search, the certificate replay and the graph's own
-move methods share it.  Connectivity is checked once, when the
-``ReductionGraph`` is built, and never per move, because neither move can
-disconnect the graph: a loop is never a bridge, and a contraction merges
-the two ends of an edge, so every path through either end becomes a path
-through the merged vertex.
+A ``ReductionGraph`` is a validated, immutable input with no move methods:
+moves run only through :func:`reduction_certificate`, which finds them, and
+:func:`replay_certificate`, which checks them.  Both apply them to one
+mutable working graph, built once per call, whose ``apply`` rejects a
+malformed or illegal move with ``InputError``.  Connectivity is checked
+once, when the ``ReductionGraph`` is built, and never per move, because
+neither move can disconnect the graph: a loop is never a bridge, and a
+contraction merges the two ends of an edge, so every path through either
+end becomes a path through the merged vertex.
 
 A move costs O(log E) for E edges plus the degree of the absorbed vertex,
 whose edges are renamed to the surviving label.  The search finds its next
@@ -114,37 +116,6 @@ class ReductionGraph:
                 raise InputError(f"edge ({u},{v}) outside vertex range 0..{n - 1}")
         return cls.from_pairs(n, pairs)
 
-    def degree(self, v) -> int:
-        d = 0
-        for u, w in self.edges:
-            if u == v:
-                d += 1
-            if w == v:
-                d += 1
-        return d
-
-    def loops(self) -> list:
-        return sorted({e for e in self.edges if e[0] == e[1]})
-
-    def delete_loop(self, edge) -> "ReductionGraph":
-        return self._after(("delete_loop", edge))
-
-    def contract(self, edge) -> "ReductionGraph":
-        """Contract a non-loop edge, merging into the smaller label.
-
-        Parallel copies of the contracted edge become loops; loops at the
-        absorbed vertex move to the surviving one.
-        """
-        return self._after(("contract", edge))
-
-    def _after(self, move) -> "ReductionGraph":
-        work = _WorkingGraph(self)
-        work.apply(move)
-        return work.graph()
-
-    def is_reduced(self) -> bool:
-        return len(self.vertices) == 1 and not self.edges
-
 
 class _WorkingGraph:
     """A reduction graph that applies moves in place.
@@ -173,11 +144,6 @@ class _WorkingGraph:
 
     def is_reduced(self) -> bool:
         return len(self.incidence) == 1 and not self.edge_count
-
-    def graph(self) -> ReductionGraph:
-        edges = sorted((u, v) for u, around in self.incidence.items()
-                       for v, count in around.items() if u <= v for _ in range(count))
-        return ReductionGraph(frozenset(self.incidence), tuple(edges))
 
     def next_move(self):
         """The first sorted loop, else the first sorted contractible edge."""
@@ -224,6 +190,8 @@ class _WorkingGraph:
             self._offer(u)
 
     def _contract(self, edge) -> None:
+        """Merge gone into the smaller label keep: parallel copies of the
+        edge become loops, and loops at gone move to keep."""
         keep, gone = edge
         incidence, degree = self.incidence, self.degree
         if keep >= gone or keep not in incidence or gone not in incidence[keep]:

@@ -37,7 +37,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from . import thetagraph, twobridge
-from .complexes import ComplexShape, SimplicialComplex, check_complex, label_text, recognize
+from .complexes import ComplexShape, SimplicialComplex, check_complex, recognize, rendered
 from .errors import InputError, KakimizuError
 from .twobridge import DEFAULT_MAX_BANDS
 
@@ -62,16 +62,29 @@ class MarkingFlags:
 
     @classmethod
     def parse(cls, text: str) -> "MarkingFlags":
-        fields = {"A1": False, "A1p": False, "A2": False, "A2p": False}
-        for item in text.split(";"):
-            item = item.strip()
-            if not item:
-                continue
-            key, _, value = item.partition("=")
-            if key not in fields or value not in ("0", "1"):
-                raise InputError(f"bad marking flag {item!r}")
-            fields[key] = value == "1"
-        return cls(fields["A1"], fields["A1p"], fields["A2"], fields["A2p"])
+        keys = ("A1", "A1p", "A2", "A2p")
+        fields = _rule_params(text, keys)
+        for key, value in fields.items():
+            if value not in (None, "0", "1"):
+                raise InputError(f"marking flag {key} must be 0 or 1, got {value!r}")
+        return cls(*(fields[key] == "1" for key in keys))
+
+
+def _rule_params(params: str, keys) -> dict:
+    """The values of ``key=value;...`` by key, None for a key not given.
+
+    An unknown key is an InputError; the caller checks the values.
+    """
+    fields = dict.fromkeys(keys)
+    for item in params.split(";"):
+        item = item.strip()
+        if not item:
+            continue
+        key, _, value = item.partition("=")
+        if key not in fields:
+            raise InputError(f"unknown field {key!r} in {params!r}")
+        fields[key] = value
+    return fields
 
 
 @dataclass(frozen=True)
@@ -137,15 +150,7 @@ def plumbing_theorem_complex(flags: MarkingFlags) -> SimplicialComplex:
 
 
 def _unique_base_params(params: str):
-    fields = {"base_unique": None, "fibred_summands": None}
-    for item in params.split(";"):
-        item = item.strip()
-        if not item:
-            continue
-        key, _, value = item.partition("=")
-        if key not in fields:
-            raise InputError(f"unknown field {key!r} in {params!r}")
-        fields[key] = value
+    fields = _rule_params(params, ("base_unique", "fibred_summands"))
     if fields["base_unique"] not in ("0", "1"):
         raise InputError("base_unique must be 0 or 1")
     try:
@@ -262,9 +267,7 @@ def report_payload(results) -> dict:
             "error": r.error,
         }
         if r.computed is not None:
-            row["vertices"] = [label_text(v) for v in r.computed.sorted_vertices()]
-            row["maximal_simplices"] = sorted(
-                sorted(label_text(v) for v in s) for s in r.computed.simplices)
+            row.update(rendered(r.computed))
         rows.append(row)
     return {
         "results": rows,

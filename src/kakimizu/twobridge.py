@@ -20,7 +20,7 @@ from fractions import Fraction
 from itertools import product
 
 from . import rational
-from .complexes import SimplicialComplex, full_passes, pass_complex
+from .complexes import SimplicialComplex, pass_complex
 from .errors import InputError, MoveError, SizeLimitError
 
 SurfaceTuple = tuple  # of 0/1 ints, one per plumbing disk
@@ -141,65 +141,35 @@ class IsotopyOrbit:
             raise InputError("orbit label must be the lexicographic minimum")
 
 
-class _UnionFind:
-    def __init__(self, items):
-        self.parent = {x: x for x in items}
-
-    def find(self, x):
-        root = x
-        while self.parent[root] != root:
-            root = self.parent[root]
-        while self.parent[x] != root:
-            self.parent[x], x = root, self.parent[x]
-        return root
-
-    def union(self, a, b):
-        ra, rb = self.find(a), self.find(b)
-        if ra != rb:
-            self.parent[max(ra, rb)] = min(ra, rb)
-
-
 def hopf_orbits(chain: BandChain) -> tuple:
-    """Partition all surface tuples into isotopy orbits.
+    """Partition all surface tuples into isotopy orbits, sorted by label.
 
     Only moves at Hopf bands identify surfaces; interior Hopf moves are
     conditional on their flanking bits being equal, exactly as in
-    :func:`is_applicable`.  Orbits are returned sorted by label.
+    :func:`is_applicable`.  A Hopf move undoes itself, so an orbit is the
+    set a search of Hopf moves reaches from any member.  The search starts
+    from each tuple not yet met, in lexicographic order, so each start is
+    its orbit's minimum, which is the label.
     """
-    tuples = list(all_surface_tuples(chain))
-    uf = _UnionFind(tuples)
     hopf = chain.hopf_positions()
-    for t in tuples:
-        for k in hopf:
-            if is_applicable(chain, t, k):
-                uf.union(t, apply_band(chain, t, k))
-    groups: dict = {}
-    for t in tuples:
-        groups.setdefault(uf.find(t), set()).add(t)
-    orbits = [IsotopyOrbit(min(g), frozenset(g)) for g in groups.values()]
-    return tuple(sorted(orbits, key=lambda o: o.label))
-
-
-def _band_step(chain: BandChain):
-    """The step of the band calculus: the surface after band k, or None
-    where band k does not apply."""
-    def step(t, k):
-        return apply_band(chain, t, k) if is_applicable(chain, t, k) else None
-    return step
-
-
-def maximal_cycles(chain: BandChain, start) -> frozenset:
-    """Orbit sets visited by full passes of the n band moves from `start`.
-
-    A full pass applies each band exactly once, every move applicable when
-    its turn arrives; any such pass flips each disk bit twice and therefore
-    ends back at `start`.  Returns the collection of visited-orbit sets,
-    one frozenset of orbit labels per distinct pass outcome (empty when no
-    ordering is fully applicable).
-    """
-    start = _check_tuple(chain, start)
-    label_of = {t: o.label for o in hopf_orbits(chain) for t in o.members}
-    return full_passes(start, range(1, chain.n + 1), _band_step(chain), label_of.__getitem__)
+    seen: set = set()
+    orbits = []
+    for label in all_surface_tuples(chain):
+        if label in seen:
+            continue
+        members = {label}
+        stack = [label]
+        while stack:
+            t = stack.pop()
+            for k in hopf:
+                if is_applicable(chain, t, k):
+                    u = apply_band(chain, t, k)
+                    if u not in members:
+                        members.add(u)
+                        stack.append(u)
+        seen |= members
+        orbits.append(IsotopyOrbit(label, frozenset(members)))
+    return tuple(orbits)
 
 
 def build_complex(chain: BandChain, max_bands: int = DEFAULT_MAX_BANDS) -> SimplicialComplex:
@@ -214,5 +184,9 @@ def build_complex(chain: BandChain, max_bands: int = DEFAULT_MAX_BANDS) -> Simpl
         raise SizeLimitError(f"chain has {chain.n} bands, limit is {max_bands}")
     orbits = hopf_orbits(chain)
     index = {t: i for i, o in enumerate(orbits) for t in o.members}
-    return pass_complex(all_surface_tuples(chain), range(1, chain.n + 1), _band_step(chain),
+
+    def step(t, k):
+        """The surface after band k, or None where band k does not apply."""
+        return apply_band(chain, t, k) if is_applicable(chain, t, k) else None
+    return pass_complex(all_surface_tuples(chain), range(1, chain.n + 1), step,
                         index.__getitem__, [o.label for o in orbits])

@@ -203,6 +203,19 @@ class TestBatch:
         assert code == 1
         assert f"chain has 11 bands, limit is {DEFAULT_MAX_BANDS}" in out
 
+    def test_oversized_shape_literal_refused_at_once(self, tmp_path):
+        # the representative of simplex(100000000) would need 10^8 labels
+        table = tmp_path / "t.csv"
+        table.write_text("name,class,params,expected\nk,table_expected,simplex(100000000),\n")
+        began = time.perf_counter()
+        proc = subprocess.run([sys.executable, "-m", "kakimizu", "batch", str(table)],
+                              env=dict(os.environ, PYTHONPATH=str(SRC)),
+                              capture_output=True, text=True, timeout=60)
+        assert time.perf_counter() - began < 2
+        assert proc.returncode == 1
+        assert "Traceback" not in proc.stderr
+        assert "ERR" in proc.stdout
+
     def test_malformed_table_exits_two(self, capsys, tmp_path):
         table = tmp_path / "t.csv"
         table.write_text("name,class,params,expected\nk,fibred,-\n")

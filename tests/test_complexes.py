@@ -7,8 +7,8 @@ from pathlib import Path
 
 import pytest
 
-from kakimizu.complexes import (ComplexShape, SimplicialComplex, check_complex,
-                                flag_closure, full_passes, is_connected, is_flag,
+from kakimizu.complexes import (MAX_SHAPE_VERTICES, ComplexShape, SimplicialComplex,
+                                check_complex, full_passes, is_connected, is_flag,
                                 label_text, recognize, to_dot, to_json)
 from kakimizu.errors import InputError, SizeLimitError, StructureError
 
@@ -49,7 +49,7 @@ def set_flag_closure(edges, vertices):
             x = x | {v}
 
     expand(set(), set(verts), set())
-    return SimplicialComplex.from_maximal(cliques, vertices=verts)
+    return SimplicialComplex.from_maximal(cliques + [[v] for v in verts])
 
 
 def set_is_flag(c):
@@ -95,7 +95,7 @@ def random_complex(rng):
     verts = list(range(random_size(rng)))
     family = [rng.sample(verts, rng.randint(1, min(4, len(verts))))
               for _ in range(rng.randint(1, 2 * len(verts) + 2))]
-    return SimplicialComplex.from_maximal(family, vertices=verts)
+    return SimplicialComplex.from_maximal(family + [[v] for v in verts])
 
 
 HOLLOW_TRIANGLE = [["a", "b"], ["b", "c"], ["a", "c"]]
@@ -123,7 +123,7 @@ class TestConstruction:
         assert c.simplices == frozenset({frozenset({"a", "b", "c"})})
 
     def test_isolated_vertices(self):
-        c = SimplicialComplex.from_maximal([["a", "b"]], vertices=["a", "b", "c"])
+        c = SimplicialComplex.from_maximal([["a", "b"], ["c"]])
         assert frozenset({"c"}) in c.simplices
 
     def test_invariants(self):
@@ -174,10 +174,13 @@ class TestCliqueKernel:
     """The bitmask kernel against the set-based oracles it replaced."""
 
     def test_flag_closure_matches_oracle(self):
+        # the flag closure of any graph is flag, and its 1-skeleton is the graph
         rng = random.Random(11)
         for _ in range(1500):
             edges, verts = random_graph(rng)
-            assert flag_closure(edges, verts) == set_flag_closure(edges, verts)
+            c = set_flag_closure(edges, verts)
+            assert is_flag(c)
+            assert c.one_skeleton() == {frozenset(e) for e in edges}
 
     def test_is_flag_and_is_connected_match_oracles(self):
         rng = random.Random(12)
@@ -214,31 +217,6 @@ class TestCliqueKernel:
                               text=True, env=dict(os.environ, PYTHONPATH=str(src)), timeout=60)
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == "raised: Kakimizu complex must be a flag complex"
-
-
-class TestFlagClosure:
-    def test_triangle(self):
-        c = flag_closure([("a", "b"), ("b", "c"), ("a", "c")], ["a", "b", "c"])
-        assert c.simplices == frozenset({frozenset({"a", "b", "c"})})
-
-    def test_path_has_no_triangle(self):
-        c = flag_closure([("a", "b"), ("b", "c")], ["a", "b", "c"])
-        assert sorted(len(s) for s in c.simplices) == [2, 2]
-
-    def test_point(self):
-        c = flag_closure([], ["a"])
-        assert c.simplices == frozenset({frozenset({"a"})})
-
-    def test_idempotent(self):
-        rng = random.Random(3)
-        for _ in range(25):
-            n = rng.randint(2, 9)
-            verts = list(range(n))
-            edges = {frozenset(e) for e in
-                     (rng.sample(verts, 2) for _ in range(rng.randint(0, 2 * n)))}
-            c = flag_closure(edges, verts)
-            assert is_flag(c)
-            assert flag_closure(c.one_skeleton(), c.vertices) == c
 
 
 class TestIsFlag:
@@ -356,7 +334,7 @@ class TestIsomorphism:
             n = rng.randint(2, 6)
             edges = {frozenset(e) for e in
                      (rng.sample(range(n), 2) for _ in range(n + 1))}
-            complexes.append(flag_closure(edges, range(n)))
+            complexes.append(set_flag_closure(edges, range(n)))
         for a in complexes:
             assert isomorphic(a, a)
             for b in complexes:
@@ -403,11 +381,16 @@ class TestShape:
         ("path(5)", ComplexShape.path(5)),
         ("path(2)", ComplexShape.simplex(1)),
         ("simplex(2)", ComplexShape.simplex(2)),
+        # the largest representatives parse allows
+        (f"path({MAX_SHAPE_VERTICES})", ComplexShape.path(MAX_SHAPE_VERTICES)),
+        (f"simplex({MAX_SHAPE_VERTICES - 1})", ComplexShape.simplex(MAX_SHAPE_VERTICES - 1)),
     ])
     def test_parse(self, text, shape):
         assert ComplexShape.parse(text) == shape
 
-    @pytest.mark.parametrize("bad", ["", "blob", "path()", "path(x)", "simplex(-1)"])
+    @pytest.mark.parametrize("bad", ["", "blob", "path()", "path(x)", "simplex(-1)",
+                                     f"path({MAX_SHAPE_VERTICES + 1})",
+                                     f"simplex({MAX_SHAPE_VERTICES})", "simplex(100000000)"])
     def test_parse_rejects(self, bad):
         with pytest.raises(InputError):
             ComplexShape.parse(bad)

@@ -7,11 +7,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from kakimizu.complexes import ComplexShape, is_connected, is_flag, recognize
+from kakimizu.complexes import (ComplexShape, SimplicialComplex, full_passes, is_connected,
+                                is_flag, recognize)
 from kakimizu.errors import InputError, MoveError, SizeLimitError
 from kakimizu.twobridge import (BandChain, apply_band, build_complex,
-                                flanking_disks, hopf_orbits, is_applicable,
-                                maximal_cycles)
+                                flanking_disks, hopf_orbits, is_applicable)
 
 from catalog import ROWS
 from euler import euler_characteristic
@@ -22,8 +22,7 @@ CHAIN_ENTRIES = [-6, -4, -2, 2, 4, 6]
 def bfs_orbit_count(bands):
     """Independent oracle: breadth-first closure over conditional Hopf flips.
 
-    Shares no code with the union-find implementation; the move rules are
-    restated inline.
+    Shares no code with hopf_orbits; the move rules are restated inline.
     """
     n = len(bands)
     hopf = [k for k in range(1, n + 1) if bands[k - 1] in (2, -2)]
@@ -63,6 +62,16 @@ def closed_form_counts(bands):
     gaps = [b - a for a, b in zip(positions, positions[1:])]
     m = len(gaps)
     return {m}, prod(g + 1 for g in gaps), factorial(m) * prod(gaps)
+
+
+def band_passes(chain, start):
+    """Orbit-label sets visited by the full passes from `start`: the
+    shared pass walk driven by the public band moves."""
+    label_of = {t: o.label for o in hopf_orbits(chain) for t in o.members}
+
+    def step(t, k):
+        return apply_band(chain, t, k) if is_applicable(chain, t, k) else None
+    return full_passes(start, range(1, chain.n + 1), step, label_of.__getitem__)
 
 
 def walk_cycles(chain, start, label_of):
@@ -198,13 +207,13 @@ class TestHopfOrbits:
 class TestMaximalCycles:
     def test_two_band_edge(self):
         chain = BandChain((-8, -4))
-        cycles = maximal_cycles(chain, (0,))
+        cycles = band_passes(chain, (0,))
         assert cycles == frozenset({frozenset({(0,), (1,)})})
 
     def test_unique_surface_single_orbit(self):
         chain = BandChain((2, -6, -2, 2))
         (orbit,) = hopf_orbits(chain)
-        assert maximal_cycles(chain, (0, 0, 0)) == frozenset({frozenset({orbit.label})})
+        assert band_passes(chain, (0, 0, 0)) == frozenset({frozenset({orbit.label})})
 
     def test_no_three_orbit_cycle(self):
         chain = BandChain((4, 2, -4, 2))
@@ -212,7 +221,7 @@ class TestMaximalCycles:
         for o in hopf_orbits(chain):
             for t in o.members:
                 label_of[t] = o.label
-        cycles = maximal_cycles(chain, (1, 0, 0))
+        cycles = band_passes(chain, (1, 0, 0))
         assert frozenset({label_of[(1, 0, 0)], label_of[(0, 0, 0)]}) in cycles
         assert all(len(c) <= 2 for c in cycles)
 
@@ -224,7 +233,7 @@ class TestMaximalCycles:
                 chain = BandChain(bands)
                 label_of = {t: o.label for o in hopf_orbits(chain) for t in o.members}
                 for start in product((0, 1), repeat=chain.disks):
-                    assert maximal_cycles(chain, start) == walk_cycles(chain, start, label_of)
+                    assert band_passes(chain, start) == walk_cycles(chain, start, label_of)
                     pairs += 1
         assert pairs == 2340
 
@@ -321,8 +330,7 @@ def test_randomised_start_order_independence():
         rng.shuffle(starts)
         simplices = set()
         for start in starts:
-            simplices |= maximal_cycles(chain, start)
-        from kakimizu.complexes import SimplicialComplex
+            simplices |= band_passes(chain, start)
         rebuilt = SimplicialComplex.from_maximal(
             simplices | {frozenset([o.label]) for o in hopf_orbits(chain)})
         assert rebuilt == reference
