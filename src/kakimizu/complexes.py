@@ -2,19 +2,21 @@
 
 A complex here is a set of labelled vertices together with the family of
 inclusion-maximal simplices.  Every Kakimizu complex is connected and flag
-(determined by its 1-skeleton), so the module provides the check of both,
-recognition of the shapes that occur in knot tables (point, path, single
-simplex), and deterministic DOT and JSON exports.
+(determined by its 1-skeleton), so a complex is checked as it is made:
+:meth:`SimplicialComplex.from_maximal`, the only constructor, finds the
+maximal simplices as the maximal cliques of the candidates' 1-skeleton and
+refuses a complex that is not connected or not flag.  The module also
+recognises the shapes that occur in knot tables (point, path, single
+simplex) and writes deterministic DOT and JSON exports.
 
 Both move calculi build their complexes here.  :func:`full_passes` finds
 the vertex sets that the full passes from one state visit, and
-:func:`pass_complex` assembles the passes from every start into a complex
-and runs the connected/flag check that every build ends with.
+:func:`pass_complex` hands the passes from every start to the constructor.
 
-The flag test and the connectivity test share one kernel on integer
-bitmasks: vertices are indexed once, each vertex's neighbourhood is one
-int, Bron-Kerbosch with Tomita's pivot enumerates the maximal cliques over
-those masks, and connectivity is a breadth-first search over them.
+The check runs on integer bitmasks: vertices are indexed once, each
+vertex's neighbourhood is one int, connectivity is a breadth-first search
+over those masks, and Bron-Kerbosch with Tomita's pivot enumerates the
+maximal cliques over them.
 """
 
 from __future__ import annotations
@@ -22,7 +24,6 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Iterable
 
 from .errors import InputError, StructureError
 
@@ -42,43 +43,71 @@ def label_text(label: Label) -> str:
     return str(label)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class SimplicialComplex:
-    """Vertices plus the antichain of maximal simplices covering them."""
+    """A connected flag complex: its vertices and its maximal simplices.
+
+    :meth:`from_maximal` is the only constructor, and it checks both
+    properties, so every complex has them.
+    """
 
     vertices: frozenset
     simplices: frozenset
 
-    def __post_init__(self) -> None:
-        if not self.vertices:
-            raise InputError("a simplicial complex needs at least one vertex")
-        for s in self.simplices:
-            if not s:
-                raise InputError("empty maximal simplex")
-            if not s <= self.vertices:
-                raise InputError(f"simplex {sorted(map(label_text, s))} not within vertex set")
-        if len(_maximal(self.simplices)) < len(self.simplices):
-            raise InputError("maximal simplices must form an antichain")
-        covered = frozenset().union(*self.simplices) if self.simplices else frozenset()
-        if covered != self.vertices:
-            raise InputError("every vertex must lie in at least one maximal simplex")
-
     @classmethod
-    def from_maximal(cls, simplices: Iterable[Iterable[Label]]) -> "SimplicialComplex":
-        """Build a complex from candidate simplices.
+    def from_maximal(cls, candidates) -> "SimplicialComplex":
+        """The complex the candidate simplices span, checked as it is made.
 
-        Simplices contained in others are absorbed; an isolated vertex is
-        passed as its own singleton.
+        Candidates may repeat or contain one another; an isolated vertex is
+        passed as its own singleton.  The vertices are indexed once, in the
+        order they first appear, and each candidate is keyed as the sorted
+        tuple of its vertex indices.  StructureError is raised unless the
+        1-skeleton is connected and the complex is flag.
+
+        Every candidate is a clique, so it lies in a maximal clique, and a
+        maximal clique that lies in a candidate equals it.  So a maximal
+        clique that is not a candidate spans no simplex, and the complex is
+        not flag; when every maximal clique is a candidate, the maximal
+        cliques are exactly the maximal simplices.  The clique search (see
+        :func:`_maximal_cliques`) therefore yields the simplices and stops at
+        the first clique that is not a candidate.
         """
-        sims = {frozenset(s) for s in simplices}
-        sims.discard(frozenset())
-        verts = set().union(*sims) if sims else set()
-        if not verts:
+        index: dict = {}
+        keys = set()
+        for s in candidates:
+            key = tuple(sorted({index.setdefault(v, len(index)) for v in s}))
+            if key:
+                keys.add(key)
+        if not index:
             raise InputError("a simplicial complex needs at least one vertex")
-        return cls(frozenset(verts), frozenset(_maximal(sims)))
+        adj = [0] * len(index)
+        for key in keys:
+            mask = 0
+            for i in key:
+                mask |= 1 << i
+            for i in key:
+                adj[i] |= mask
+        for i in range(len(adj)):
+            adj[i] ^= 1 << i   # every vertex lies in a candidate, so bit i is set
+        seen = frontier = 1
+        while frontier:
+            reach = 0
+            for i in _bits(frontier):
+                reach |= adj[i]
+            frontier = reach & ~seen
+            seen |= frontier
+        if seen != (1 << len(adj)) - 1:
+            raise StructureError("Kakimizu complex must be connected")
+        labels = list(index)
 
-    def sorted_vertices(self) -> list:
-        return sorted(self.vertices, key=label_text)
+        def simplex(clique):
+            if tuple(sorted(clique)) not in keys:
+                raise StructureError("Kakimizu complex must be a flag complex")
+            return frozenset([labels[i] for i in clique])
+        c = object.__new__(cls)
+        object.__setattr__(c, "simplices", frozenset(map(simplex, _maximal_cliques(adj))))
+        object.__setattr__(c, "vertices", frozenset(labels))
+        return c
 
     def one_skeleton(self) -> set:
         """All 1-simplices, as frozenset pairs."""
@@ -93,35 +122,6 @@ class SimplicialComplex:
             for v in e:
                 deg[v] += 1
         return deg
-
-
-def _maximal(sims) -> list:
-    """The sets among the distinct `sims` that no other one strictly contains.
-
-    One inverted index maps every vertex to the bitmask of the sets that
-    hold it.  The AND of those masks over a set's vertices is the set of
-    its supersets, itself included; the sets being distinct, any other bit
-    is a strict superset.  A single set needs no index.
-    """
-    sims = list(sims)
-    if len(sims) < 2:
-        return sims
-    holders: dict = {}
-    bit = 1
-    for s in sims:
-        for v in s:
-            holders[v] = holders.get(v, 0) | bit
-        bit <<= 1
-    maximal = []
-    bit = 1
-    for s in sims:
-        supersets = -1
-        for v in s:
-            supersets &= holders[v]
-        if supersets == bit:
-            maximal.append(s)
-        bit <<= 1
-    return maximal
 
 
 def _bits(mask: int):
@@ -162,59 +162,6 @@ def _maximal_cliques(adj: list):
         v = bit.bit_length() - 1
         frame[1:] = p ^ bit, x | bit, todo ^ bit
         stack.append(branch(r + (v,), p & adj[v], x & adj[v]))
-
-
-def _adjacency(c: SimplicialComplex) -> tuple:
-    """The index of each vertex of c in sorted order, and the adjacency masks."""
-    index = {v: i for i, v in enumerate(c.sorted_vertices())}
-    adj = [0] * len(index)
-    for s in c.simplices:
-        ids = [index[v] for v in s]
-        mask = 0
-        for i in ids:
-            mask |= 1 << i
-        for i in ids:
-            adj[i] |= mask
-    for i in range(len(adj)):
-        adj[i] ^= 1 << i   # every vertex lies in a simplex, so bit i is set
-    return index, adj
-
-
-def is_flag(c: SimplicialComplex) -> bool:
-    """True when the complex equals the flag closure of its own 1-skeleton.
-
-    Every simplex is a clique of the 1-skeleton and so lies in a maximal
-    clique.  If every maximal clique is a simplex, each simplex lies in a
-    simplex that is a maximal clique, which is the simplex itself because
-    the maximal simplices form an antichain: the maximal simplices are then
-    exactly the maximal cliques, which is flagness; conversely, in a flag
-    complex every maximal clique is a simplex.  So the clique search stops
-    at the first maximal clique that is not a simplex.
-    """
-    index, adj = _adjacency(c)
-    sims = {frozenset([index[v] for v in s]) for s in c.simplices}
-    return all(frozenset(q) in sims for q in _maximal_cliques(adj))
-
-
-def is_connected(c: SimplicialComplex) -> bool:
-    """True when the 1-skeleton is connected, by a breadth-first search over masks."""
-    _, adj = _adjacency(c)
-    seen = frontier = 1
-    while frontier:
-        reach = 0
-        for i in _bits(frontier):
-            reach |= adj[i]
-        frontier = reach & ~seen
-        seen |= frontier
-    return seen == (1 << len(adj)) - 1
-
-
-def check_complex(c: SimplicialComplex) -> None:
-    """Raise StructureError unless c is connected and flag, as Kakimizu complexes are."""
-    if not is_connected(c):
-        raise StructureError("Kakimizu complex must be connected")
-    if not is_flag(c):
-        raise StructureError("Kakimizu complex must be a flag complex")
 
 
 def full_passes(start, moves, step, label) -> frozenset:
@@ -259,27 +206,29 @@ def pass_complex(starts, moves, step, label, names) -> SimplicialComplex:
     """The checked complex spanned by the full passes from every start.
 
     ``label(state)`` is the index of the state's vertex in `names`.  The
-    passes from each start run on these indices (see :func:`full_passes`);
-    every vertex is added as a singleton, so vertices no pass visits stay
-    in the complex, and the index sets are mapped to `names` once, for the
-    assembly.  The result must come out connected and flag.
+    passes from each start run on these indices (see :func:`full_passes`).
+    The candidates handed to :meth:`SimplicialComplex.from_maximal` are every
+    vertex as a singleton, first and in the order of `names`, so vertices no
+    pass visits stay in the complex, then each visited set of two or more
+    vertices, mapped to `names` as it leaves the set of index sets.
     """
     moves = tuple(moves)
-    visited = {frozenset([i]) for i in range(len(names))}
+    visited: set = set()
     for start in starts:
         visited |= full_passes(start, moves, step, label)
-    simplices = [frozenset([names[i] for i in s]) for s in visited]
-    del visited   # not needed for the assembly, which peaks in memory
-    complex_ = SimplicialComplex.from_maximal(simplices)
-    check_complex(complex_)
-    return complex_
+    candidates = [[v] for v in names]
+    while visited:
+        s = visited.pop()
+        if len(s) > 1:
+            candidates.append([names[i] for i in s])
+    return SimplicialComplex.from_maximal(candidates)
 
 
 # the representative of a shape literal is built and checked like any
 # computed complex: simplex(999) / simplex(1999) / simplex(3999) take
-# 0.29 / 1.6 / 8.5 s, path(1000) / path(16000) / path(32000) 0.02 / 1.0 /
-# 2.9 s, through a batch row (Python 3.11 on one core of a shared VM); the
-# shipped tables' largest literal is path(6)
+# 0.33 / 1.2 / 9.7 s, path(1000) / path(16000) / path(32000) 0.02 / 0.52 /
+# 1.6 s, through a batch row with the bound lifted (Python 3.11 on one core
+# of a shared VM); the shipped tables' largest literal is path(6)
 MAX_SHAPE_VERTICES = 1000
 
 
@@ -370,7 +319,7 @@ def recognize(c: SimplicialComplex) -> ComplexShape:
             return ComplexShape.simplex(n - 1)
     if all(len(s) == 2 for s in c.simplices) and len(c.simplices) == n - 1:
         degs = sorted(c.degrees().values())
-        if degs == [1, 1] + [2] * (n - 2) and is_connected(c):
+        if degs == [1, 1] + [2] * (n - 2):   # every complex is connected
             return ComplexShape.path(n)
     return ComplexShape("explicit", n)
 

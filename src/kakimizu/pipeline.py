@@ -37,7 +37,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from . import thetagraph, twobridge
-from .complexes import ComplexShape, SimplicialComplex, check_complex, recognize, rendered
+from .complexes import ComplexShape, SimplicialComplex, recognize, rendered
 from .errors import InputError, KakimizuError
 from .twobridge import DEFAULT_MAX_BANDS
 
@@ -110,24 +110,18 @@ class ResultRecord:
     error: str | None = None
 
 
-def strip_fibred_summands(base_unique: bool, summand_count: int):
+def strip_fibred_summands(base_unique: bool, summand_count: int) -> SimplicialComplex:
     """Deplumb fibred summands from a unique-surface base.
 
     Each deplumbing is a product decomposition inducing a bijection of
-    surface sets, so the complex equals the base's: a point.  Returns the
-    point complex together with the audit trail of bijection steps.
+    surface sets, so the complex equals the base's, a point, whatever the
+    number of summands.
     """
     if not base_unique:
         raise InputError("base must span a unique surface")
     if summand_count < 0:
         raise InputError("summand count cannot be negative")
-    trail = []
-    for k in range(summand_count, 0, -1):
-        trail.append(
-            f"deplumb fibred summand {k}: surface sets of the sum and of the "
-            f"remaining base with {k - 1} summands are in bijection")
-    trail.append("base spans a unique surface, so the complex is a single vertex")
-    return ComplexShape.point().as_complex(), trail
+    return ComplexShape.point().as_complex()
 
 
 def plumbing_theorem_complex(flags: MarkingFlags) -> SimplicialComplex:
@@ -163,10 +157,10 @@ def _unique_base_params(params: str):
 def classify_and_compute(rec: KnotRecord,
                          max_bands: int = DEFAULT_MAX_BANDS,
                          max_vertices: int = thetagraph.DEFAULT_MAX_VERTICES) -> SimplicialComplex:
-    """Dispatch a record to its algorithm and return the checked complex.
+    """Dispatch a record to its algorithm and return its complex.
 
-    The two builders check the complexes they build; the rule-based classes
-    are checked here, so every complex is checked exactly once.
+    Every complex is checked as it is made, by
+    :meth:`~kakimizu.complexes.SimplicialComplex.from_maximal`.
     """
     if rec.klass == "two_bridge":
         chain = twobridge.BandChain.parse(rec.params, max_bands=max_bands)
@@ -178,18 +172,14 @@ def classify_and_compute(rec: KnotRecord,
         tg = load_theta_file(path)
         return thetagraph.build_complex(tg, tg.weights(), max_vertices=max_vertices)
     if rec.klass == "fibred":
-        complex_ = ComplexShape.point().as_complex()
-    elif rec.klass == "unique_base_plus_fibred":
-        base_unique, count = _unique_base_params(rec.params)
-        complex_, _ = strip_fibred_summands(base_unique, count)
-    elif rec.klass == "plumbing_unique_pair":
-        complex_ = plumbing_theorem_complex(MarkingFlags.parse(rec.params))
-    elif rec.klass == "table_expected":
-        complex_ = ComplexShape.parse(rec.params).as_complex()
-    else:
-        raise InputError(f"unknown knot class {rec.klass!r}")
-    check_complex(complex_)
-    return complex_
+        return ComplexShape.point().as_complex()
+    if rec.klass == "unique_base_plus_fibred":
+        return strip_fibred_summands(*_unique_base_params(rec.params))
+    if rec.klass == "plumbing_unique_pair":
+        return plumbing_theorem_complex(MarkingFlags.parse(rec.params))
+    if rec.klass == "table_expected":
+        return ComplexShape.parse(rec.params).as_complex()
+    raise InputError(f"unknown knot class {rec.klass!r}")
 
 
 def load_theta_file(path) -> thetagraph.ThetaGraph:
@@ -291,7 +281,7 @@ def summary_table(results) -> str:
     lines = [f"{'name':<{width}}  {'shape':<22} match  time"]
     for r in sorted(results, key=lambda r: r.name):
         if r.error is not None:
-            status, shape = "ERR", r.error[:40]
+            status, shape = "ERR", r.error
         else:
             shape = str(r.shape)
             status = {True: "yes", False: "NO", None: "-"}[r.matched_expected]

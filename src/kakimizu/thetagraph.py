@@ -209,7 +209,7 @@ class PlanarMultigraph:
                     attrs = dict(p.split("=", 1) for p in parts[4:])
                     weight = int(attrs.pop("weight", "1"))
                     dirtext = attrs.pop("dir", "+")
-                    if attrs or dirtext not in "+-":
+                    if attrs or dirtext not in ("+", "-"):
                         raise InputError(f"bad edge attributes on {eid}")
                     edges[eid] = Edge(u, v, weight, 1 if dirtext == "+" else -1)
                 elif kind == "rot":

@@ -13,6 +13,8 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from kakimizu.cli import main
+from kakimizu.errors import InputError
+from kakimizu.thetagraph import PlanarMultigraph
 from kakimizu.twobridge import DEFAULT_MAX_BANDS
 
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -118,6 +120,19 @@ class TestTheta:
         assert "Traceback" not in proc.stderr
         assert proc.returncode in (0, 1, 2)
 
+    @pytest.mark.parametrize("direction", ["", "+-"])
+    def test_direction_is_one_sign(self, capsys, tmp_path, direction):
+        # a substring test once read dir= and dir=+- as dir=-
+        text = (f"vertex a\nvertex b\nedge 1 a b\nedge 2 a b dir={direction}\n"
+                "rot a 1 2\nrot b 2 1\n")
+        with pytest.raises(InputError, match="bad edge attributes on 2"):
+            PlanarMultigraph.from_text(text)
+        path = tmp_path / "g.txt"
+        path.write_text(text)
+        code, _, err = run(capsys, "theta", str(path))
+        assert code == 2
+        assert err.startswith("error:")
+
     def test_wrong_weight_count(self, capsys, data_dir):
         code, _, err = run(capsys, "theta", str(data_dir / "theta_11_94.txt"),
                            "--weights", "1,0,0")
@@ -215,6 +230,8 @@ class TestBatch:
         assert proc.returncode == 1
         assert "Traceback" not in proc.stderr
         assert "ERR" in proc.stdout
+        # the summary line carries the whole message, reason included
+        assert "'simplex(100000000)' has more than 1000 vertices" in proc.stdout
 
     def test_malformed_table_exits_two(self, capsys, tmp_path):
         table = tmp_path / "t.csv"

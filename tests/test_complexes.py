@@ -8,71 +8,15 @@ from pathlib import Path
 import pytest
 
 from kakimizu.complexes import (MAX_SHAPE_VERTICES, ComplexShape, SimplicialComplex,
-                                check_complex, full_passes, is_connected, is_flag,
-                                label_text, recognize, to_dot, to_json)
+                                full_passes, label_text, recognize, to_dot, to_json)
 from kakimizu.errors import InputError, SizeLimitError, StructureError
 
 from isomorphism import isomorphic
+from setoracles import pairwise_maximal, set_flag_closure, set_is_connected, set_is_flag
 
 
 def path_complex(n, prefix="T"):
     return ComplexShape.path(n).as_complex(prefix)
-
-
-def pairwise_maximal(simplices):
-    """Reference oracle: the candidates no other candidate strictly contains,
-    found by comparing every pair."""
-    sims = {frozenset(s) for s in simplices}
-    sims.discard(frozenset())
-    return {s for s in sims if not any(s < other for other in sims)}
-
-
-def set_flag_closure(edges, vertices):
-    """Reference oracle: the flag closure by set-based Bron-Kerbosch with a
-    sorted pivot choice, the implementation the bitmask kernel replaced."""
-    verts = sorted(set(vertices), key=label_text)
-    adj = {v: set() for v in verts}
-    for e in edges:
-        a, b = tuple(e)
-        adj[a].add(b)
-        adj[b].add(a)
-    cliques = []
-
-    def expand(r, p, x):
-        if not p and not x:
-            cliques.append(frozenset(r))
-            return
-        pivot = max(sorted(p | x, key=label_text), key=lambda v: len(adj[v] & p))
-        for v in sorted(p - adj[pivot], key=label_text):
-            expand(r | {v}, p & adj[v], x & adj[v])
-            p = p - {v}
-            x = x | {v}
-
-    expand(set(), set(verts), set())
-    return SimplicialComplex.from_maximal(cliques + [[v] for v in verts])
-
-
-def set_is_flag(c):
-    """Reference oracle: c equals the flag closure of its 1-skeleton."""
-    return set_flag_closure(c.one_skeleton(), c.vertices) == c
-
-
-def set_is_connected(c):
-    """Reference oracle: a depth-first search over neighbour sets."""
-    adj = {v: set() for v in c.vertices}
-    for e in c.one_skeleton():
-        a, b = tuple(e)
-        adj[a].add(b)
-        adj[b].add(a)
-    start = c.sorted_vertices()[0]
-    seen = {start}
-    stack = [start]
-    while stack:
-        for w in adj[stack.pop()]:
-            if w not in seen:
-                seen.add(w)
-                stack.append(w)
-    return seen == c.vertices
 
 
 def random_size(rng):
@@ -89,17 +33,18 @@ def random_graph(rng):
     return edges, verts
 
 
-def random_complex(rng):
-    """A random complex, flag or not: random simplices of up to 4 vertices,
-    some vertices isolated."""
+def random_candidates(rng):
+    """Random candidates of up to 4 vertices, spanning a complex that may be
+    disconnected or not flag, some vertices isolated."""
     verts = list(range(random_size(rng)))
     family = [rng.sample(verts, rng.randint(1, min(4, len(verts))))
               for _ in range(rng.randint(1, 2 * len(verts) + 2))]
-    return SimplicialComplex.from_maximal(family + [[v] for v in verts])
+    return family + [[v] for v in verts]
 
 
 HOLLOW_TRIANGLE = [["a", "b"], ["b", "c"], ["a", "c"]]
 SIMPLEX_BOUNDARY = [list(face) for face in combinations("abcd", 3)]
+DISJOINT_EDGES = [["a", "b"], ["c", "d"]]
 
 
 def random_family(rng):
@@ -109,12 +54,31 @@ def random_family(rng):
     family = [rng.sample(verts, rng.randint(0, len(verts))) for _ in range(rng.randint(1, 12))]
     family += [list(s) for s in rng.sample(family, rng.randint(0, len(family)))]
     family.append([])
+    # the chain stops short of the whole vertex set, which would absorb the rest
     chain = rng.sample(verts, len(verts))
-    family += [chain[:k] for k in range(rng.randint(1, len(verts)), len(verts) + 1)]
+    family += [chain[:k] for k in range(rng.randint(1, len(verts)), len(verts))]
     size = rng.randint(1, len(verts))
     family += [rng.sample(verts, size) for _ in range(rng.randint(2, 5))]
     rng.shuffle(family)
     return family
+
+
+def verdict(family):
+    """What from_maximal makes of the family, asserted against the oracles:
+    it refuses a disconnected family, then a family that is not flag, and
+    otherwise keeps the pairwise-maximal candidates."""
+    if not set_is_connected(family):
+        with pytest.raises(StructureError, match="must be connected"):
+            SimplicialComplex.from_maximal(family)
+        return "disconnected"
+    if not set_is_flag(family):
+        with pytest.raises(StructureError, match="must be a flag complex"):
+            SimplicialComplex.from_maximal(family)
+        return "not flag"
+    c = SimplicialComplex.from_maximal(family)
+    assert c.simplices == pairwise_maximal(family)
+    assert c.vertices == frozenset().union(*map(frozenset, family))
+    return "complex"
 
 
 class TestConstruction:
@@ -123,135 +87,120 @@ class TestConstruction:
         assert c.simplices == frozenset({frozenset({"a", "b", "c"})})
 
     def test_isolated_vertices(self):
-        c = SimplicialComplex.from_maximal([["a", "b"], ["c"]])
-        assert frozenset({"c"}) in c.simplices
+        # a singleton is a vertex of its own; beside an edge it is disconnected
+        assert SimplicialComplex.from_maximal([["c"]]).simplices == {frozenset({"c"})}
+        with pytest.raises(StructureError, match="connected"):
+            SimplicialComplex.from_maximal([["a", "b"], ["c"]])
 
     def test_invariants(self):
-        with pytest.raises(InputError):
-            SimplicialComplex(frozenset({"a"}), frozenset({frozenset({"a", "b"})}))
-        with pytest.raises(InputError):
-            SimplicialComplex(frozenset({"a", "b"}),
-                              frozenset({frozenset({"a"}), frozenset({"a", "b"})}))
-        with pytest.raises(InputError):
-            SimplicialComplex(frozenset({"a", "b"}), frozenset({frozenset({"a"})}))
+        # from_maximal is the only constructor, so no complex goes unchecked
+        with pytest.raises(TypeError):
+            SimplicialComplex(frozenset({"a"}), frozenset({frozenset({"a"})}))
         with pytest.raises(InputError):
             SimplicialComplex.from_maximal([])
-        # one strict inclusion among many incomparable simplices
-        rows = [frozenset({f"a{i}", f"b{i}", "c"}) for i in range(40)]
         with pytest.raises(InputError):
-            SimplicialComplex(frozenset().union(*rows),
-                              frozenset(rows + [frozenset({"a7", "c"})]))
+            SimplicialComplex.from_maximal([[], []])
 
     def test_absorption_matches_pairwise_oracle(self):
         rng = random.Random(3)
+        verdicts = set()
         for _ in range(500):
             family = random_family(rng)
-            if not any(family):
-                continue
-            c = SimplicialComplex.from_maximal(family)
-            assert c.simplices == pairwise_maximal(family)
-            assert c.vertices == frozenset().union(*map(frozenset, family))
-
-    def test_antichain_check_matches_pairwise_oracle(self):
-        rng = random.Random(4)
-        raised = 0
-        for _ in range(500):
-            sims = {frozenset(s) for s in random_family(rng)} - {frozenset()}
-            if not sims:
-                continue
-            verts = frozenset().union(*sims)
-            SimplicialComplex(verts, frozenset(pairwise_maximal(sims)))
-            if pairwise_maximal(sims) == sims:
-                SimplicialComplex(verts, frozenset(sims))
-            else:
-                with pytest.raises(InputError):
-                    SimplicialComplex(verts, frozenset(sims))
-                raised += 1
-        assert raised >= 100
+            if any(family):
+                verdicts.add(verdict(family))
+        assert verdicts == {"disconnected", "not flag", "complex"}
 
 
 class TestCliqueKernel:
     """The bitmask kernel against the set-based oracles it replaced."""
 
     def test_flag_closure_matches_oracle(self):
-        # the flag closure of any graph is flag, and its 1-skeleton is the graph
+        # the flag closure of a connected graph is a complex whose maximal
+        # simplices are the closure and whose 1-skeleton is the graph
         rng = random.Random(11)
+        built = 0
         for _ in range(1500):
             edges, verts = random_graph(rng)
-            c = set_flag_closure(edges, verts)
-            assert is_flag(c)
+            closure = set_flag_closure(edges, verts)
+            if not set_is_connected(closure):
+                with pytest.raises(StructureError, match="connected"):
+                    SimplicialComplex.from_maximal(list(closure))
+                continue
+            c = SimplicialComplex.from_maximal(list(closure))
+            assert c.simplices == closure
             assert c.one_skeleton() == {frozenset(e) for e in edges}
+            built += 1
+        assert built >= 200
 
     def test_is_flag_and_is_connected_match_oracles(self):
         rng = random.Random(12)
-        verdicts = set()
-        for _ in range(2000):
-            c = random_complex(rng)
-            flag, connected = is_flag(c), is_connected(c)
-            assert flag == set_is_flag(c)
-            assert connected == set_is_connected(c)
-            verdicts.add((flag, connected))
-        assert len(verdicts) == 4
+        verdicts = [verdict(random_candidates(rng)) for _ in range(2000)]
+        assert min(verdicts.count(v) for v in ("disconnected", "not flag", "complex")) >= 100
 
     @pytest.mark.parametrize("simplices", [HOLLOW_TRIANGLE, SIMPLEX_BOUNDARY],
                              ids=["hollow_triangle", "simplex_boundary"])
     def test_named_non_flag(self, simplices):
-        c = SimplicialComplex.from_maximal(simplices)
-        assert is_connected(c)
-        assert not is_flag(c)
-        assert not set_is_flag(c)
+        assert set_is_connected(simplices)
+        assert not set_is_flag(simplices)
         with pytest.raises(StructureError, match="flag"):
-            check_complex(c)
+            SimplicialComplex.from_maximal(simplices)
 
     def test_check_survives_optimised_mode(self):
         # python -O strips asserts; the check must raise all the same
-        code = ("from kakimizu.complexes import SimplicialComplex, check_complex\n"
+        code = ("from kakimizu.complexes import SimplicialComplex\n"
                 "from kakimizu.errors import StructureError\n"
-                "c = SimplicialComplex.from_maximal([['a','b'], ['b','c'], ['a','c']])\n"
-                "try:\n"
-                "    check_complex(c)\n"
-                "except StructureError as exc:\n"
-                "    print('raised:', exc)\n")
+                f"for family in {[HOLLOW_TRIANGLE, SIMPLEX_BOUNDARY, DISJOINT_EDGES]!r}:\n"
+                "    try:\n"
+                "        SimplicialComplex.from_maximal(family)\n"
+                "    except StructureError as exc:\n"
+                "        print('raised:', exc)\n")
         src = Path(__file__).resolve().parent.parent / "src"
         proc = subprocess.run([sys.executable, "-O", "-c", code], capture_output=True,
                               text=True, env=dict(os.environ, PYTHONPATH=str(src)), timeout=60)
         assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.strip() == "raised: Kakimizu complex must be a flag complex"
+        assert proc.stdout.splitlines() == [
+            "raised: Kakimizu complex must be a flag complex",
+            "raised: Kakimizu complex must be a flag complex",
+            "raised: Kakimizu complex must be connected"]
 
 
 class TestIsFlag:
     def test_simplex_is_flag(self):
-        assert is_flag(ComplexShape.simplex(2).as_complex())
+        c = ComplexShape.simplex(2).as_complex()
+        assert c.simplices == {frozenset({"T1", "T2", "T3"})}
+        assert set_is_flag(c.simplices)
 
     def test_hollow_triangle_is_not(self):
-        hollow = SimplicialComplex.from_maximal([["a", "b"], ["b", "c"], ["a", "c"]])
-        assert not is_flag(hollow)
+        with pytest.raises(StructureError, match="must be a flag complex"):
+            SimplicialComplex.from_maximal(HOLLOW_TRIANGLE)
 
 
 class TestConnectivity:
     def test_point(self):
-        assert is_connected(ComplexShape.point().as_complex())
+        c = ComplexShape.point().as_complex()
+        assert c.vertices == {"T1"} and set_is_connected(c.simplices)
 
     def test_disjoint_union(self):
-        c = SimplicialComplex.from_maximal([["a", "b"], ["c", "d"]])
-        assert not is_connected(c)
-        assert not set_is_connected(c)
-        assert is_flag(c) and set_is_flag(c)
+        assert not set_is_connected(DISJOINT_EDGES)
+        assert set_is_flag(DISJOINT_EDGES)
+        with pytest.raises(StructureError, match="must be connected"):
+            SimplicialComplex.from_maximal(DISJOINT_EDGES)
 
 
 class TestCheckComplex:
     def test_connected_flag_passes(self):
-        check_complex(path_complex(4))
-        check_complex(ComplexShape.simplex(2).as_complex())
+        for c in (path_complex(4), ComplexShape.simplex(2).as_complex()):
+            assert set_is_connected(c.simplices) and set_is_flag(c.simplices)
 
     def test_disconnected_raises(self):
+        # connectivity is checked first: a hollow triangle beside a point
         with pytest.raises(StructureError, match="connected"):
-            check_complex(SimplicialComplex.from_maximal([["a", "b"], ["c", "d"]]))
+            SimplicialComplex.from_maximal(HOLLOW_TRIANGLE + [["x"]])
 
     def test_hollow_triangle_raises(self):
-        hollow = SimplicialComplex.from_maximal(HOLLOW_TRIANGLE)
+        # the hollow triangle inside a larger connected complex
         with pytest.raises(StructureError, match="flag"):
-            check_complex(hollow)
+            SimplicialComplex.from_maximal(HOLLOW_TRIANGLE + [["c", "d"], ["d", "e", "f"]])
 
 
 def _add(state, move):
@@ -323,18 +272,18 @@ class TestIsomorphism:
         a = SimplicialComplex.from_maximal([["1", "2", "3"], ["2", "3", "4"]])
         b = SimplicialComplex.from_maximal([["w", "x", "y"], ["x", "y", "z"]])
         assert isomorphic(a, b)
-        hollow_pair = SimplicialComplex.from_maximal(
-            [["1", "2"], ["2", "3"], ["1", "3"], ["2", "4"], ["3", "4"]])
-        assert not isomorphic(a, hollow_pair)
+        triangle_and_edge = SimplicialComplex.from_maximal([["1", "2", "3"], ["3", "4"]])
+        assert not isomorphic(a, triangle_and_edge)
 
     def test_equivalence_relation(self):
         rng = random.Random(5)
         complexes = []
         for _ in range(6):
+            # a random spanning tree and a few more edges, closed by the oracle
             n = rng.randint(2, 6)
-            edges = {frozenset(e) for e in
-                     (rng.sample(range(n), 2) for _ in range(n + 1))}
-            complexes.append(set_flag_closure(edges, range(n)))
+            edges = {frozenset((v, rng.randrange(v))) for v in range(1, n)}
+            edges |= {frozenset(rng.sample(range(n), 2)) for _ in range(n + 1)}
+            complexes.append(SimplicialComplex.from_maximal(list(set_flag_closure(edges, range(n)))))
         for a in complexes:
             assert isomorphic(a, a)
             for b in complexes:

@@ -1,10 +1,11 @@
 import hashlib
 import json
+import time
 
 import pytest
 
-from kakimizu import complexes, pipeline
-from kakimizu.complexes import ComplexShape, recognize
+from kakimizu import pipeline
+from kakimizu.complexes import ComplexShape, SimplicialComplex, recognize
 from kakimizu.errors import InputError
 from kakimizu.pipeline import (KnotRecord, MarkingFlags, classify_and_compute,
                                load_table, load_theta_file, plumbing_theorem_complex,
@@ -44,15 +45,12 @@ class TestRules:
             plumbing_theorem_complex(flags)
 
     def test_strip_summands(self):
-        c, trail = strip_fibred_summands(True, 2)
+        c = strip_fibred_summands(True, 2)
         assert str(recognize(c)) == "point"
-        assert len(trail) == 3
-        assert "bijection" in trail[0]
 
     def test_strip_no_summands(self):
-        c, trail = strip_fibred_summands(True, 0)
+        c = strip_fibred_summands(True, 0)
         assert str(recognize(c)) == "point"
-        assert len(trail) == 1
 
     def test_strip_needs_unique_base(self):
         with pytest.raises(InputError):
@@ -170,27 +168,34 @@ class TestRunBatch:
         assert results[0].matched_expected is None
 
     def test_each_record_checked_once(self, data_dir, monkeypatch):
-        # both builders end in complexes.pass_complex, which checks what it
-        # assembles, and classify_and_compute checks the rule-based
-        # complexes; run_batch adds no second check
+        # from_maximal, the only constructor, checks the complex it makes;
+        # every record makes exactly one, its result
         calls = []
-        check = complexes.check_complex
+        build = SimplicialComplex.from_maximal.__func__
 
-        def counting(c):
-            calls.append(c)
-            return check(c)
+        def counting(cls, candidates):
+            calls.append(build(cls, candidates))
+            return calls[-1]
 
-        for module in (pipeline, complexes):
-            monkeypatch.setattr(module, "check_complex", counting)
+        monkeypatch.setattr(SimplicialComplex, "from_maximal", classmethod(counting))
         records = load_table(data_dir / "knots11_mixed.csv")
         classes = set()
         for rec in records:
             calls.clear()
             (result,) = run_batch([rec])
             assert result.error is None, rec.name
-            assert calls == [result.computed], rec.name
+            assert len(calls) == 1 and calls[0] is result.computed, rec.name
             classes.add(rec.klass)
         assert classes == set(pipeline.KNOT_CLASSES)
+
+    def test_huge_summand_count_is_a_point_at_once(self):
+        # deplumbing is one bijection whatever the count: nothing per summand
+        rec = KnotRecord("k", "unique_base_plus_fibred",
+                         f"base_unique=1;fibred_summands={10**12}", ComplexShape.point())
+        began = time.perf_counter()
+        (result,) = run_batch([rec])
+        assert time.perf_counter() - began < 2
+        assert result.error is None and result.matched_expected is True
 
 
 class TestReport:

@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from kakimizu.complexes import SimplicialComplex, is_connected, is_flag, recognize
+from kakimizu.complexes import SimplicialComplex, recognize
 from kakimizu.errors import (InputError, KakimizuError, MoveError, SizeLimitError,
                              StructureError)
 from kakimizu.pipeline import load_theta_file
@@ -19,6 +19,7 @@ from kakimizu.thetagraph import (DEFAULT_MAX_VERTICES, Edge, PlanarMultigraph, T
 
 from euler import euler_characteristic
 from randgraphs import random_sphere_graph
+from setoracles import set_is_connected, set_is_flag
 
 FIXTURES = ("theta_11_94.txt", "theta_11_237.txt", "theta_11_340.txt")
 TESTS = Path(__file__).resolve().parent
@@ -511,7 +512,7 @@ class TestBuildComplex:
     def test_connected_and_flag(self):
         tg = theta_subgraph(parallel_edges(3, weights=[2, 0, 0]))
         c = build_complex(tg, tg.weights())
-        assert is_connected(c) and is_flag(c)
+        assert set_is_connected(c.simplices) and set_is_flag(c.simplices)
 
     def test_vertex_cap(self):
         tg = theta_subgraph(parallel_edges(2, weights=[5, 0]))
