@@ -22,6 +22,11 @@ from . import fibred, pipeline, rational, thetagraph, twobridge
 from .complexes import recognize, to_dot, to_json
 from .errors import KakimizuError
 
+# the expansion of 1/q has q - 1 entries: `kakimizu expand` printed 10^4 /
+# 10^5 / 3*10^5 / 10^6 of them in 0.26 / 1.1 / 2.9 / 9.5 s (Python 3.11 on
+# one core of a shared VM), so a longer expansion is refused
+MAX_EXPAND_ENTRIES = 100_000
+
 
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -76,7 +81,7 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         if args.command == "expand":
-            cfe = rational.expand_index(rational.parse_fraction(args.fraction))
+            cfe = rational.expand_index(rational.parse_fraction(args.fraction), MAX_EXPAND_ENTRIES)
             print("[" + ",".join(str(e) for e in cfe) + "]")
         elif args.command == "two-bridge":
             chain = twobridge.BandChain.parse(args.chain, max_bands=args.max_bands)

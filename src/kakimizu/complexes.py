@@ -10,8 +10,9 @@ recognises the shapes that occur in knot tables (point, path, single
 simplex) and writes deterministic DOT and JSON exports.
 
 Both move calculi build their complexes here.  :func:`full_passes` finds
-the vertex sets that the full passes from one state visit, and
-:func:`pass_complex` hands the passes from every start to the constructor.
+the vertex sets that the full passes from one state visit, walking each
+pass only from the least state on its cycle, and :func:`pass_complex`
+hands the passes from every start to the constructor.
 
 The check runs on integer bitmasks: vertices are indexed once, each
 vertex's neighbourhood is one int, connectivity is a breadth-first search
@@ -22,6 +23,7 @@ maximal cliques over them.
 from __future__ import annotations
 
 import json
+from collections import Counter
 from dataclasses import dataclass
 from itertools import combinations
 
@@ -116,13 +118,6 @@ class SimplicialComplex:
             edges.update(frozenset(p) for p in combinations(s, 2))
         return edges
 
-    def degrees(self) -> dict:
-        deg = {v: 0 for v in self.vertices}
-        for e in self.one_skeleton():
-            for v in e:
-                deg[v] += 1
-        return deg
-
 
 def _bits(mask: int):
     """The positions of the set bits of `mask`, lowest first."""
@@ -165,27 +160,35 @@ def _maximal_cliques(adj: list):
 
 
 def full_passes(start, moves, step, label) -> frozenset:
-    """Label sets visited by the full passes of `moves` from `start`.
+    """Label sets visited by the full passes of `moves` from `start` that
+    visit no state below it; states need a total order ``<`` (surface
+    tuples for 2-bridge, interned indices for theta).
 
     A full pass applies every move once, each applicable when its turn
     comes: ``step(state, move)`` is the next state, or None where the move
-    does not apply.  The result holds, once each, the sets of labels of the
-    states that passes visit; it is empty when no ordering applies.
+    does not apply.  Band moves flip bits and region moves add signs, so
+    the state after a set M of moves is ``start XOR flank(M)`` or
+    ``w0 + signs(M)`` whatever the order; only applicability depends on it.
+    The walk therefore runs over the 2^n subsets of moves, not the n!
+    orderings: layer k maps each mask of k moves that an applicable ordering
+    reaches to its state and the visited sets of those orderings.
+    StructureError is raised when two orderings reach one mask in different
+    states, or when the full mask does not return to `start`.  A step below
+    `start` is checked against its mask's state, then dropped.
 
-    Band moves flip bits and region moves add signs, so the state after a
-    set M of moves is ``start XOR flank(M)`` or ``w0 + signs(M)`` whatever
-    the order; only applicability depends on it.  The walk therefore runs
-    over the 2^n subsets of moves, not the n! orderings: layer k maps each
-    mask of k moves that an applicable ordering reaches to its state and
-    the visited sets of those orderings.  StructureError is raised when two
-    orderings reach one mask in different states, or when the full mask
-    does not return to `start`.
+    A full pass is a cycle of states.  Rotating its move order gives a full
+    pass from every state on the cycle (each move meets the state it met
+    before), and every rotation visits the same set.  The rotation from the
+    least state visits nothing below its start, so the walk from there
+    keeps it, order checks included: the union over all starts is unchanged.
     """
     moves = tuple(moves)
     layer = {0: (start, {frozenset([label(start)])})}
     for _ in moves:
         nxt: dict = {}
         for mask, (state, seen) in layer.items():
+            if not seen:
+                continue   # the state of this mask is below start
             for i, move in enumerate(moves):
                 after = None if mask >> i & 1 else step(state, move)
                 if after is None:
@@ -193,6 +196,8 @@ def full_passes(start, moves, step, label) -> frozenset:
                 reached, sets = nxt.setdefault(mask | 1 << i, (after, set()))
                 if reached != after:
                     raise StructureError("the state after a set of moves depends on their order")
+                if after < start:
+                    continue
                 here = frozenset([label(after)])
                 sets.update(v | here for v in seen)
         layer = nxt
@@ -205,8 +210,9 @@ def full_passes(start, moves, step, label) -> frozenset:
 def pass_complex(starts, moves, step, label, names) -> SimplicialComplex:
     """The checked complex spanned by the full passes from every start.
 
-    ``label(state)`` is the index of the state's vertex in `names`.  The
-    passes from each start run on these indices (see :func:`full_passes`).
+    ``label(state)`` is the index of the state's vertex in `names`.  Each
+    pass runs on these indices once, from the least state on its cycle (see
+    :func:`full_passes`), since `starts` holds every state a pass can visit.
     The candidates handed to :meth:`SimplicialComplex.from_maximal` are every
     vertex as a singleton, first and in the order of `names`, so vertices no
     pass visits stay in the complex, then each visited set of two or more
@@ -318,8 +324,9 @@ def recognize(c: SimplicialComplex) -> ComplexShape:
         if len(s) == n:
             return ComplexShape.simplex(n - 1)
     if all(len(s) == 2 for s in c.simplices) and len(c.simplices) == n - 1:
-        degs = sorted(c.degrees().values())
-        if degs == [1, 1] + [2] * (n - 2):   # every complex is connected
+        # every complex is connected, so this one is a tree: a path unless a
+        # vertex lies on three edges
+        if max(Counter(v for s in c.simplices for v in s).values()) == 2:
             return ComplexShape.path(n)
     return ComplexShape("explicit", n)
 

@@ -92,11 +92,8 @@ class ReductionGraph:
     @classmethod
     def from_pairs(cls, n_or_vertices, pairs) -> "ReductionGraph":
         if isinstance(n_or_vertices, int):
-            verts = frozenset(range(n_or_vertices))
-        else:
-            verts = frozenset(n_or_vertices)
-        edges = tuple(sorted(tuple(sorted(p)) for p in pairs))
-        return cls(verts, edges)
+            n_or_vertices = range(n_or_vertices)
+        return cls(frozenset(n_or_vertices), tuple(sorted(tuple(sorted(p)) for p in pairs)))
 
     @classmethod
     def from_text(cls, text: str) -> "ReductionGraph":
@@ -250,15 +247,3 @@ def replay_certificate(g: ReductionGraph, moves) -> bool:
         work.apply(move)
     return work.is_reduced()
 
-
-def is_fibred_special(g: ReductionGraph) -> bool:
-    """Whether the special alternating piece with this graph is fibred."""
-    return reduction_certificate(g) is not None
-
-
-def is_fibred_homogeneous(pieces) -> bool:
-    """Fibredness of a Murasugi sum: every summand must be fibred."""
-    pieces = list(pieces)
-    if not pieces:
-        raise InputError("a Murasugi decomposition needs at least one piece")
-    return all(is_fibred_special(p) for p in pieces)

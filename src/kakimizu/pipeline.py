@@ -41,14 +41,8 @@ from .complexes import ComplexShape, SimplicialComplex, recognize, rendered
 from .errors import InputError, KakimizuError
 from .twobridge import DEFAULT_MAX_BANDS
 
-KNOT_CLASSES = (
-    "fibred",
-    "two_bridge",
-    "special_alternating",
-    "unique_base_plus_fibred",
-    "plumbing_unique_pair",
-    "table_expected",
-)
+KNOT_CLASSES = ("fibred", "two_bridge", "special_alternating", "unique_base_plus_fibred",
+                "plumbing_unique_pair", "table_expected")
 
 
 @dataclass(frozen=True)
@@ -132,13 +126,9 @@ def plumbing_theorem_complex(flags: MarkingFlags) -> SimplicialComplex:
     re-plumbed surface joins in (a path of three).  Other flag combinations
     fall outside the theorem.
     """
-    none_set = not (flags.product_disk_a1 or flags.product_disk_a1_prime
-                    or flags.product_disk_a2 or flags.product_disk_a2_prime)
-    if none_set:
+    if flags == MarkingFlags():
         return SimplicialComplex.from_maximal([["[S]", "[S^c]"]])
-    only_a1 = (flags.product_disk_a1 and not flags.product_disk_a1_prime
-               and not flags.product_disk_a2 and not flags.product_disk_a2_prime)
-    if only_a1:
+    if flags == MarkingFlags(product_disk_a1=True):
         return SimplicialComplex.from_maximal([["[S^c]", "[S]"], ["[S]", "[T^c]"]])
     raise InputError(f"flag combination outside the plumbing theorem: {flags}")
 
@@ -166,10 +156,8 @@ def classify_and_compute(rec: KnotRecord,
         chain = twobridge.BandChain.parse(rec.params, max_bands=max_bands)
         return twobridge.build_complex(chain, max_bands=max_bands)
     if rec.klass == "special_alternating":
-        path = Path(rec.params)
-        if not path.is_absolute() and rec.base_dir is not None:
-            path = rec.base_dir / path
-        tg = load_theta_file(path)
+        # an absolute path replaces the base directory
+        tg = load_theta_file(Path(rec.base_dir or "", rec.params))
         return thetagraph.build_complex(tg, tg.weights(), max_vertices=max_vertices)
     if rec.klass == "fibred":
         return ComplexShape.point().as_complex()

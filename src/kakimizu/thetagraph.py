@@ -30,7 +30,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .complexes import SimplicialComplex, pass_complex
-from .errors import InputError, MoveError, SizeLimitError, StructureError
+from .errors import InputError, SizeLimitError, StructureError
 
 Dart = tuple  # (edge id, end index 0 or 1)
 
@@ -81,11 +81,9 @@ class PlanarMultigraph:
         self.validate()
 
     def copy(self) -> "PlanarMultigraph":
-        cls = type(self)
-        g = cls.__new__(cls)
+        g = object.__new__(type(self))
         g.vertices = list(self.vertices)
-        g.edges = {e: Edge(ed.u, ed.v, ed.weight, ed.direction)
-                   for e, ed in self.edges.items()}
+        g.edges = {e: Edge(d.u, d.v, d.weight, d.direction) for e, d in self.edges.items()}
         g.rotation = {v: list(r) for v, r in self.rotation.items()}
         return g
 
@@ -232,18 +230,14 @@ class PlanarMultigraph:
                     if endtext not in ("0", "1") or eid not in edges:
                         raise InputError(f"bad edge end {tok!r}")
                     darts.append((eid, int(endtext)))
+                elif tok not in edges:
+                    raise InputError(f"unknown edge {tok!r} in rotation")
+                elif edges[tok].u == edges[tok].v:
+                    raise InputError(f"loop edge {tok} needs explicit ends {tok}:0 {tok}:1")
+                elif vid not in edges[tok].ends():
+                    raise InputError(f"edge {tok} is not incident to {vid}")
                 else:
-                    if tok not in edges:
-                        raise InputError(f"unknown edge {tok!r} in rotation")
-                    e = edges[tok]
-                    if e.u == e.v:
-                        raise InputError(f"loop edge {tok} needs explicit ends {tok}:0 {tok}:1")
-                    if vid == e.u:
-                        darts.append((tok, 0))
-                    elif vid == e.v:
-                        darts.append((tok, 1))
-                    else:
-                        raise InputError(f"edge {tok} is not incident to {vid}")
+                    darts.append((tok, edges[tok].ends().index(vid)))
             rotation[vid] = darts
         return cls(vertices, edges, rotation)
 
@@ -391,8 +385,44 @@ def theta_subgraph(g: PlanarMultigraph) -> ThetaGraph:
 
 
 def build_theta(g: PlanarMultigraph) -> ThetaGraph:
-    """Full pipeline from a weight-1 Seifert graph to its theta graph."""
+    """Full pipeline from a weight-1 Seifert graph to its theta graph.
+
+    A special diagram's Seifert graph is one of its checkerboard graphs, so
+    the diagram is prime and reduced exactly when the graph has no cut
+    vertex and no bridge, and then its knot is prime (Menasco, Topology
+    1984).  One depth-first search refuses either with InputError.
+    """
+    _check_blocks(g)
     return theta_subgraph(add_zero_edges(reduce_bigons(g)))
+
+
+def _check_blocks(g: PlanarMultigraph) -> None:
+    # iterative Hopcroft-Tarjan low points over the rotation system of the
+    # connected graph; parallel edges differ by id, and a loop leads back
+    # to its own vertex, which lowers nothing
+    root = g.vertices[0]
+    disc, low = {root: 0}, {root: 0}
+    stack = [(root, None, iter(g.rotation[root]))]
+    while stack:
+        v, via, todo = stack[-1]
+        for eid, end in todo:
+            w = g.end_vertex(eid, 1 - end)
+            if w not in disc:
+                disc[w] = low[w] = len(disc)
+                stack.append((w, eid, iter(g.rotation[w])))
+                break
+            if eid != via:
+                low[v] = min(low[v], disc[w])
+        else:
+            stack.pop()
+            if stack:
+                p = stack[-1][0]
+                low[p] = min(low[p], low[v])
+                if low[v] > disc[p]:
+                    raise InputError(f"Seifert graph edge {via} is a bridge: not reduced")
+                # the root separates when its first subtree leaves vertices over
+                if low[v] == disc[p] and (p != root or len(disc) < len(g.vertices)):
+                    raise InputError(f"Seifert graph vertex {p} is a cut vertex: not prime")
 
 
 @dataclass(frozen=True)
@@ -427,18 +457,6 @@ def region_signatures(tg: PlanarMultigraph) -> tuple:
     return tuple(regions)
 
 
-def apply_region(w: dict, region: Region) -> dict:
-    """Shift each boundary weight by its sign; other weights are untouched."""
-    out = dict(w)
-    for eid, sign in region.boundary:
-        if eid not in out:
-            raise InputError(f"weight vector missing edge {eid}")
-        out[eid] += sign
-        if out[eid] < 0:
-            raise MoveError(f"region {region.index} drives edge {eid} negative")
-    return out
-
-
 def build_complex(tg: ThetaGraph, w0: dict,
                   max_vertices: int = DEFAULT_MAX_VERTICES) -> SimplicialComplex:
     """The Kakimizu complex reachable from the starting weight vector.
@@ -451,11 +469,10 @@ def build_complex(tg: ThetaGraph, w0: dict,
 
     The reachability search interns each weight tuple as an index and
     records, per index and region, the index the region leads to.  The
-    passes run on indices, stepping by table lookup; interning is a
-    bijection, so the pass engine's order and return checks hold on the
-    indices exactly when they hold on the tuples, and
-    :func:`~kakimizu.complexes.pass_complex` maps the visited index sets
-    back to tuples once, for the assembly.
+    passes run on indices, stepping by table lookup and ordered by index;
+    interning is a bijection, so the pass engine's checks hold on the
+    indices exactly when they hold on the tuples, and the visited index
+    sets are mapped back to tuples once, for the assembly.
     """
     regions = region_signatures(tg)
     if len(regions) > MAX_REGIONS:

@@ -25,9 +25,9 @@ from .errors import InputError, MoveError, SizeLimitError
 
 SurfaceTuple = tuple  # of 0/1 ints, one per plumbing disk
 
-# the slowest ladder at 9 bands, (-4)^9, builds in about 17 s, and one more
-# band multiplies a ladder's time by 4 to 15 (``perfbench/rungs.py``, Python
-# 3.11 on one core of a shared VM)
+# the slowest ladder at 9 bands, (-4)^9, builds in about 2.6 s, and one more
+# band multiplies a ladder's time by 3 to 11: (-4)^10 took 28 s and 454 MB
+# (``perfbench/rungs.py``, Python 3.11 on one core of a shared VM)
 DEFAULT_MAX_BANDS = 9
 
 
@@ -107,9 +107,7 @@ def is_applicable(chain: BandChain, t, k: int) -> bool:
     """
     t = _check_tuple(chain, t)
     disks = flanking_disks(chain, k)
-    if len(disks) < 2:
-        return True
-    return t[disks[0] - 1] == t[disks[1] - 1]
+    return len(disks) < 2 or t[disks[0] - 1] == t[disks[1] - 1]
 
 
 def apply_band(chain: BandChain, t, k: int) -> SurfaceTuple:
@@ -157,8 +155,7 @@ def hopf_orbits(chain: BandChain) -> tuple:
     for label in all_surface_tuples(chain):
         if label in seen:
             continue
-        members = {label}
-        stack = [label]
+        members, stack = {label}, [label]
         while stack:
             t = stack.pop()
             for k in hopf:

@@ -5,6 +5,8 @@ compare computed complexes with representatives of the published shapes
 up to relabelling, with this backtracking search.
 """
 
+from collections import Counter
+
 from kakimizu.complexes import SimplicialComplex, label_text
 from kakimizu.errors import SizeLimitError
 
@@ -12,7 +14,7 @@ ISO_VERTEX_LIMIT = 64
 
 
 def _vertex_profile(c: SimplicialComplex) -> dict:
-    deg = c.degrees()
+    deg = Counter(v for e in c.one_skeleton() for v in e)
     prof = {}
     for v in c.vertices:
         sizes = sorted(len(s) for s in c.simplices if v in s)

@@ -3,7 +3,9 @@
 Graphs grow from a pair of parallel edges by three embedding-preserving
 operations (parallel duplication, a chord across a face, edge subdivision),
 so every generated graph is 2-edge-connected and spherical by construction;
-the constructor's Euler check confirms it.
+the constructor's Euler check confirms it.  Route graphs are seeded Seifert
+graphs with a known complex, and separable graphs join two random graphs at
+a cut vertex or by a bridge.
 """
 
 import random
@@ -70,3 +72,76 @@ def random_sphere_graph(rng: random.Random, ops: int = 8) -> PlanarMultigraph:
     for e in edges.values():
         e.weight = rng.randint(0, 3)
     return PlanarMultigraph(vertices, edges, rotation)
+
+
+def route_graph(rng: random.Random, regions: int, width: int) -> PlanarMultigraph:
+    """A weight-1 Seifert graph: u and v joined by `width` parallel edges
+    and by `regions` routes u-a-b-v of single edges, with edge ids shuffled
+    by `rng`.
+
+    It is bipartite with every edge oriented out of u's colour class, and
+    its theta graph has one region per route.  Drawn with u above v, the
+    routes run left to right and the parallel edges right of them.
+    """
+    ids = [str(i) for i in range(1, 3 * regions + width + 1)]
+    rng.shuffle(ids)
+    edges, rotation = {}, {"u": [], "v": []}
+    for r in range(regions):
+        a, b = f"a{r}", f"b{r}"
+        ua, ab, bv = ids.pop(), ids.pop(), ids.pop()
+        edges[ua], edges[ab], edges[bv] = Edge("u", a, 1, 1), Edge(a, b, 1, -1), Edge(b, "v", 1, 1)
+        rotation["u"].append((ua, 0))
+        rotation["v"].insert(0, (bv, 1))
+        rotation[a], rotation[b] = [(ua, 1), (ab, 0)], [(ab, 1), (bv, 0)]
+    for eid in ids:
+        edges[eid] = Edge("u", "v", 1, 1)
+        rotation["u"].append((eid, 0))
+        rotation["v"].insert(0, (eid, 1))
+    return PlanarMultigraph(list(rotation), edges, rotation)
+
+
+def separable_graph(rng: random.Random, ops: int = 6) -> PlanarMultigraph:
+    """Two weight-1 random sphere graphs glued at a vertex, which becomes a
+    cut vertex, or joined by a bridge; both embed in the sphere."""
+    first, second = random_sphere_graph(rng, ops), random_sphere_graph(rng, ops)
+    offset = len(first.edges) + len(second.edges)
+    edges = dict(first.edges)
+    rotation = {v: list(r) for v, r in first.rotation.items()}
+    glue = rng.choice(first.vertices)
+    if rng.random() < 0.5:
+        rename = {v: ("w" + v if v != "v0" else glue) for v in second.vertices}
+    else:
+        rename = {v: "w" + v for v in second.vertices}
+        bridge = str(2 * offset)
+        edges[bridge] = Edge(glue, "wv0", 1, 1)
+        rotation[glue].append((bridge, 0))
+        rotation["wv0"] = [(bridge, 1)]
+    for eid, e in second.edges.items():
+        edges[str(int(eid) + offset)] = Edge(rename[e.u], rename[e.v], 1, e.direction)
+    for v, darts in second.rotation.items():
+        rotation.setdefault(rename[v], []).extend(
+            (str(int(eid) + offset), end) for eid, end in darts)
+    for e in edges.values():
+        e.weight = 1
+    return PlanarMultigraph(list(rotation), edges, rotation)
+
+
+def necklace_text(bundles) -> str:
+    """A Seifert graph file: a path x0, x1, ... whose consecutive vertices
+    are joined by bundles of parallel weight-1 edges, of the given sizes.
+
+    Every inner vertex is a cut vertex and a bundle of one edge is a
+    bridge; ``necklace_text([2, 2, 2])`` is the Seifert graph of a
+    connected sum of Hopf links.
+    """
+    lines = [f"vertex x{i}" for i in range(len(bundles) + 1)]
+    rot = [[] for _ in range(len(bundles) + 1)]
+    eid = 0
+    for i, size in enumerate(bundles):
+        ids = [str(eid + k) for k in range(1, size + 1)]
+        eid += size
+        lines += [f"edge {e} x{i} x{i + 1} weight=1 dir={'+-'[i % 2]}" for e in ids]
+        rot[i] += ids
+        rot[i + 1] = ids[::-1] + rot[i + 1]
+    lines += [f"rot x{i} " + " ".join(r) for i, r in enumerate(rot)]
+    return "\n".join(lines) + "\n"

@@ -1,12 +1,19 @@
-"""Set-based reference oracles for the complex a family of candidates spans.
+"""Reference oracles for the complex builders.
 
-They compare sets pair by pair and search neighbour sets, with none of the
-bitmask machinery of :meth:`kakimizu.complexes.SimplicialComplex.from_maximal`.
+The set-based oracles for the complex a family of candidates spans compare
+sets pair by pair and search neighbour sets, with none of the bitmask
+machinery of :meth:`kakimizu.complexes.SimplicialComplex.from_maximal`.
+:func:`all_full_passes` is the pass walk without the least-start pruning of
+:func:`kakimizu.complexes.full_passes`, and :func:`apply_region` the region
+move on weight dicts that the theta build's interned table replaced.
 """
 
+from functools import cache
 from itertools import combinations
+from unittest import mock
 
-from kakimizu.complexes import label_text
+from kakimizu.complexes import full_passes, label_text
+from kakimizu.errors import InputError, KakimizuError, MoveError, StructureError
 
 
 def pairwise_maximal(family):
@@ -66,3 +73,65 @@ def set_is_connected(family):
                 seen.add(w)
                 stack.append(w)
     return seen == set(adj)
+
+
+def all_full_passes(start, moves, step, label):
+    """Label sets visited by every full pass of `moves` from `start`: the
+    subset walk of :func:`kakimizu.complexes.full_passes`, with the same
+    order and return checks, keeping the passes that visit states below
+    `start`."""
+    moves = tuple(moves)
+    layer = {0: (start, {frozenset([label(start)])})}
+    for _ in moves:
+        nxt: dict = {}
+        for mask, (state, seen) in layer.items():
+            for i, move in enumerate(moves):
+                after = None if mask >> i & 1 else step(state, move)
+                if after is None:
+                    continue
+                reached, sets = nxt.setdefault(mask | 1 << i, (after, set()))
+                if reached != after:
+                    raise StructureError("the state after a set of moves depends on their order")
+                here = frozenset([label(after)])
+                sets.update(v | here for v in seen)
+        layer = nxt
+    end, seen = layer.get((1 << len(moves)) - 1, (start, ()))
+    if end != start:
+        raise StructureError("a full pass must return to its start")
+    return frozenset(seen)
+
+
+def pass_unions(module, build):
+    """Run `build()` up to its call of ``module.pass_complex``, and return
+    the union over all its starts of the engine's passes and of the
+    oracle's, with the number of passes each found start by start; None
+    when the build refuses its input first.  The captured step is
+    memoised: both walks ask it the same questions."""
+    calls = []
+
+    def spy(starts, moves, step, label, names):
+        calls.append((list(starts), tuple(moves), step, label))
+    with mock.patch.object(module, "pass_complex", spy):
+        try:
+            build()
+        except KakimizuError:
+            return None
+    ((starts, moves, step, label),) = calls
+    step = cache(step)
+    found = []
+    for walk in (full_passes, all_full_passes):
+        passes = [walk(s, moves, step, label) for s in starts]
+        found.append((set().union(*passes), sum(map(len, passes))))
+    return found
+
+
+def apply_region(w: dict, region) -> dict:
+    """Shift each boundary weight by its sign; other weights are untouched."""
+    out = dict(w)
+    for eid, sign in region.boundary:
+        if eid not in out:
+            raise InputError(f"weight vector missing edge {eid}")
+        out[eid] += sign
+        if out[eid] < 0:
+            raise MoveError(f"region {region.index} drives edge {eid} negative")
+    return out

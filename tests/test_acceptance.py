@@ -10,19 +10,20 @@ from itertools import product
 
 from kakimizu.cli import main as cli_main
 from kakimizu.complexes import ComplexShape, recognize
-from kakimizu.fibred import ReductionGraph, is_fibred_special, reduction_certificate
+from kakimizu.fibred import ReductionGraph, reduction_certificate
 from kakimizu.pipeline import (KnotRecord, MarkingFlags, classify_and_compute,
                                load_theta_file, plumbing_theorem_complex,
                                strip_fibred_summands)
 from kakimizu.rational import (evaluate_cfe, even_cfe, normalize_two_bridge,
                                parse_fraction)
-from kakimizu.thetagraph import apply_region, build_complex as theta_complex, region_signatures
+from kakimizu.thetagraph import build_complex as theta_complex, region_signatures
 from kakimizu.twobridge import BandChain, build_complex as chain_complex, hopf_orbits
 
 from catalog import CONFLICT_CFE, CONFLICT_NAMES, ROWS
 from isomorphism import isomorphic
 from randgraphs import random_sphere_graph
-from test_fibred import greedy_reduces, random_connected_multigraph
+from setoracles import apply_region
+from test_fibred import greedy_reduces, is_fibred_special, random_connected_multigraph
 from test_twobridge import bfs_orbit_count
 
 

@@ -12,10 +12,12 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from kakimizu.cli import main
+from kakimizu.cli import MAX_EXPAND_ENTRIES, main
 from kakimizu.errors import InputError
 from kakimizu.thetagraph import PlanarMultigraph
 from kakimizu.twobridge import DEFAULT_MAX_BANDS
+
+from randgraphs import necklace_text
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -51,6 +53,17 @@ class TestExpand:
         code, _, err = run(capsys, "expand", "1/" + "1" * 5000)
         assert code == 2
         assert err.startswith("error:")
+
+    def test_long_expansion_refused_at_once(self):
+        # 1/999999999999 expands to about 10^12 entries
+        began = time.perf_counter()
+        proc = subprocess.run([sys.executable, "-m", "kakimizu", "expand", "1/999999999999"],
+                              env=dict(os.environ, PYTHONPATH=str(SRC)),
+                              capture_output=True, text=True, timeout=60)
+        assert time.perf_counter() - began < 5
+        assert proc.returncode == 2
+        assert f"more than {MAX_EXPAND_ENTRIES} bands" in proc.stderr
+        assert "Traceback" not in proc.stderr
 
 
 class TestTwoBridge:
@@ -132,6 +145,14 @@ class TestTheta:
         code, _, err = run(capsys, "theta", str(path))
         assert code == 2
         assert err.startswith("error:")
+
+    def test_connected_sum_refused(self, capsys, tmp_path):
+        # a path of three double edges: a cut vertex, so not prime
+        path = tmp_path / "sum.txt"
+        path.write_text(necklace_text([2, 2, 2]))
+        code, _, err = run(capsys, "theta", str(path))
+        assert code == 2
+        assert "cut vertex" in err
 
     def test_wrong_weight_count(self, capsys, data_dir):
         code, _, err = run(capsys, "theta", str(data_dir / "theta_11_94.txt"),
@@ -307,6 +328,9 @@ def _theta_file(draw):
     return "\n".join(lines) + "\n"
 
 
+# bundles of parallel edges in a path: cut vertices and bridges
+_necklace_file = st.lists(st.integers(1, 3), min_size=1, max_size=4).map(necklace_text)
+
 _table = st.builds(
     lambda rows: "name,class,params,expected\n" + "".join(
         f"k{i},{klass},\"{params}\",{expected}\n" for i, (klass, params, expected) in enumerate(rows)),
@@ -328,7 +352,8 @@ _invocation = st.one_of(
               st.one_of(_graph_literal(), _short_text).map(lambda text: ("file", text))),
     st.tuples(st.sampled_from([["--max-vertices", "50", "theta"],
                                ["--max-vertices", "50", "theta", "--json"]]),
-              st.one_of(_theta_file(), _short_text).map(lambda text: ("file", text))),
+              st.one_of(_theta_file(), _short_text, _necklace_file)
+              .map(lambda text: ("file", text))),
     st.tuples(st.builds(lambda w: ["--max-vertices", "50", "theta", "--weights", w],
                         st.lists(st.sampled_from("01"), min_size=2, max_size=3).map(",".join)
                         | st.text(alphabet="012,-", max_size=7)),

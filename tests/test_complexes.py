@@ -8,11 +8,13 @@ from pathlib import Path
 import pytest
 
 from kakimizu.complexes import (MAX_SHAPE_VERTICES, ComplexShape, SimplicialComplex,
-                                full_passes, label_text, recognize, to_dot, to_json)
+                                full_passes, label_text, pass_complex, recognize, to_dot,
+                                to_json)
 from kakimizu.errors import InputError, SizeLimitError, StructureError
 
 from isomorphism import isomorphic
-from setoracles import pairwise_maximal, set_flag_closure, set_is_connected, set_is_flag
+from setoracles import (all_full_passes, pairwise_maximal, set_flag_closure, set_is_connected,
+                        set_is_flag)
 
 
 def path_complex(n, prefix="T"):
@@ -220,34 +222,86 @@ def _sign(state):
 
 
 class TestFullPasses:
-    """The pass engine on a toy calculus: integer states, moves that add."""
+    """The pass engine on a toy calculus: integer states, moves that add.
+
+    The engine keeps the passes that visit no state below their start;
+    the unpruned oracle keeps every pass."""
 
     def test_every_order_applies(self):
-        # +1 then -1 visits 1, -1 then +1 visits -1
-        assert full_passes(0, (1, -1), _add, _same) == {frozenset({0, 1}), frozenset({0, -1})}
+        # +1 then -1 visits 1, -1 then +1 visits -1, which is below 0
+        assert full_passes(0, (1, -1), _add, _same) == {frozenset({0, 1})}
+        assert all_full_passes(0, (1, -1), _add, _same) == {
+            frozenset({0, 1}), frozenset({0, -1})}
+        # the dropped pass, rotated to start at its least state
+        assert full_passes(-1, (1, -1), _add, _same) == {frozenset({0, -1})}
 
     def test_blocked_order_is_dropped(self):
         assert full_passes(0, (1, -1), _add_nonnegative, _same) == {frozenset({0, 1})}
+        assert all_full_passes(0, (1, -1), _add_nonnegative, _same) == {frozenset({0, 1})}
 
     def test_labels_merge_passes(self):
-        assert full_passes(0, (1, 1, -2), _add, _sign) == {
+        # 1, 1, -2 and its swap visit labels 0 and 1 only; the orders
+        # through -1 or -2 go below the start
+        assert full_passes(0, (1, 1, -2), _add, _sign) == {frozenset({0, 1})}
+        assert all_full_passes(0, (1, 1, -2), _add, _sign) == {
             frozenset({0, 1}), frozenset({0, 1, -1}), frozenset({0, -1})}
 
     def test_no_moves_visit_the_start(self):
         assert full_passes(5, (), _add, _same) == {frozenset({5})}
+        assert all_full_passes(5, (), _add, _same) == {frozenset({5})}
 
     def test_no_applicable_ordering_is_empty(self):
-        assert full_passes(0, (1, -1), lambda s, m: None, _same) == frozenset()
-        assert full_passes(0, (-1, -2, 1), _add_nonnegative, _same) == frozenset()
+        for walk in (full_passes, all_full_passes):
+            assert walk(0, (1, -1), lambda s, m: None, _same) == frozenset()
+            assert walk(0, (-1, -2, 1), _add_nonnegative, _same) == frozenset()
 
     def test_order_dependent_step_raises(self):
         # the state records the order the moves came in
-        with pytest.raises(StructureError, match="order"):
-            full_passes((), ("a", "b"), lambda s, m: s + (m,), len)
+        for walk in (full_passes, all_full_passes):
+            with pytest.raises(StructureError, match="order"):
+                walk((), ("a", "b"), lambda s, m: s + (m,), len)
+
+    def test_order_is_checked_before_a_branch_is_dropped(self):
+        # 0, 1, -12 and 0, 2, -21: both orders end below the start, in
+        # different states
+        def step(state, move):
+            return move if state == 0 else -(10 * state + move)
+        for walk in (full_passes, all_full_passes):
+            with pytest.raises(StructureError, match="order"):
+                walk(0, (1, 2), step, _same)
 
     def test_pass_that_does_not_close_raises(self):
-        with pytest.raises(StructureError, match="return"):
-            full_passes(0, (1, 2), _add, _same)
+        for walk in (full_passes, all_full_passes):
+            with pytest.raises(StructureError, match="return"):
+                walk(0, (1, 2), _add, _same)
+
+    def test_rotations_leave_the_union_unchanged(self):
+        # three +1 moves on Z/3: each of the six orders from each start is
+        # the one cycle 0, 1, 2
+        def step(state, move):
+            return (state + move) % 3
+        for start in range(3):
+            assert all_full_passes(start, (1, 1, 1), step, _same) == {frozenset({0, 1, 2})}
+        assert full_passes(0, (1, 1, 1), step, _same) == {frozenset({0, 1, 2})}
+        assert full_passes(1, (1, 1, 1), step, _same) == frozenset()
+        assert full_passes(2, (1, 1, 1), step, _same) == frozenset()
+
+    def test_pass_complex_walks_each_pass_from_its_least_state(self):
+        # the walk from 0 takes 3 + 6 + 3 steps; from 1 it drops every mask
+        # of two moves (state 0), and from 2 every mask of one (state 0):
+        # 24 steps, where walking every pass from every start takes 36
+        calls = []
+
+        def step(state, move):
+            calls.append(state)
+            return (state + move) % 3
+        c = pass_complex(range(3), (1, 1, 1), step, _same, ["a", "b", "c"])
+        assert c.simplices == {frozenset("abc")}
+        assert len(calls) == 24
+        calls.clear()
+        for start in range(3):
+            all_full_passes(start, (1, 1, 1), step, _same)
+        assert len(calls) == 36
 
 
 class TestIsomorphism:

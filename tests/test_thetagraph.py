@@ -9,17 +9,18 @@ from pathlib import Path
 
 import pytest
 
+from kakimizu import thetagraph
 from kakimizu.complexes import SimplicialComplex, recognize
 from kakimizu.errors import (InputError, KakimizuError, MoveError, SizeLimitError,
                              StructureError)
 from kakimizu.pipeline import load_theta_file
 from kakimizu.thetagraph import (DEFAULT_MAX_VERTICES, Edge, PlanarMultigraph, ThetaGraph,
-                                 _edge_key, add_zero_edges, apply_region, build_complex,
-                                 build_theta, reduce_bigons, region_signatures, theta_subgraph)
+                                 _edge_key, add_zero_edges, build_complex, build_theta,
+                                 reduce_bigons, region_signatures, theta_subgraph)
 
 from euler import euler_characteristic
-from randgraphs import random_sphere_graph
-from setoracles import set_is_connected, set_is_flag
+from randgraphs import necklace_text, random_sphere_graph, route_graph, separable_graph
+from setoracles import apply_region, pass_unions, set_is_connected, set_is_flag
 
 FIXTURES = ("theta_11_94.txt", "theta_11_237.txt", "theta_11_340.txt")
 TESTS = Path(__file__).resolve().parent
@@ -594,3 +595,113 @@ class TestBuildComplex:
         tg = theta_subgraph(g)
         with pytest.raises(StructureError):
             build_complex(tg, tg.weights())
+
+
+def separates(g):
+    """Brute-force oracle: some vertex or non-loop edge whose removal
+    disconnects g."""
+    def connected(vertices, edges):
+        vertices = set(vertices)
+        if not vertices:
+            return True
+        start = min(vertices)
+        seen, stack = {start}, [start]
+        while stack:
+            v = stack.pop()
+            for e in edges:
+                for a, b in ((e.u, e.v), (e.v, e.u)):
+                    if a == v and b in vertices and b not in seen:
+                        seen.add(b)
+                        stack.append(b)
+        return seen == vertices
+    edges = list(g.edges.values())
+    if any(not connected(set(g.vertices) - {x}, [e for e in edges if x not in e.ends()])
+           for x in g.vertices):
+        return True
+    return any(e.u != e.v and not connected(g.vertices, [f for f in edges if f is not e])
+               for e in edges)
+
+
+class TestPrimeReducedInput:
+    def test_path_of_double_edges_refused(self):
+        # the Seifert graph of a connected sum of Hopf links
+        g = PlanarMultigraph.from_text(necklace_text([2, 2, 2]))
+        with pytest.raises(InputError, match="cut vertex"):
+            build_theta(g)
+
+    def test_single_crossing_is_a_bridge(self):
+        g = PlanarMultigraph.from_text(necklace_text([1]))
+        with pytest.raises(InputError, match="bridge"):
+            build_theta(g)
+
+    def test_matches_brute_force_oracle(self):
+        rng = random.Random(12)
+        graphs = [separable_graph(rng, rng.randint(1, 8)) for _ in range(150)]
+        graphs += [route_graph(rng, rng.randint(1, 4), rng.randint(1, 3)) for _ in range(30)]
+        graphs += [PlanarMultigraph.from_text(necklace_text(
+            [rng.randint(1, 3) for _ in range(rng.randint(1, 4))])) for _ in range(30)]
+        for _ in range(150):
+            g = random_sphere_graph(rng, ops=rng.randint(2, 12))
+            for e in g.edges.values():
+                e.weight = 1
+            graphs.append(g)
+        refused = 0
+        for g in graphs:
+            try:
+                build_theta(g)
+                blocked = False
+            except InputError as exc:
+                blocked = "cut vertex" in str(exc) or "bridge" in str(exc)
+            except KakimizuError:
+                blocked = False
+            assert blocked == separates(g)
+            refused += blocked
+        assert refused >= 150
+
+
+class TestLeastStartPruning:
+    """The passes kept from their least states span what every pass from
+    every start does (see setoracles.all_full_passes)."""
+
+    def assert_union_kept(self, build):
+        """The number of passes pruning dropped, or None for a refused build."""
+        found = pass_unions(thetagraph, build)
+        if found is None:
+            return None
+        (pruned, kept), (every, total) = found
+        assert pruned == every
+        return total - kept
+
+    def test_route_graphs(self):
+        rng = random.Random(8)
+        dropped = 0
+        for r in range(2, 7):
+            for w in range(1, 4):
+                tg = build_theta(route_graph(rng, r, w))
+                dropped += self.assert_union_kept(lambda: build_complex(tg, tg.weights()))
+        assert dropped > 0
+
+    def test_random_sphere_graphs(self):
+        # weight-1 Seifert graphs through the theta construction, and
+        # coherently oriented graphs with 0/1 weights without it
+        rng = random.Random(4)
+        seifert = weighted = 0
+        for _ in range(300):
+            g = random_sphere_graph(rng, ops=rng.randint(2, 10))
+            for e in g.edges.values():
+                e.weight = 1
+            try:
+                tg = build_theta(g)
+            except KakimizuError:
+                tg = None
+            if tg is not None and self.assert_union_kept(
+                    lambda: build_complex(tg, tg.weights(), max_vertices=100)) is not None:
+                seifert += 1
+            if not orient_coherently(g):
+                continue
+            for e in g.edges.values():
+                e.weight = rng.randint(0, 1)
+            if self.assert_union_kept(
+                    lambda: build_complex(g, g.weights(), max_vertices=100)) is not None:
+                weighted += 1
+        assert seifert >= 30 and weighted >= 30

@@ -7,14 +7,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from kakimizu.complexes import ComplexShape, SimplicialComplex, full_passes, recognize
+from kakimizu import twobridge
+from kakimizu.complexes import ComplexShape, SimplicialComplex, recognize
 from kakimizu.errors import InputError, MoveError, SizeLimitError
 from kakimizu.twobridge import (BandChain, apply_band, build_complex,
                                 flanking_disks, hopf_orbits, is_applicable)
 
 from catalog import ROWS
 from euler import euler_characteristic
-from setoracles import set_is_connected, set_is_flag
+from setoracles import all_full_passes, pass_unions, set_is_connected, set_is_flag
 
 CHAIN_ENTRIES = [-6, -4, -2, 2, 4, 6]
 
@@ -65,13 +66,13 @@ def closed_form_counts(bands):
 
 
 def band_passes(chain, start):
-    """Orbit-label sets visited by the full passes from `start`: the
-    shared pass walk driven by the public band moves."""
+    """Orbit-label sets visited by every full pass from `start`: the
+    unpruned pass walk driven by the public band moves."""
     label_of = {t: o.label for o in hopf_orbits(chain) for t in o.members}
 
     def step(t, k):
         return apply_band(chain, t, k) if is_applicable(chain, t, k) else None
-    return full_passes(start, range(1, chain.n + 1), step, label_of.__getitem__)
+    return all_full_passes(start, range(1, chain.n + 1), step, label_of.__getitem__)
 
 
 def walk_cycles(chain, start, label_of):
@@ -236,6 +237,21 @@ class TestMaximalCycles:
                     assert band_passes(chain, start) == walk_cycles(chain, start, label_of)
                     pairs += 1
         assert pairs == 2340
+
+
+class TestLeastStartPruning:
+    def test_union_matches_unpruned_oracle_exhaustive(self):
+        # every chain with at most 5 bands of twist 2 or 4: the passes kept
+        # from their least states span what every pass from every start does
+        dropped = 0
+        for n in range(1, 6):
+            for bands in product((-4, -2, 2, 4), repeat=n):
+                chain = BandChain(bands)
+                (pruned, kept), (every, total) = pass_unions(
+                    twobridge, lambda: build_complex(chain))
+                assert pruned == every, bands
+                dropped += total - kept
+        assert dropped > 0
 
 
 class TestBuildComplex:
