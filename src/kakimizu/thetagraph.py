@@ -8,6 +8,14 @@ edges where a parallel twist site could be created without a bigon, and keep
 the subgraph of edges lying in parallel families.  The result is the theta
 graph of the surface; its faces are the regions.
 
+The construction walks each graph's faces once.  A validated graph keeps
+the walks its Euler check made, and bigon reduction, the theta-graph check
+and the region signs read them.  Zero-edge insertion walks the reduced
+graph once and then works face by face: an edge drawn across a face splits
+that face alone into two walks made of its own sides and the new edge's,
+and joins a vertex pair an edge already joins, so every other face, and
+whether it admits an insertion, stays as it was.
+
 Each face traversal gives every boundary edge a sign, opposite in the two
 faces an edge borders.  Applying a region shifts each boundary weight by its
 sign (never below zero); the reachable weight vectors are the vertices of
@@ -27,12 +35,12 @@ where an edge end is ``<edge-id>`` or, for loops, ``<edge-id>:0`` /
 
 from __future__ import annotations
 
+import heapq
+from bisect import bisect_left
 from dataclasses import dataclass
 
 from .complexes import SimplicialComplex, pass_complex
 from .errors import InputError, SizeLimitError, StructureError
-
-Dart = tuple  # (edge id, end index 0 or 1)
 
 # route graphs with R = 4 regions and W parallel edges, the slower of the
 # two measured ladders, built 17 296 vertices (W = 45) in 14 s and 23 426
@@ -85,6 +93,7 @@ class PlanarMultigraph:
         g.vertices = list(self.vertices)
         g.edges = {e: Edge(d.u, d.v, d.weight, d.direction) for e, d in self.edges.items()}
         g.rotation = {v: list(r) for v, r in self.rotation.items()}
+        g._faces = None   # callers edit the copy's rotation
         return g
 
     def end_vertex(self, eid: str, end: int) -> str:
@@ -92,6 +101,7 @@ class PlanarMultigraph:
         return e.u if end == 0 else e.v
 
     def validate(self) -> None:
+        self._faces = None
         if not self.vertices:
             raise StructureError("graph has no vertices")
         expected = {}
@@ -113,13 +123,13 @@ class PlanarMultigraph:
         if len(listed) != len(set(listed)) or set(listed) != set(expected):
             raise StructureError("rotation system must list each edge end exactly once")
         self._check_connected()
-        if not self.edges:
-            return  # a bare vertex; the single face has empty boundary
-        f = len(self.faces())
-        if len(self.vertices) - len(self.edges) + f != 2:
+        faces = self.faces()
+        # a bare vertex has no walk: its single face has empty boundary
+        if self.edges and len(self.vertices) - len(self.edges) + len(faces) != 2:
             raise StructureError(
                 f"not a sphere embedding: V-E+F = "
-                f"{len(self.vertices)}-{len(self.edges)}+{f}")
+                f"{len(self.vertices)}-{len(self.edges)}+{len(faces)}")
+        self._faces = faces
 
     def _check_connected(self) -> None:
         start = self.vertices[0]
@@ -144,7 +154,14 @@ class PlanarMultigraph:
         side is used exactly once over all faces.  Walks are rotated to
         start at their smallest side and the list is sorted, making the
         face order deterministic.
+
+        A validated graph keeps the walks its Euler check made and returns
+        a new list of them on every call, so the construction stages read
+        the faces of a graph without walking it again.  ``copy()`` drops
+        them: the stages edit the copy's rotation.
         """
+        if self._faces is not None:
+            return list(self._faces)
         succ = {}
         for v in self.vertices:
             rot = self.rotation[v]
@@ -186,6 +203,7 @@ class PlanarMultigraph:
     @classmethod
     def from_text(cls, text: str) -> "PlanarMultigraph":
         vertices: list = []
+        seen: set = set()
         edges: dict = {}
         rot_lines: dict = {}
         for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -197,8 +215,9 @@ class PlanarMultigraph:
             try:
                 if kind == "vertex":
                     (vid,) = parts[1:]
-                    if vid in vertices:
+                    if vid in seen:
                         raise InputError(f"duplicate vertex {vid}")
+                    seen.add(vid)
                     vertices.append(vid)
                 elif kind == "edge":
                     eid, u, v = parts[1:4]
@@ -276,12 +295,13 @@ def reduce_bigons(g: PlanarMultigraph) -> PlanarMultigraph:
     of the input with merged edges substituted, and no new bigon appears.
     Merging until none remain therefore joins exactly the classes of the
     relation "bound a common bigon" on the input's edges, whatever the
-    order.  The faces are computed once, each class is found by union-find,
-    and its edge with the smallest id survives with the class's weight
-    sum.  Requires the all weight-1 Seifert graph as input.
+    order.  The input's faces are read once, each class is found by
+    union-find, and its edge with the smallest id survives with the
+    class's weight sum.  Requires the all weight-1 Seifert graph as input.
     """
     if any(e.weight != 1 for e in g.edges.values()):
         raise InputError("bigon reduction starts from the weight-1 Seifert graph")
+    faces = g.faces()
     g = g.copy()
     parent = {eid: eid for eid in g.edges}
 
@@ -293,7 +313,7 @@ def reduce_bigons(g: PlanarMultigraph) -> PlanarMultigraph:
     def id_key(eid):
         return _edge_key(eid), eid
 
-    for walk in g.faces():
+    for walk in faces:
         if len(walk) != 2:
             continue
         (e1, _), (e2, _) = walk
@@ -316,57 +336,112 @@ def add_zero_edges(g: PlanarMultigraph) -> PlanarMultigraph:
     A pair of distinct vertices on a face qualifies when some edge already
     joins the pair and both arcs of the face boundary between the chosen
     occurrences have at least two edges, so both faces created by the
-    insertion have length at least three.  Insertion repeats, first
-    qualifying position in the deterministic face order each round, until
-    nothing qualifies.
+    insertion have length at least three.  Insertion repeats, at the least
+    qualifying positions i < j of the first face in the sorted order of
+    :meth:`PlanarMultigraph.faces` that has any, until nothing qualifies.
+
+    The graph is walked once, and each face split locally.  An edge z
+    inserted across walk w at positions i < j starts before w[i] at w's
+    i-th vertex and ends before w[j] at its j-th, so w becomes the two
+    walks ``w[:i] + [(z, 0)] + w[j:]`` and ``w[i:j] + [(z, 1)]``, each
+    rotated to its least side, and every other face is unchanged.  z joins
+    a pair an edge already joins, so no pair is added, and a face once
+    found to have no qualifying position never gains one.  The faces not
+    yet searched wait on a heap in walk order; the least is searched, and
+    either split, both halves going back on the heap, or dropped for
+    good.  This inserts exactly where re-walking the whole graph after
+    every insertion would.  The new ends are placed at the end, in one
+    pass over each rotation that gains any, rather than by a search of a
+    vertex's rotation at every insertion.
+
+    Each new edge is oriented like the least edge of its family, which
+    leaves the family's tail vertex unchanged whichever of its edges is
+    least later; so the tails are read once, before any insertion.
     """
+    faces = g.faces()   # sorted, so already a heap
     g = g.copy()
+    nbrs: dict = {}
+    tails: dict = {}
+    for pair, fam in g.parallel_families().items():
+        if len(pair) == 2:
+            u, v = pair
+            nbrs.setdefault(u, set()).add(v)
+            nbrs.setdefault(v, set()).add(u)
+            e = g.edges[fam[0]]
+            tails[pair] = e.u if e.direction == 1 else e.v
+    before: dict = {}   # an edge end -> the new ends placed just before it
+    touched = set()
     counter = 0
-    while True:
-        insertion = _find_zero_insertion(g)
+    while faces:
+        walk = heapq.heappop(faces)
+        verts = g.walk_vertices(walk)
+        insertion = _find_zero_insertion(verts, nbrs)
         if insertion is None:
-            return g
-        walk, i, j = insertion
+            continue
+        i, j = insertion
         counter += 1
         eid = f"z{counter}"
         while eid in g.edges:
             counter += 1
             eid = f"z{counter}"
-        verts = g.walk_vertices(walk)
         u, v = verts[i], verts[j]
-        # orient the new twist site like the existing edge of its family,
+        # orient the new twist site like the existing edges of its family,
         # so the bigons they bound get balanced region signs
-        partner = g.parallel_families()[frozenset((u, v))][0]
-        pe = g.edges[partner]
-        tail = pe.u if pe.direction == 1 else pe.v
-        g.edges[eid] = Edge(u, v, 0, 1 if tail == u else -1)
-        _insert_at_corner(g, u, walk[i], (eid, 0))
-        _insert_at_corner(g, v, walk[j], (eid, 1))
+        g.edges[eid] = Edge(u, v, 0, 1 if tails[frozenset((u, v))] == u else -1)
+        # the walk leaves u along w[i]; an end placed just before w[i] in
+        # u's rotation puts the new edge inside this face
+        before.setdefault(walk[i], []).append((eid, 0))
+        before.setdefault(walk[j], []).append((eid, 1))
+        touched.update((u, v))
+        heapq.heappush(faces, _rotate_min(walk[:i] + ((eid, 0),) + walk[j:]))
+        heapq.heappush(faces, _rotate_min(walk[i:j] + ((eid, 1),)))
+    for x in touched:
+        g.rotation[x] = _place_ends(g.rotation[x], before)
+    return g
 
 
-def _find_zero_insertion(g: PlanarMultigraph):
-    pairs = set(g.parallel_families())
-    for walk in g.faces():
-        length = len(walk)
-        verts = g.walk_vertices(walk)
-        for i in range(length):
-            for j in range(i + 1, length):
-                u, v = verts[i], verts[j]
-                if u == v:
-                    continue
-                arc, coarc = j - i, length - (j - i)
-                if arc < 2 or coarc < 2:
-                    continue
-                if frozenset((u, v)) in pairs:
-                    return walk, i, j
+def _place_ends(rot: list, before: dict) -> list:
+    # an end placed just before d goes between d and the ends placed
+    # before d earlier, so d is preceded by its new ends in the order they
+    # came, each of them preceded in turn by its own
+    out = []
+    stack = [(d, False) for d in reversed(rot)]
+    while stack:
+        d, expanded = stack.pop()
+        if expanded or d not in before:
+            out.append(d)
+        else:
+            stack.append((d, True))
+            stack.extend((x, False) for x in reversed(before[d]))
+    return out
+
+
+def _find_zero_insertion(verts: list, nbrs: dict):
+    # the least positions i < j of the walk with vertices verts whose
+    # vertices an edge joins, with arcs j - i and len - (j - i) of at least
+    # two sides; for each i in turn, the least such j is the least position
+    # of a neighbour of verts[i] in [i + 2, min(len - 1, i + len - 2)],
+    # found by bisection in that neighbour's sorted positions; a vertex
+    # with more neighbours than the walk has vertices (the hub of many
+    # routes) is matched the other way round
+    length = len(verts)
+    positions: dict = {}
+    for k, x in enumerate(verts):
+        positions.setdefault(x, []).append(k)
+    for i, u in enumerate(verts):
+        lo, hi = i + 2, min(length - 1, i + length - 2)
+        best = None
+        near = nbrs.get(u, set())
+        for x in (near if len(near) <= len(positions) else positions):
+            at = positions.get(x)
+            if at is None or x not in near:
+                continue
+            k = bisect_left(at, lo)
+            if k < len(at) and at[k] <= hi and (best is None or at[k] < best):
+                best = at[k]
+        if best is not None:
+            return i, best
     return None
-
-
-def _insert_at_corner(g: PlanarMultigraph, vertex: str, departing: Dart, new: Dart) -> None:
-    # the face walk leaves `vertex` along `departing`; placing the new end
-    # just before it in the rotation puts the new edge inside that face
-    rot = g.rotation[vertex]
-    rot.insert(rot.index(departing), new)
 
 
 def theta_subgraph(g: PlanarMultigraph) -> ThetaGraph:

@@ -5,7 +5,7 @@ operations (parallel duplication, a chord across a face, edge subdivision),
 so every generated graph is 2-edge-connected and spherical by construction;
 the constructor's Euler check confirms it.  Route graphs are seeded Seifert
 graphs with a known complex, and separable graphs join two random graphs at
-a cut vertex or by a bridge.
+a cut vertex or by a bridge.  The text helpers write graph files.
 """
 
 import random
@@ -74,25 +74,29 @@ def random_sphere_graph(rng: random.Random, ops: int = 8) -> PlanarMultigraph:
     return PlanarMultigraph(vertices, edges, rotation)
 
 
-def route_graph(rng: random.Random, regions: int, width: int) -> PlanarMultigraph:
+def route_graph(rng: random.Random, regions: int, width: int,
+                bundle: int = 1) -> PlanarMultigraph:
     """A weight-1 Seifert graph: u and v joined by `width` parallel edges
-    and by `regions` routes u-a-b-v of single edges, with edge ids shuffled
-    by `rng`.
+    and by `regions` routes u-a-b-v whose three segments are bundles of
+    `bundle` parallel edges, with edge ids shuffled by `rng`.
 
     It is bipartite with every edge oriented out of u's colour class, and
     its theta graph has one region per route.  Drawn with u above v, the
     routes run left to right and the parallel edges right of them.
     """
-    ids = [str(i) for i in range(1, 3 * regions + width + 1)]
+    ids = [str(i) for i in range(1, 3 * regions * bundle + width + 1)]
     rng.shuffle(ids)
     edges, rotation = {}, {"u": [], "v": []}
     for r in range(regions):
         a, b = f"a{r}", f"b{r}"
-        ua, ab, bv = ids.pop(), ids.pop(), ids.pop()
-        edges[ua], edges[ab], edges[bv] = Edge("u", a, 1, 1), Edge(a, b, 1, -1), Edge(b, "v", 1, 1)
-        rotation["u"].append((ua, 0))
-        rotation["v"].insert(0, (bv, 1))
-        rotation[a], rotation[b] = [(ua, 1), (ab, 0)], [(ab, 1), (bv, 0)]
+        ua, ab, bv = ([ids.pop() for _ in range(bundle)] for _ in range(3))
+        for seg, x, y, d in ((ua, "u", a, 1), (ab, a, b, -1), (bv, b, "v", 1)):
+            for eid in seg:
+                edges[eid] = Edge(x, y, 1, d)
+        rotation["u"] += [(eid, 0) for eid in ua]
+        rotation["v"][:0] = [(eid, 1) for eid in reversed(bv)]
+        rotation[a] = [(eid, 1) for eid in reversed(ua)] + [(eid, 0) for eid in ab]
+        rotation[b] = [(eid, 1) for eid in reversed(ab)] + [(eid, 0) for eid in bv]
     for eid in ids:
         edges[eid] = Edge("u", "v", 1, 1)
         rotation["u"].append((eid, 0))
@@ -144,4 +148,25 @@ def necklace_text(bundles) -> str:
         rot[i] += ids
         rot[i + 1] = ids[::-1] + rot[i + 1]
     lines += [f"rot x{i} " + " ".join(r) for i, r in enumerate(rot)]
+    return "\n".join(lines) + "\n"
+
+
+def cycle_text(n: int) -> str:
+    """A Seifert graph file: a cycle of `n` single weight-1 edges, whose
+    faces are two walks of length `n` and whose theta graph is empty."""
+    lines = [f"vertex c{i}" for i in range(n)]
+    lines += [f"edge {i} c{i} c{(i + 1) % n} weight=1 dir={'+-'[i % 2]}" for i in range(n)]
+    lines += [f"rot c{i} {(i - 1) % n} {i}" for i in range(n)]
+    return "\n".join(lines) + "\n"
+
+
+def graph_text(g: PlanarMultigraph) -> str:
+    """The graph file :meth:`PlanarMultigraph.from_text` reads back as `g`."""
+    lines = [f"vertex {v}" for v in g.vertices]
+    lines += [f"edge {eid} {e.u} {e.v} weight={e.weight} dir={'+' if e.direction == 1 else '-'}"
+              for eid, e in g.edges.items()]
+    for v in g.vertices:
+        ends = (f"{eid}:{end}" if g.edges[eid].u == g.edges[eid].v else eid
+                for eid, end in g.rotation[v])
+        lines.append(" ".join(["rot", v, *ends]))
     return "\n".join(lines) + "\n"

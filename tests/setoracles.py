@@ -4,8 +4,12 @@ The set-based oracles for the complex a family of candidates spans compare
 sets pair by pair and search neighbour sets, with none of the bitmask
 machinery of :meth:`kakimizu.complexes.SimplicialComplex.from_maximal`.
 :func:`all_full_passes` is the pass walk without the least-start pruning of
-:func:`kakimizu.complexes.full_passes`, and :func:`apply_region` the region
-move on weight dicts that the theta build's interned table replaced.
+:func:`kakimizu.complexes.full_passes`, :func:`apply_region` the region
+move on weight dicts that the theta build's interned table replaced, and
+:func:`rewalking_add_zero_edges` the zero-edge insertion that walks the
+whole graph again after every insertion and tests every position pair of
+a face, which the local face splits of
+:func:`kakimizu.thetagraph.add_zero_edges` replaced.
 """
 
 from functools import cache
@@ -14,6 +18,7 @@ from unittest import mock
 
 from kakimizu.complexes import full_passes, label_text
 from kakimizu.errors import InputError, KakimizuError, MoveError, StructureError
+from kakimizu.thetagraph import Edge
 
 
 def pairwise_maximal(family):
@@ -135,3 +140,50 @@ def apply_region(w: dict, region) -> dict:
         if out[eid] < 0:
             raise MoveError(f"region {region.index} drives edge {eid} negative")
     return out
+
+
+def rewalking_add_zero_edges(g):
+    """Insert weight-0 edges at the first qualifying position of the sorted
+    faces, walking the graph afresh each round, until none qualifies; each
+    new edge is oriented like the least edge of its family at the time."""
+    g = g.copy()
+    counter = 0
+    while True:
+        insertion = _first_zero_insertion(g)
+        if insertion is None:
+            return g
+        walk, i, j = insertion
+        counter += 1
+        eid = f"z{counter}"
+        while eid in g.edges:
+            counter += 1
+            eid = f"z{counter}"
+        verts = g.walk_vertices(walk)
+        u, v = verts[i], verts[j]
+        partner = g.parallel_families()[frozenset((u, v))][0]
+        pe = g.edges[partner]
+        tail = pe.u if pe.direction == 1 else pe.v
+        g.edges[eid] = Edge(u, v, 0, 1 if tail == u else -1)
+        # the walk leaves u along walk[i]: an end placed just before it
+        # in u's rotation puts the new edge inside this face
+        for x, departing, end in ((u, walk[i], 0), (v, walk[j], 1)):
+            rot = g.rotation[x]
+            rot.insert(rot.index(departing), (eid, end))
+
+
+def _first_zero_insertion(g):
+    pairs = set(g.parallel_families())
+    for walk in g.faces():
+        length = len(walk)
+        verts = g.walk_vertices(walk)
+        for i in range(length):
+            for j in range(i + 1, length):
+                u, v = verts[i], verts[j]
+                if u == v:
+                    continue
+                arc, coarc = j - i, length - (j - i)
+                if arc < 2 or coarc < 2:
+                    continue
+                if frozenset((u, v)) in pairs:
+                    return walk, i, j
+    return None

@@ -17,7 +17,7 @@ from kakimizu.errors import InputError
 from kakimizu.thetagraph import PlanarMultigraph
 from kakimizu.twobridge import DEFAULT_MAX_BANDS
 
-from randgraphs import necklace_text
+from randgraphs import cycle_text, necklace_text
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -132,6 +132,19 @@ class TestTheta:
                               capture_output=True, text=True, timeout=60)
         assert "Traceback" not in proc.stderr
         assert proc.returncode in (0, 1, 2)
+
+    def test_long_cycle_refused_at_once(self, tmp_path):
+        # searching its two faces of 4 000 sides pair by pair took 7.9 s
+        path = tmp_path / "cycle.txt"
+        path.write_text(cycle_text(4000))
+        began = time.perf_counter()
+        proc = subprocess.run([sys.executable, "-m", "kakimizu", "theta", str(path)],
+                              env=dict(os.environ, PYTHONPATH=str(SRC)),
+                              capture_output=True, text=True, timeout=60)
+        assert time.perf_counter() - began < 5
+        assert proc.returncode == 2
+        assert "Traceback" not in proc.stderr
+        assert "unique surface" in proc.stderr
 
     @pytest.mark.parametrize("direction", ["", "+-"])
     def test_direction_is_one_sign(self, capsys, tmp_path, direction):

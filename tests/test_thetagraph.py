@@ -19,8 +19,10 @@ from kakimizu.thetagraph import (DEFAULT_MAX_VERTICES, Edge, PlanarMultigraph, T
                                  reduce_bigons, region_signatures, theta_subgraph)
 
 from euler import euler_characteristic
-from randgraphs import necklace_text, random_sphere_graph, route_graph, separable_graph
-from setoracles import apply_region, pass_unions, set_is_connected, set_is_flag
+from randgraphs import (cycle_text, graph_text, necklace_text, random_sphere_graph, route_graph,
+                        separable_graph)
+from setoracles import (apply_region, pass_unions, rewalking_add_zero_edges, set_is_connected,
+                        set_is_flag)
 
 FIXTURES = ("theta_11_94.txt", "theta_11_237.txt", "theta_11_340.txt")
 TESTS = Path(__file__).resolve().parent
@@ -211,6 +213,20 @@ class TestFaces:
                 {"1": Edge("a", "b", 1, 1), "2": Edge("c", "d", 1, 1)},
                 {"a": [("1", 0)], "b": [("1", 1)], "c": [("2", 0)], "d": [("2", 1)]})
 
+    def test_kept_faces_match_a_fresh_walk(self, data_dir):
+        # a validated graph returns the walks of its Euler check; a copy,
+        # which keeps none, walks its rotation again
+        rng = random.Random(6)
+        graphs = [PlanarMultigraph.from_text((data_dir / name).read_text()) for name in FIXTURES]
+        graphs += [random_sphere_graph(rng, ops=rng.randint(2, 12)) for _ in range(100)]
+        graphs += [build_theta(route_graph(rng, r, 2, bundle=2)) for r in range(2, 6)]
+        for g in graphs:
+            faces = g.faces()
+            assert faces == g.copy().faces()
+            faces[0] = ()
+            faces.append(())
+            assert g.faces() == g.copy().faces() != faces
+
 
 class TestParser:
     def test_fixture_roundtrip(self, data_dir):
@@ -311,6 +327,74 @@ class TestAddZeroEdges:
         augmented = add_zero_edges(reduce_bigons(g))
         for walk in augmented.faces():
             assert len(walk) >= 3
+
+    def assert_matches_oracle(self, g):
+        """add_zero_edges(reduce_bigons(g)) inserts what the re-walking
+        oracle does: ids, weights, directions, rotations and faces.
+        Returns the number of zero edges inserted."""
+        reduced = reduce_bigons(g)
+        fast, slow = add_zero_edges(reduced), rewalking_add_zero_edges(reduced)
+        assert embedding(fast) == embedding(slow)
+        assert fast.faces() == slow.faces()
+        return len(fast.edges) - len(reduced.edges)
+
+    def test_matches_rewalking_oracle_on_fixtures(self, data_dir):
+        for name in FIXTURES:
+            self.assert_matches_oracle(
+                PlanarMultigraph.from_text((data_dir / name).read_text()))
+
+    def test_matches_rewalking_oracle_on_random_graphs(self):
+        # every third graph takes non-decimal edge ids, some of them the
+        # z ids an insertion would pick and some sorting after them
+        rng = random.Random(10)
+        inserted = renamed = 0
+        for k in range(300):
+            g = random_sphere_graph(rng, ops=rng.randint(2, 16))
+            if k % 3 == 0:
+                names = {eid: rng.choice(("z", "~")) + str(n + 1) for n, eid in enumerate(g.edges)}
+                edges = {names[eid]: e for eid, e in g.edges.items()}
+                rotation = {v: [(names[eid], end) for eid, end in darts]
+                            for v, darts in g.rotation.items()}
+                g = PlanarMultigraph(g.vertices, edges, rotation)
+            for e in g.edges.values():
+                e.weight = 1
+            count = self.assert_matches_oracle(g)
+            inserted += count
+            renamed += count > 0 and k % 3 == 0
+        assert inserted >= 100 and renamed >= 10
+
+    def test_matches_rewalking_oracle_on_route_graphs(self):
+        rng = random.Random(11)
+        for r in range(2, 9):
+            for bundle in range(1, 4):
+                for width in range(1, 4):
+                    assert self.assert_matches_oracle(route_graph(rng, r, width, bundle)) == r - 1
+
+    def test_matches_rewalking_oracle_on_separable_graphs(self):
+        # build_theta refuses these before the construction runs
+        rng = random.Random(13)
+        graphs = [separable_graph(rng, rng.randint(1, 8)) for _ in range(100)]
+        graphs += [PlanarMultigraph.from_text(necklace_text(
+            [rng.randint(1, 4) for _ in range(rng.randint(1, 5))])) for _ in range(30)]
+        assert sum(self.assert_matches_oracle(g) for g in graphs) >= 50
+
+    def test_large_graphs_build_in_near_linear_time(self):
+        # re-walking every face after each insertion and testing every
+        # position pair of a face made these builds take 7.1 s and 4.4 s,
+        # and a list-membership test on each vertex line the parse 3.1 s
+        cycle = cycle_text(4000)
+        began = time.perf_counter()
+        with pytest.raises(StructureError, match="theta graph is empty"):
+            build_theta(PlanarMultigraph.from_text(cycle))
+        assert time.perf_counter() - began < 2
+        routes = graph_text(route_graph(random.Random(2), 512, 2))
+        began = time.perf_counter()
+        assert len(build_theta(PlanarMultigraph.from_text(routes)).edges) == 512
+        assert time.perf_counter() - began < 2
+        cycle = cycle_text(20_000)
+        began = time.perf_counter()
+        assert len(PlanarMultigraph.from_text(cycle).vertices) == 20_000
+        assert time.perf_counter() - began < 2
 
     def test_intermediate_stages_stay_spherical(self, data_dir):
         # re-run full validation on the output of every construction stage
