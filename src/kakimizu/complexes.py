@@ -2,30 +2,33 @@
 
 A complex here is a set of labelled vertices together with the family of
 inclusion-maximal simplices.  Every Kakimizu complex is connected and flag
-(determined by its 1-skeleton), so a complex is checked as it is made:
-:meth:`SimplicialComplex.from_maximal`, the only constructor, finds the
-maximal simplices as the maximal cliques of the candidates' 1-skeleton and
-refuses a complex that is not connected or not flag.  The module also
-recognises the shapes that occur in knot tables (point, path, single
-simplex) and writes deterministic DOT and JSON exports.
+(determined by its 1-skeleton), so a complex is checked as it is made: one
+assembler, :func:`_assemble`, takes candidate simplices as sorted tuples of
+vertex indices with a table of labels, finds the maximal simplices as the
+maximal cliques of the candidates' 1-skeleton and refuses a complex that is
+not connected or not flag.  The module also recognises the shapes that
+occur in knot tables (point, path, single simplex) and writes deterministic
+DOT and JSON exports.
 
-Both move calculi build their complexes here.  :func:`full_passes` finds
-the vertex sets that the full passes from one state visit, walking each
-pass only from the least state on its cycle, and :func:`pass_complex`
-hands the passes from every start to the constructor.
+Two entry points end in the assembler.  :meth:`SimplicialComplex.from_maximal`
+indexes labelled candidates once.  Both move calculi build their complexes
+through :func:`pass_complex`: :func:`full_passes` finds the vertex sets
+that the full passes from one state visit, walking each pass only from the
+least state on its cycle, and :func:`pass_complex` hands the index sets of
+the passes from every start to the assembler, so labels enter only the
+finished complex.
 
-The check runs on integer bitmasks: vertices are indexed once, each
-vertex's neighbourhood is one int, connectivity is a breadth-first search
-over those masks, and Bron-Kerbosch with Tomita's pivot enumerates the
-maximal cliques over them.
+The check runs on integer bitmasks: each vertex's neighbourhood is one
+int, connectivity is a breadth-first search over those masks, and
+Bron-Kerbosch with Tomita's pivot enumerates the maximal cliques over them.
 """
 
 from __future__ import annotations
 
-import json
 from collections import Counter
 from dataclasses import dataclass
 from itertools import combinations
+from json.encoder import encode_basestring_ascii as _quote
 
 from .errors import InputError, StructureError
 
@@ -49,8 +52,9 @@ def label_text(label: Label) -> str:
 class SimplicialComplex:
     """A connected flag complex: its vertices and its maximal simplices.
 
-    :meth:`from_maximal` is the only constructor, and it checks both
-    properties, so every complex has them.
+    Every complex is made by :func:`_assemble`, through :meth:`from_maximal`
+    or :func:`pass_complex`, and it checks both properties, so every complex
+    has them.
     """
 
     vertices: frozenset
@@ -63,16 +67,9 @@ class SimplicialComplex:
         Candidates may repeat or contain one another; an isolated vertex is
         passed as its own singleton.  The vertices are indexed once, in the
         order they first appear, and each candidate is keyed as the sorted
-        tuple of its vertex indices.  StructureError is raised unless the
-        1-skeleton is connected and the complex is flag.
-
-        Every candidate is a clique, so it lies in a maximal clique, and a
-        maximal clique that lies in a candidate equals it.  So a maximal
-        clique that is not a candidate spans no simplex, and the complex is
-        not flag; when every maximal clique is a candidate, the maximal
-        cliques are exactly the maximal simplices.  The clique search (see
-        :func:`_maximal_cliques`) therefore yields the simplices and stops at
-        the first clique that is not a candidate.
+        tuple of its vertex indices for :func:`_assemble`, which raises
+        StructureError unless the 1-skeleton is connected and the complex
+        is flag.
         """
         index: dict = {}
         keys = set()
@@ -82,34 +79,7 @@ class SimplicialComplex:
                 keys.add(key)
         if not index:
             raise InputError("a simplicial complex needs at least one vertex")
-        adj = [0] * len(index)
-        for key in keys:
-            mask = 0
-            for i in key:
-                mask |= 1 << i
-            for i in key:
-                adj[i] |= mask
-        for i in range(len(adj)):
-            adj[i] ^= 1 << i   # every vertex lies in a candidate, so bit i is set
-        seen = frontier = 1
-        while frontier:
-            reach = 0
-            for i in _bits(frontier):
-                reach |= adj[i]
-            frontier = reach & ~seen
-            seen |= frontier
-        if seen != (1 << len(adj)) - 1:
-            raise StructureError("Kakimizu complex must be connected")
-        labels = list(index)
-
-        def simplex(clique):
-            if tuple(sorted(clique)) not in keys:
-                raise StructureError("Kakimizu complex must be a flag complex")
-            return frozenset([labels[i] for i in clique])
-        c = object.__new__(cls)
-        object.__setattr__(c, "simplices", frozenset(map(simplex, _maximal_cliques(adj))))
-        object.__setattr__(c, "vertices", frozenset(labels))
-        return c
+        return _assemble(keys, list(index))
 
     def one_skeleton(self) -> set:
         """All 1-simplices, as frozenset pairs."""
@@ -117,6 +87,51 @@ class SimplicialComplex:
         for s in self.simplices:
             edges.update(frozenset(p) for p in combinations(s, 2))
         return edges
+
+
+def _assemble(keys: set, labels) -> SimplicialComplex:
+    """The checked complex with vertices `labels` whose candidate simplices
+    are `keys`, each the sorted tuple of its vertex indices into `labels`.
+
+    Every index must lie in some key; an isolated vertex is its own
+    singleton.  StructureError is raised unless the 1-skeleton is connected
+    and the complex is flag.  Labels are touched only to make the result.
+
+    Every candidate is a clique, so it lies in a maximal clique, and a
+    maximal clique that lies in a candidate equals it.  So a maximal clique
+    that is not a candidate spans no simplex, and the complex is not flag;
+    when every maximal clique is a candidate, the maximal cliques are
+    exactly the maximal simplices.  The clique search (see
+    :func:`_maximal_cliques`) therefore yields the simplices and stops at
+    the first clique that is not a candidate.
+    """
+    adj = [0] * len(labels)
+    for key in keys:
+        mask = 0
+        for i in key:
+            mask |= 1 << i
+        for i in key:
+            adj[i] |= mask
+    for i in range(len(adj)):
+        adj[i] ^= 1 << i   # every vertex lies in a candidate, so bit i is set
+    seen = frontier = 1
+    while frontier:
+        reach = 0
+        for i in _bits(frontier):
+            reach |= adj[i]
+        frontier = reach & ~seen
+        seen |= frontier
+    if seen != (1 << len(adj)) - 1:
+        raise StructureError("Kakimizu complex must be connected")
+
+    def simplex(clique):
+        if tuple(sorted(clique)) not in keys:
+            raise StructureError("Kakimizu complex must be a flag complex")
+        return frozenset([labels[i] for i in clique])
+    c = object.__new__(SimplicialComplex)
+    object.__setattr__(c, "simplices", frozenset(map(simplex, _maximal_cliques(adj))))
+    object.__setattr__(c, "vertices", frozenset(labels))
+    return c
 
 
 def _bits(mask: int):
@@ -132,16 +147,25 @@ def _maximal_cliques(adj: list):
 
     Bron-Kerbosch with Tomita's pivot (Tomita, Tanaka, Takahashi, TCS 363,
     2006): a branch (R, P, X) tries only the vertices of P outside the
-    neighbourhood of the vertex of P | X with most neighbours in P.  Vertex i
-    is bit i of the masks P and X, and a clique R is the tuple of its
-    vertices.  Open branches wait on an explicit stack as [R, P, X, vertices
-    left to try], one per vertex of R, and each child is made when its turn
-    comes.
+    neighbourhood of the lowest vertex of P | X with most neighbours in P.
+    Vertex i is bit i of the masks P and X, and a clique R is the tuple of
+    its vertices.  Open branches wait on an explicit stack as [R, P, X,
+    vertices left to try], one per vertex of R, and each child is made when
+    its turn comes.
     """
     def branch(r, p, x):
         if not p:
             return [r, p, x, 0]
-        pivot = max(_bits(p | x), key=lambda u: (p & adj[u]).bit_count())
+        # the lowest of the vertices with most neighbours in p
+        most = -1
+        rest = p | x
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            u = low.bit_length() - 1
+            n = (p & adj[u]).bit_count()
+            if n > most:
+                most, pivot = n, u
         return [r, p, x, p & ~adj[pivot]]
 
     stack = [branch((), (1 << len(adj)) - 1, 0)]
@@ -174,7 +198,8 @@ def full_passes(start, moves, step, label) -> frozenset:
     reaches to its state and the visited sets of those orderings.
     StructureError is raised when two orderings reach one mask in different
     states, or when the full mask does not return to `start`.  A step below
-    `start` is checked against its mask's state, then dropped.
+    `start` is checked against its mask's state, then dropped.  A mask's
+    label singleton is made once, when the mask is first reached.
 
     A full pass is a cycle of states.  Rotating its move order gives a full
     pass from every state on the cycle (each move meets the state it met
@@ -183,25 +208,29 @@ def full_passes(start, moves, step, label) -> frozenset:
     keeps it, order checks included: the union over all starts is unchanged.
     """
     moves = tuple(moves)
-    layer = {0: (start, {frozenset([label(start)])})}
+    # mask -> (state, visited sets, label singleton or None below start)
+    layer = {0: (start, {frozenset([label(start)])}, None)}
     for _ in moves:
         nxt: dict = {}
-        for mask, (state, seen) in layer.items():
+        for mask, (state, seen, _) in layer.items():
             if not seen:
                 continue   # the state of this mask is below start
             for i, move in enumerate(moves):
                 after = None if mask >> i & 1 else step(state, move)
                 if after is None:
                     continue
-                reached, sets = nxt.setdefault(mask | 1 << i, (after, set()))
-                if reached != after:
+                target = mask | 1 << i
+                entry = nxt.get(target)
+                if entry is None:
+                    here = None if after < start else frozenset([label(after)])
+                    entry = nxt[target] = (after, set(), here)
+                elif entry[0] != after:
                     raise StructureError("the state after a set of moves depends on their order")
-                if after < start:
-                    continue
-                here = frozenset([label(after)])
-                sets.update(v | here for v in seen)
+                here = entry[2]
+                if here is not None:
+                    entry[1].update(v | here for v in seen)
         layer = nxt
-    end, seen = layer.get((1 << len(moves)) - 1, (start, ()))
+    end, seen, _ = layer.get((1 << len(moves)) - 1, (start, (), None))
     if end != start:
         raise StructureError("a full pass must return to its start")
     return frozenset(seen)
@@ -213,28 +242,26 @@ def pass_complex(starts, moves, step, label, names) -> SimplicialComplex:
     ``label(state)`` is the index of the state's vertex in `names`.  Each
     pass runs on these indices once, from the least state on its cycle (see
     :func:`full_passes`), since `starts` holds every state a pass can visit.
-    The candidates handed to :meth:`SimplicialComplex.from_maximal` are every
-    vertex as a singleton, first and in the order of `names`, so vertices no
-    pass visits stay in the complex, then each visited set of two or more
-    vertices, mapped to `names` as it leaves the set of index sets.
+    The candidates handed to :func:`_assemble` are the sorted index tuples
+    of every vertex as a singleton, so vertices no pass visits stay in the
+    complex, and of each visited set; `names` is the label table, and labels
+    enter only the finished complex.
     """
     moves = tuple(moves)
     visited: set = set()
     for start in starts:
         visited |= full_passes(start, moves, step, label)
-    candidates = [[v] for v in names]
-    while visited:
-        s = visited.pop()
-        if len(s) > 1:
-            candidates.append([names[i] for i in s])
-    return SimplicialComplex.from_maximal(candidates)
+    keys = {(i,) for i in range(len(names))}
+    keys.update(tuple(sorted(s)) for s in visited)
+    return _assemble(keys, names)
 
 
 # the representative of a shape literal is built and checked like any
 # computed complex: simplex(999) / simplex(1999) / simplex(3999) take
-# 0.33 / 1.2 / 9.7 s, path(1000) / path(16000) / path(32000) 0.02 / 0.52 /
-# 1.6 s, through a batch row with the bound lifted (Python 3.11 on one core
-# of a shared VM); the shipped tables' largest literal is path(6)
+# 0.27 / 1.2 / 9.2 s, path(1000) / path(16000) / path(32000) 0.01 / 0.48 /
+# 1.1 s, through a batch row with the bound lifted (best of up to four
+# runs, Python 3.11 on one core of a shared VM); the shipped tables'
+# largest literal is path(6)
 MAX_SHAPE_VERTICES = 1000
 
 
@@ -340,8 +367,19 @@ def rendered(c: SimplicialComplex) -> dict:
 
 
 def to_json(c: SimplicialComplex) -> str:
-    """Canonical JSON with sorted vertices and sorted maximal simplices."""
-    return json.dumps(rendered(c), indent=2, sort_keys=True) + "\n"
+    """Canonical JSON with sorted vertices and sorted maximal simplices.
+
+    The text is written directly, each label quoted by the encoder
+    ``json.dumps`` uses, and equals ``json.dumps(rendered(c), indent=2,
+    sort_keys=True) + "\\n"``; every list is non-empty, since a complex has
+    a vertex and every simplex one.
+    """
+    r = rendered(c)
+    simplices = ",\n".join("    [\n" + ",\n".join("      " + _quote(v) for v in s) + "\n    ]"
+                           for s in r["maximal_simplices"])
+    vertices = ",\n".join("    " + _quote(v) for v in r["vertices"])
+    return ('{\n  "maximal_simplices": [\n' + simplices + '\n  ],\n  "vertices": [\n'
+            + vertices + "\n  ]\n}\n")
 
 
 def to_dot(c: SimplicialComplex) -> str:

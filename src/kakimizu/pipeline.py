@@ -149,8 +149,9 @@ def classify_and_compute(rec: KnotRecord,
                          max_vertices: int = thetagraph.DEFAULT_MAX_VERTICES) -> SimplicialComplex:
     """Dispatch a record to its algorithm and return its complex.
 
-    Every complex is checked as it is made, by
-    :meth:`~kakimizu.complexes.SimplicialComplex.from_maximal`.
+    Every complex is checked as it is made, by the assembler that
+    :func:`~kakimizu.complexes.pass_complex` and
+    :meth:`~kakimizu.complexes.SimplicialComplex.from_maximal` end in.
     """
     if rec.klass == "two_bridge":
         chain = twobridge.BandChain.parse(rec.params, max_bands=max_bands)

@@ -546,8 +546,8 @@ def build_complex(tg: ThetaGraph, w0: dict,
     records, per index and region, the index the region leads to.  The
     passes run on indices, stepping by table lookup and ordered by index;
     interning is a bijection, so the pass engine's checks hold on the
-    indices exactly when they hold on the tuples, and the visited index
-    sets are mapped back to tuples once, for the assembly.
+    indices exactly when they hold on the tuples.  The complex is assembled
+    on the visited index sets too, and the tuples label only its result.
     """
     regions = region_signatures(tg)
     if len(regions) > MAX_REGIONS:

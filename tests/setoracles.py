@@ -4,11 +4,14 @@ The set-based oracles for the complex a family of candidates spans compare
 sets pair by pair and search neighbour sets, with none of the bitmask
 machinery of :meth:`kakimizu.complexes.SimplicialComplex.from_maximal`.
 :func:`all_full_passes` is the pass walk without the least-start pruning of
-:func:`kakimizu.complexes.full_passes`, :func:`apply_region` the region
-move on weight dicts that the theta build's interned table replaced, and
-:func:`rewalking_add_zero_edges` the zero-edge insertion that walks the
-whole graph again after every insertion and tests every position pair of
-a face, which the local face splits of
+:func:`kakimizu.complexes.full_passes`, :func:`labelled_pass_complex` the
+route that maps each visited index set to labels for
+:meth:`~kakimizu.complexes.SimplicialComplex.from_maximal`, which the index
+tuples of :func:`kakimizu.complexes.pass_complex` replaced,
+:func:`apply_region` the region move on weight dicts that the theta build's
+interned table replaced, and :func:`rewalking_add_zero_edges` the zero-edge
+insertion that walks the whole graph again after every insertion and tests
+every position pair of a face, which the local face splits of
 :func:`kakimizu.thetagraph.add_zero_edges` replaced.
 """
 
@@ -16,7 +19,7 @@ from functools import cache
 from itertools import combinations
 from unittest import mock
 
-from kakimizu.complexes import full_passes, label_text
+from kakimizu.complexes import SimplicialComplex, full_passes, label_text
 from kakimizu.errors import InputError, KakimizuError, MoveError, StructureError
 from kakimizu.thetagraph import Edge
 
@@ -127,6 +130,48 @@ def pass_unions(module, build):
     for walk in (full_passes, all_full_passes):
         passes = [walk(s, moves, step, label) for s in starts]
         found.append((set().union(*passes), sum(map(len, passes))))
+    return found
+
+
+def labelled_pass_complex(starts, moves, step, label, names):
+    """The complex spanned by the full passes from every start, assembled
+    on labels: every vertex as a singleton, first and in the order of
+    `names`, then each visited set of two or more vertices mapped to
+    `names`, all handed to ``SimplicialComplex.from_maximal``."""
+    moves = tuple(moves)
+    visited: set = set()
+    for start in starts:
+        visited |= full_passes(start, moves, step, label)
+    candidates = [[v] for v in names]
+    while visited:
+        s = visited.pop()
+        if len(s) > 1:
+            candidates.append([names[i] for i in s])
+    return SimplicialComplex.from_maximal(candidates)
+
+
+def both_routes(module, build):
+    """Run `build()` up to its call of ``module.pass_complex``, then that call
+    as it is and with :func:`labelled_pass_complex` in its place, both asking
+    one memoised step; for each, the vertices and maximal simplices of the
+    complex, or the type and text of the refusal.  None when the build
+    refuses its input first."""
+    calls = []
+    with mock.patch.object(module, "pass_complex", lambda *args: calls.append(args)):
+        try:
+            build()
+        except KakimizuError:
+            return None
+    ((starts, moves, step, label, names),) = calls
+    starts, step = list(starts), cache(step)
+    found = []
+    for route in (module.pass_complex, labelled_pass_complex):
+        try:
+            c = route(starts, moves, step, label, names)
+        except KakimizuError as exc:
+            found.append((type(exc), str(exc)))
+        else:
+            found.append((c.vertices, c.simplices))
     return found
 
 

@@ -1,3 +1,4 @@
+import json
 import os
 import random
 import subprocess
@@ -7,9 +8,10 @@ from pathlib import Path
 
 import pytest
 
+from kakimizu import complexes
 from kakimizu.complexes import (MAX_SHAPE_VERTICES, ComplexShape, SimplicialComplex,
-                                full_passes, label_text, pass_complex, recognize, to_dot,
-                                to_json)
+                                full_passes, label_text, pass_complex, recognize, rendered,
+                                to_dot, to_json)
 from kakimizu.errors import InputError, SizeLimitError, StructureError
 
 from isomorphism import isomorphic
@@ -95,7 +97,7 @@ class TestConstruction:
             SimplicialComplex.from_maximal([["a", "b"], ["c"]])
 
     def test_invariants(self):
-        # from_maximal is the only constructor, so no complex goes unchecked
+        # no complex is made outside the assembler, so none goes unchecked
         with pytest.raises(TypeError):
             SimplicialComplex(frozenset({"a"}), frozenset({frozenset({"a"})}))
         with pytest.raises(InputError):
@@ -203,6 +205,32 @@ class TestCheckComplex:
         # the hollow triangle inside a larger connected complex
         with pytest.raises(StructureError, match="flag"):
             SimplicialComplex.from_maximal(HOLLOW_TRIANGLE + [["c", "d"], ["d", "e", "f"]])
+
+
+class TestAssembler:
+    """The assembler that from_maximal and pass_complex both end in, on
+    index tuples and a label table."""
+
+    def test_hollow_triangle_raises(self):
+        with pytest.raises(StructureError, match="must be a flag complex"):
+            complexes._assemble({(0, 1), (1, 2), (0, 2)}, ["a", "b", "c"])
+
+    def test_isolated_vertices_raise(self):
+        with pytest.raises(StructureError, match="must be connected"):
+            complexes._assemble({(0,), (1,)}, ["a", "b"])
+
+    def test_labels_enter_only_the_result(self):
+        c = complexes._assemble({(0,), (1,), (2,), (0, 1), (1, 2)}, ["x", "y", "z"])
+        assert c.vertices == {"x", "y", "z"}
+        assert c.simplices == {frozenset("xy"), frozenset("yz")}
+
+    def test_pass_complex_refuses_alike(self):
+        # with no moves each state is a pass of its own: two isolated vertices
+        with pytest.raises(StructureError, match="must be connected"):
+            pass_complex(range(2), (), _add, _same, ["a", "b"])
+        # moves +1, -1 on states mod 3 visit {0, 1}, {0, 2} and {1, 2}
+        with pytest.raises(StructureError, match="must be a flag complex"):
+            pass_complex(range(3), (1, -1), lambda s, m: (s + m) % 3, _same, ["a", "b", "c"])
 
 
 def _add(state, move):
@@ -438,6 +466,32 @@ class TestExports:
         c = SimplicialComplex.from_maximal([["b", "a"], ["c", "b"]])
         assert to_json(c) == to_json(SimplicialComplex.from_maximal([["a", "b"], ["b", "c"]]))
         assert to_dot(c) == to_dot(SimplicialComplex.from_maximal([["a", "b"], ["b", "c"]]))
+
+    def test_json_equals_json_dumps(self):
+        # the direct writer against the json module, on labels that need
+        # escaping (quotes, backslashes, control, non-ASCII and astral
+        # characters) and on tuple labels
+        rng = random.Random(21)
+        alphabet = ['"', "\\", "\x00", "\x1f", "\n", "\t", "\x7f", "a", "Z", "0", " ", "/",
+                    "\u00e9", "\u2028", "\ufeff", "\U0001f600", "\U0010ffff"]
+        built = 0
+        for _ in range(300):
+            edges, verts = random_graph(rng)
+            closure = set_flag_closure(edges, verts)
+            if not set_is_connected(closure):
+                continue
+            labels: dict = {}
+            while len(labels) < len(verts):
+                if rng.random() < 0.3:
+                    label = tuple(rng.randint(-3, 3) for _ in range(rng.randint(1, 4)))
+                else:
+                    label = "".join(rng.choices(alphabet, k=rng.randint(0, 6)))
+                labels.setdefault(label, None)
+            name = dict(zip(verts, labels))
+            c = SimplicialComplex.from_maximal([[name[v] for v in s] for s in closure])
+            assert to_json(c) == json.dumps(rendered(c), indent=2, sort_keys=True) + "\n"
+            built += 1
+        assert built >= 100
 
     def test_isomorphic_complexes_same_json_after_relabel(self):
         a = path_complex(4)

@@ -4,8 +4,8 @@ import time
 
 import pytest
 
-from kakimizu import pipeline
-from kakimizu.complexes import ComplexShape, SimplicialComplex, recognize
+from kakimizu import complexes, pipeline
+from kakimizu.complexes import ComplexShape, recognize
 from kakimizu.errors import InputError
 from kakimizu.pipeline import (KnotRecord, MarkingFlags, classify_and_compute,
                                load_table, load_theta_file, plumbing_theorem_complex,
@@ -168,16 +168,17 @@ class TestRunBatch:
         assert results[0].matched_expected is None
 
     def test_each_record_checked_once(self, data_dir, monkeypatch):
-        # from_maximal, the only constructor, checks the complex it makes;
-        # every record makes exactly one, its result
+        # every complex is made and checked by the one assembler, which
+        # from_maximal and pass_complex both end in; every record makes
+        # exactly one, its result
         calls = []
-        build = SimplicialComplex.from_maximal.__func__
+        assemble = complexes._assemble
 
-        def counting(cls, candidates):
-            calls.append(build(cls, candidates))
+        def counting(keys, labels):
+            calls.append(assemble(keys, labels))
             return calls[-1]
 
-        monkeypatch.setattr(SimplicialComplex, "from_maximal", classmethod(counting))
+        monkeypatch.setattr(complexes, "_assemble", counting)
         records = load_table(data_dir / "knots11_mixed.csv")
         classes = set()
         for rec in records:

@@ -21,8 +21,8 @@ from kakimizu.thetagraph import (DEFAULT_MAX_VERTICES, Edge, PlanarMultigraph, T
 from euler import euler_characteristic
 from randgraphs import (cycle_text, graph_text, necklace_text, random_sphere_graph, route_graph,
                         separable_graph)
-from setoracles import (apply_region, pass_unions, rewalking_add_zero_edges, set_is_connected,
-                        set_is_flag)
+from setoracles import (apply_region, both_routes, pass_unions, rewalking_add_zero_edges,
+                        set_is_connected, set_is_flag)
 
 FIXTURES = ("theta_11_94.txt", "theta_11_237.txt", "theta_11_340.txt")
 TESTS = Path(__file__).resolve().parent
@@ -789,3 +789,47 @@ class TestLeastStartPruning:
                     lambda: build_complex(g, g.weights(), max_vertices=100)) is not None:
                 weighted += 1
         assert seifert >= 30 and weighted >= 30
+
+
+class TestIndexAssembly:
+    """pass_complex assembles on index tuples; the labelled route through
+    from_maximal (setoracles.labelled_pass_complex) is the oracle."""
+
+    def test_route_graphs(self):
+        rng = random.Random(9)
+        for r in range(2, 9):
+            for w in range(1, 5):
+                tg = build_theta(route_graph(rng, r, w))
+                index, labelled = both_routes(thetagraph,
+                                              lambda: build_complex(tg, tg.weights()))
+                assert index == labelled, (r, w)
+                assert len(index[1]) == w ** (r - 1)
+
+    def test_random_sphere_graphs(self):
+        # weight-1 Seifert graphs through the theta construction, and
+        # coherently oriented graphs with 0/1 weights without it
+        rng = random.Random(6)
+        built = 0
+
+        def check(build):
+            found = both_routes(thetagraph, build)
+            if found is None:
+                return 0
+            index, labelled = found
+            assert index == labelled
+            return isinstance(index[0], frozenset)
+        for _ in range(100):
+            g = random_sphere_graph(rng, ops=rng.randint(2, 10))
+            for e in g.edges.values():
+                e.weight = 1
+            try:
+                tg = build_theta(g)
+            except KakimizuError:
+                tg = None
+            if tg is not None:
+                built += check(lambda: build_complex(tg, tg.weights(), max_vertices=100))
+            if orient_coherently(g):
+                for e in g.edges.values():
+                    e.weight = rng.randint(0, 1)
+                built += check(lambda: build_complex(g, g.weights(), max_vertices=100))
+        assert built >= 30

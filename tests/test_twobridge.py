@@ -15,7 +15,8 @@ from kakimizu.twobridge import (BandChain, apply_band, build_complex,
 
 from catalog import ROWS
 from euler import euler_characteristic
-from setoracles import all_full_passes, pass_unions, set_is_connected, set_is_flag
+from setoracles import (all_full_passes, both_routes, pass_unions, set_is_connected,
+                        set_is_flag)
 
 CHAIN_ENTRIES = [-6, -4, -2, 2, 4, 6]
 
@@ -252,6 +253,26 @@ class TestLeastStartPruning:
                 assert pruned == every, bands
                 dropped += total - kept
         assert dropped > 0
+
+
+class TestIndexAssembly:
+    """pass_complex assembles on index tuples; the labelled route through
+    from_maximal (setoracles.labelled_pass_complex) is the oracle."""
+
+    def test_exhaustive_small_chains(self):
+        # all 1 364 chains with at most 5 bands of twist 2 or 4
+        for n in range(1, 6):
+            for bands in product((-4, -2, 2, 4), repeat=n):
+                chain = BandChain(bands)
+                index, labelled = both_routes(twobridge, lambda: build_complex(chain))
+                assert index == labelled, bands
+
+    def test_random_long_chains(self):
+        rng = random.Random(13)
+        for n in (6,) * 12 + (7,) * 6:
+            chain = BandChain(tuple(rng.choice(CHAIN_ENTRIES) for _ in range(n)))
+            index, labelled = both_routes(twobridge, lambda: build_complex(chain))
+            assert index == labelled, chain.bands
 
 
 class TestBuildComplex:
