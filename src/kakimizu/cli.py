@@ -28,13 +28,25 @@ from .errors import KakimizuError
 MAX_EXPAND_ENTRIES = 100_000
 
 
+def _cap(text: str) -> int:
+    # a cap below 1 is a usage error: a chain has at least one band, and a
+    # theta search at least one surface
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="kakimizu",
         description="Kakimizu complexes of prime alternating knots from combinatorial input")
-    parser.add_argument("--max-bands", type=int, default=twobridge.DEFAULT_MAX_BANDS,
+    parser.add_argument("--max-bands", type=_cap, default=twobridge.DEFAULT_MAX_BANDS,
                         help="largest band chain accepted (default %(default)s)")
-    parser.add_argument("--max-vertices", type=int, default=thetagraph.DEFAULT_MAX_VERTICES,
+    parser.add_argument("--max-vertices", type=_cap, default=thetagraph.DEFAULT_MAX_VERTICES,
                         help="cap on reachable surfaces in the theta search (default %(default)s)")
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -102,8 +114,7 @@ def main(argv=None) -> int:
             _emit_complex(args, thetagraph.build_complex(
                 tg, weights, max_vertices=args.max_vertices))
         elif args.command == "fibred":
-            with open(args.graph) as handle:
-                g = fibred.ReductionGraph.from_text(handle.read())
+            g = fibred.ReductionGraph.from_text(pipeline.read_text(args.graph, "graph file"))
             certificate = fibred.reduction_certificate(g)
             print("fibred" if certificate is not None else "not fibred")
             if args.certificate and certificate is not None:
@@ -118,7 +129,7 @@ def main(argv=None) -> int:
                 pipeline.write_report(results, args.out)
             bad = any(r.matched_expected is False or r.error is not None for r in results)
             return 1 if bad else 0
-    except (KakimizuError, OSError, UnicodeDecodeError) as exc:
+    except (KakimizuError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     return 0

@@ -81,13 +81,6 @@ class SimplicialComplex:
             raise InputError("a simplicial complex needs at least one vertex")
         return _assemble(keys, list(index))
 
-    def one_skeleton(self) -> set:
-        """All 1-simplices, as frozenset pairs."""
-        edges = set()
-        for s in self.simplices:
-            edges.update(frozenset(p) for p in combinations(s, 2))
-        return edges
-
 
 def _assemble(keys: set, labels) -> SimplicialComplex:
     """The checked complex with vertices `labels` whose candidate simplices
@@ -148,16 +141,19 @@ def _maximal_cliques(adj: list):
     Bron-Kerbosch with Tomita's pivot (Tomita, Tanaka, Takahashi, TCS 363,
     2006): a branch (R, P, X) tries only the vertices of P outside the
     neighbourhood of the lowest vertex of P | X with most neighbours in P.
-    Vertex i is bit i of the masks P and X, and a clique R is the tuple of
-    its vertices.  Open branches wait on an explicit stack as [R, P, X,
-    vertices left to try], one per vertex of R, and each child is made when
-    its turn comes.
+    No vertex has more than |P| neighbours in P, and none of P more than
+    |P| - 1, so the scan for the pivot stops at the first vertex that
+    reaches the bound, which a full scan would pick too.  Vertex i is bit i
+    of the masks P and X, and a clique R is the tuple of its vertices.
+    Open branches wait on an explicit stack as [R, P, X, vertices left to
+    try], one per vertex of R, and each child is made when its turn comes.
     """
     def branch(r, p, x):
         if not p:
             return [r, p, x, 0]
         # the lowest of the vertices with most neighbours in p
         most = -1
+        bound = p.bit_count() - (not x)
         rest = p | x
         while rest:
             low = rest & -rest
@@ -166,6 +162,8 @@ def _maximal_cliques(adj: list):
             n = (p & adj[u]).bit_count()
             if n > most:
                 most, pivot = n, u
+                if n == bound:
+                    break
         return [r, p, x, p & ~adj[pivot]]
 
     stack = [branch((), (1 << len(adj)) - 1, 0)]
@@ -258,10 +256,11 @@ def pass_complex(starts, moves, step, label, names) -> SimplicialComplex:
 
 # the representative of a shape literal is built and checked like any
 # computed complex: simplex(999) / simplex(1999) / simplex(3999) take
-# 0.27 / 1.2 / 9.2 s, path(1000) / path(16000) / path(32000) 0.01 / 0.48 /
-# 1.1 s, through a batch row with the bound lifted (best of up to four
-# runs, Python 3.11 on one core of a shared VM); the shipped tables'
-# largest literal is path(6)
+# 0.01 / 0.04 / 0.13 s, path(1000) / path(16000) / path(32000) 0.01 / 0.27
+# / 1.06 s, through a batch row with the bound lifted (best of four runs,
+# Python 3.11 on one core of a shared VM); the bound stays, since the
+# adjacency masks of path(n) hold about n^2 / 2 bits (path(32000) peaked
+# at 106 MB); the shipped tables' largest literal is path(6)
 MAX_SHAPE_VERTICES = 1000
 
 
@@ -385,17 +384,16 @@ def to_json(c: SimplicialComplex) -> str:
 def to_dot(c: SimplicialComplex) -> str:
     """Deterministic DOT: one node per vertex, one edge per 1-simplex.
 
-    Maximal simplices of dimension two or more are annotated as comments so
-    that filled cliques survive the drop to the 1-skeleton.
+    Both are read off :func:`rendered`: the edges are the pairs of each
+    maximal simplex's sorted texts, without repeats.  Maximal simplices of
+    dimension two or more are annotated as comments so that filled cliques
+    survive the drop to the 1-skeleton.
     """
-    text = {v: label_text(v) for v in c.vertices}
+    r = rendered(c)
+    edges = {pair for s in r["maximal_simplices"] for pair in combinations(s, 2)}
     lines = ["graph kakimizu {", "  node [shape=circle];"]
-    for v in sorted(text.values()):
-        lines.append(f'  "{v}";')
-    for e in sorted(sorted(text[v] for v in e) for e in c.one_skeleton()):
-        lines.append(f'  "{e[0]}" -- "{e[1]}";')
-    for s in sorted(sorted(text[v] for v in s) for s in c.simplices):
-        if len(s) >= 3:
-            lines.append("  // filled simplex: " + " ".join(s))
+    lines += [f'  "{v}";' for v in r["vertices"]]
+    lines += [f'  "{a}" -- "{b}";' for a, b in sorted(edges)]
+    lines += ["  // filled simplex: " + " ".join(s) for s in r["maximal_simplices"] if len(s) >= 3]
     lines.append("}")
     return "\n".join(lines) + "\n"

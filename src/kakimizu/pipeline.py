@@ -171,6 +171,15 @@ def classify_and_compute(rec: KnotRecord,
     raise InputError(f"unknown knot class {rec.klass!r}")
 
 
+def read_text(path, what: str) -> str:
+    """The text of a UTF-8 file; a file that cannot be opened or decoded is
+    an InputError naming `what` it was read as."""
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
+        raise InputError(f"cannot read {what} {path}: {exc}") from exc
+
+
 def load_theta_file(path) -> thetagraph.ThetaGraph:
     """Load a graph file; weight-1 graphs run the full theta construction.
 
@@ -178,11 +187,7 @@ def load_theta_file(path) -> thetagraph.ThetaGraph:
     bigon reduction, zero-edge insertion and theta restriction.  Any other
     file must already be a valid theta graph.
     """
-    try:
-        text = Path(path).read_text()
-    except OSError as exc:
-        raise InputError(f"cannot read graph file {path}: {exc}") from exc
-    g = thetagraph.PlanarMultigraph.from_text(text)
+    g = thetagraph.PlanarMultigraph.from_text(read_text(path, "graph file"))
     if all(e.weight == 1 for e in g.edges.values()):
         return thetagraph.build_theta(g)
     return thetagraph.ThetaGraph(g.vertices, g.edges, g.rotation)
@@ -193,11 +198,7 @@ def load_table(path) -> list:
     path = Path(path)
     records = []
     names = set()
-    try:
-        lines = path.read_text().splitlines()
-    except OSError as exc:
-        raise InputError(f"cannot read table {path}: {exc}") from exc
-    reader = csv.reader(lines)
+    reader = csv.reader(read_text(path, "table").splitlines())
     for lineno, row in enumerate(reader, start=1):
         if not row or (row[0].startswith("#")):
             continue
@@ -261,7 +262,8 @@ def report_payload(results) -> dict:
 
 def write_report(results, path) -> None:
     """Write the canonical JSON report (no timestamps, no runtimes)."""
-    Path(path).write_text(json.dumps(report_payload(results), indent=2, sort_keys=True) + "\n")
+    Path(path).write_text(json.dumps(report_payload(results), indent=2, sort_keys=True) + "\n",
+                          encoding="utf-8")
 
 
 def summary_table(results) -> str:

@@ -9,12 +9,13 @@ the subgraph of edges lying in parallel families.  The result is the theta
 graph of the surface; its faces are the regions.
 
 The construction walks each graph's faces once.  A validated graph keeps
-the walks its Euler check made, and bigon reduction, the theta-graph check
-and the region signs read them.  Zero-edge insertion walks the reduced
-graph once and then works face by face: an edge drawn across a face splits
-that face alone into two walks made of its own sides and the new edge's,
-and joins a vertex pair an edge already joins, so every other face, and
-whether it admits an insertion, stays as it was.
+the walks its Euler check made, and the prime and reduced check of a
+loopless Seifert graph (see :func:`build_theta`), bigon reduction, the
+theta-graph check and the region signs read them.  Zero-edge insertion
+walks the reduced graph once and then works face by face: an edge drawn
+across a face splits that face alone into two walks made of its own sides
+and the new edge's, and joins a vertex pair an edge already joins, so
+every other face, and whether it admits an insertion, stays as it was.
 
 Each face traversal gives every boundary edge a sign, opposite in the two
 faces an edge borders.  Applying a region shifts each boundary weight by its
@@ -37,6 +38,7 @@ from __future__ import annotations
 
 import heapq
 from bisect import bisect_left
+from collections import Counter
 from dataclasses import dataclass
 
 from .complexes import SimplicialComplex, pass_complex
@@ -465,39 +467,32 @@ def build_theta(g: PlanarMultigraph) -> ThetaGraph:
     A special diagram's Seifert graph is one of its checkerboard graphs, so
     the diagram is prime and reduced exactly when the graph has no cut
     vertex and no bridge, and then its knot is prime (Menasco, Topology
-    1984).  One depth-first search refuses either with InputError.
+    1984).  A crossing joins two different Seifert circles, so a loop is
+    refused first.  On the sphere the face walks the Euler check kept then
+    decide the rest: an edge is a bridge exactly when one face meets both
+    of its sides, and a vertex of a loopless graph is a cut vertex exactly
+    when one face passes it twice.  Each is refused with InputError.
     """
     _check_blocks(g)
     return theta_subgraph(add_zero_edges(reduce_bigons(g)))
 
 
 def _check_blocks(g: PlanarMultigraph) -> None:
-    # iterative Hopcroft-Tarjan low points over the rotation system of the
-    # connected graph; parallel edges differ by id, and a loop leads back
-    # to its own vertex, which lowers nothing
-    root = g.vertices[0]
-    disc, low = {root: 0}, {root: 0}
-    stack = [(root, None, iter(g.rotation[root]))]
-    while stack:
-        v, via, todo = stack[-1]
-        for eid, end in todo:
-            w = g.end_vertex(eid, 1 - end)
-            if w not in disc:
-                disc[w] = low[w] = len(disc)
-                stack.append((w, eid, iter(g.rotation[w])))
-                break
-            if eid != via:
-                low[v] = min(low[v], disc[w])
-        else:
-            stack.pop()
-            if stack:
-                p = stack[-1][0]
-                low[p] = min(low[p], low[v])
-                if low[v] > disc[p]:
-                    raise InputError(f"Seifert graph edge {via} is a bridge: not reduced")
-                # the root separates when its first subtree leaves vertices over
-                if low[v] == disc[p] and (p != root or len(disc) < len(g.vertices)):
-                    raise InputError(f"Seifert graph vertex {p} is a cut vertex: not prime")
+    # the walks decide blocks only without loops: a face that runs along a
+    # loop passes its vertex twice, whether that vertex separates or not
+    for eid, e in g.edges.items():
+        if e.u == e.v:
+            raise InputError(f"Seifert graph edge {eid} is a loop: "
+                             "a crossing joins two different Seifert circles")
+    for walk in g.faces():
+        sides = [eid for eid, _ in walk]
+        if len(set(sides)) < len(walk):
+            raise InputError(f"Seifert graph edge {Counter(sides).most_common(1)[0][0]} "
+                             "is a bridge: not reduced")
+        corners = g.walk_vertices(walk)
+        if len(set(corners)) < len(walk):
+            raise InputError(f"Seifert graph vertex {Counter(corners).most_common(1)[0][0]} "
+                             "is a cut vertex: not prime")
 
 
 @dataclass(frozen=True)

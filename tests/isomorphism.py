@@ -6,6 +6,7 @@ up to relabelling, with this backtracking search.
 """
 
 from collections import Counter
+from itertools import combinations
 
 from kakimizu.complexes import SimplicialComplex, label_text
 from kakimizu.errors import SizeLimitError
@@ -13,8 +14,16 @@ from kakimizu.errors import SizeLimitError
 ISO_VERTEX_LIMIT = 64
 
 
+def one_skeleton(c: SimplicialComplex) -> set:
+    """All 1-simplices of `c`, as frozenset pairs."""
+    edges = set()
+    for s in c.simplices:
+        edges.update(frozenset(p) for p in combinations(s, 2))
+    return edges
+
+
 def _vertex_profile(c: SimplicialComplex) -> dict:
-    deg = Counter(v for e in c.one_skeleton() for v in e)
+    deg = Counter(v for e in one_skeleton(c) for v in e)
     prof = {}
     for v in c.vertices:
         sizes = sorted(len(s) for s in c.simplices if v in s)
@@ -40,8 +49,8 @@ def isomorphic(a: SimplicialComplex, b: SimplicialComplex,
     if sorted(prof_a.values()) != sorted(prof_b.values()):
         return False
 
-    edges_a = a.one_skeleton()
-    edges_b = b.one_skeleton()
+    edges_a = one_skeleton(a)
+    edges_b = one_skeleton(b)
     adj_b: dict = {v: set() for v in b.vertices}
     for e in edges_b:
         x, y = tuple(e)

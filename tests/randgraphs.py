@@ -5,7 +5,8 @@ operations (parallel duplication, a chord across a face, edge subdivision),
 so every generated graph is 2-edge-connected and spherical by construction;
 the constructor's Euler check confirms it.  Route graphs are seeded Seifert
 graphs with a known complex, and separable graphs join two random graphs at
-a cut vertex or by a bridge.  The text helpers write graph files.
+a cut vertex or by a bridge, and :func:`add_loop` draws a loop inside a
+face.  The text helpers write graph files.
 """
 
 import random
@@ -128,6 +129,32 @@ def separable_graph(rng: random.Random, ops: int = 6) -> PlanarMultigraph:
     for e in edges.values():
         e.weight = 1
     return PlanarMultigraph(list(rotation), edges, rotation)
+
+
+def add_loop(rng: random.Random, g: PlanarMultigraph) -> tuple:
+    """A copy of `g` with a weight-1 loop drawn inside a face at a vertex
+    the face passes, and the loop's id.  Half the time, when some face
+    passes a vertex twice, the loop's ends go into two corners of that face
+    there, parting the blocks that meet at the vertex; otherwise both go
+    into one corner of a random face."""
+    faces = g.faces()
+    apart = [(walk, i, j) for walk in faces for verts in [g.walk_vertices(walk)]
+             for i in range(len(walk)) for j in range(i + 1, len(walk)) if verts[i] == verts[j]]
+    if apart and rng.random() < 0.5:
+        walk, i, j = rng.choice(apart)
+    else:
+        walk = rng.choice(faces)
+        i = j = rng.randrange(len(walk))
+    v = g.walk_vertices(walk)[i]
+    loop = f"L{len(g.edges)}"
+    edges = {eid: Edge(e.u, e.v, e.weight, e.direction) for eid, e in g.edges.items()}
+    edges[loop] = Edge(v, v, 1, 1)
+    rotation = {x: list(r) for x, r in g.rotation.items()}
+    rot = rotation[v]
+    # an end placed just before a side the walk leaves along lies in its face
+    rot.insert(rot.index(walk[i]), (loop, 0))
+    rot.insert(rot.index(walk[j]), (loop, 1))
+    return PlanarMultigraph(g.vertices, edges, rotation), loop
 
 
 def necklace_text(bundles) -> str:

@@ -13,6 +13,9 @@ interned table replaced, and :func:`rewalking_add_zero_edges` the zero-edge
 insertion that walks the whole graph again after every insertion and tests
 every position pair of a face, which the local face splits of
 :func:`kakimizu.thetagraph.add_zero_edges` replaced.
+:func:`skeleton_to_dot` is the DOT export that maps each edge of the
+1-skeleton to label texts, which :func:`kakimizu.complexes.to_dot`,
+reading the texts :func:`kakimizu.complexes.rendered` made, replaced.
 """
 
 from functools import cache
@@ -22,6 +25,8 @@ from unittest import mock
 from kakimizu.complexes import SimplicialComplex, full_passes, label_text
 from kakimizu.errors import InputError, KakimizuError, MoveError, StructureError
 from kakimizu.thetagraph import Edge
+
+from isomorphism import one_skeleton
 
 
 def pairwise_maximal(family):
@@ -173,6 +178,23 @@ def both_routes(module, build):
         else:
             found.append((c.vertices, c.simplices))
     return found
+
+
+def skeleton_to_dot(c: SimplicialComplex) -> str:
+    """DOT with one node per vertex, one edge per 1-simplex of the
+    1-skeleton and a comment per maximal simplex of dimension two or more,
+    each item in sorted label-text order."""
+    text = {v: label_text(v) for v in c.vertices}
+    lines = ["graph kakimizu {", "  node [shape=circle];"]
+    for v in sorted(text.values()):
+        lines.append(f'  "{v}";')
+    for e in sorted(sorted(text[v] for v in e) for e in one_skeleton(c)):
+        lines.append(f'  "{e[0]}" -- "{e[1]}";')
+    for s in sorted(sorted(text[v] for v in s) for s in c.simplices):
+        if len(s) >= 3:
+            lines.append("  // filled simplex: " + " ".join(s))
+    lines.append("}")
+    return "\n".join(lines) + "\n"
 
 
 def apply_region(w: dict, region) -> dict:

@@ -241,6 +241,25 @@ class TestBatch:
         assert code == 1
         assert "ERR" in out
 
+    def test_unreadable_graph_file_is_a_row_error(self, capsys, data_dir, tmp_path):
+        # the row naming a non-UTF-8 graph file fails alone; the rows around
+        # it are computed and reported
+        (tmp_path / "bad.txt").write_bytes(b"vertex a\xff\n")
+        table = tmp_path / "t.csv"
+        table.write_text("name,class,params,expected\n"
+                         "k1,fibred,,point\n"
+                         "k2,special_alternating,bad.txt,\n"
+                         f"k3,special_alternating,{data_dir / 'theta_11_94.txt'},simplex(1)\n")
+        report = tmp_path / "report.json"
+        code, out, _ = run(capsys, "batch", str(table), "--out", str(report))
+        assert code == 1
+        rows = {line.split()[0]: line for line in out.splitlines()[1:]}
+        assert set(rows) == {"k1", "k2", "k3"}
+        assert "ERR" in rows["k2"] and "cannot read graph file" in rows["k2"]
+        assert "yes" in rows["k1"] and "yes" in rows["k3"]
+        payload = json.loads(report.read_text(encoding="utf-8"))
+        assert payload["totals"] == {"records": 3, "errors": 1, "matched": 2, "mismatched": 0}
+
     def test_chain_over_default_cap_refused_at_once(self, capsys, tmp_path):
         # an 11-band alternating chain would take minutes to build
         bands = ",".join(["-2", "-4"] * 5 + ["-2"])
@@ -281,7 +300,18 @@ def test_non_utf8_file_exits_two(capsys, tmp_path, command):
     path.write_bytes(b"\xff\xfe\x00")
     code, _, err = run(capsys, *command, str(path))
     assert code == 2
-    assert err.startswith("error:")
+    what = "table" if command == ["batch"] else "graph file"
+    assert err.startswith(f"error: cannot read {what} {path}:")
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("option", ["--max-bands", "--max-vertices"])
+@pytest.mark.parametrize("value", ["0", "-5"])
+def test_cap_below_one_is_a_usage_error(capsys, data_dir, option, value):
+    with pytest.raises(SystemExit) as exc:
+        main([option, value, "theta", str(data_dir / "theta_11_94.txt")])
+    assert exc.value.code == 2
+    assert f"argument {option}: must be at least 1, got {value}" in capsys.readouterr().err
 
 
 def test_module_entry_point_subprocess():

@@ -3,6 +3,7 @@ import os
 import random
 import subprocess
 import sys
+import time
 from itertools import combinations
 from pathlib import Path
 
@@ -14,9 +15,9 @@ from kakimizu.complexes import (MAX_SHAPE_VERTICES, ComplexShape, SimplicialComp
                                 to_dot, to_json)
 from kakimizu.errors import InputError, SizeLimitError, StructureError
 
-from isomorphism import isomorphic
+from isomorphism import isomorphic, one_skeleton
 from setoracles import (all_full_passes, pairwise_maximal, set_flag_closure, set_is_connected,
-                        set_is_flag)
+                        set_is_flag, skeleton_to_dot)
 
 
 def path_complex(n, prefix="T"):
@@ -132,7 +133,7 @@ class TestCliqueKernel:
                 continue
             c = SimplicialComplex.from_maximal(list(closure))
             assert c.simplices == closure
-            assert c.one_skeleton() == {frozenset(e) for e in edges}
+            assert one_skeleton(c) == {frozenset(e) for e in edges}
             built += 1
         assert built >= 200
 
@@ -426,6 +427,14 @@ class TestShape:
         with pytest.raises(InputError):
             ComplexShape.parse(bad)
 
+    def test_large_simplex_builds_fast(self):
+        # every vertex of the one maximal clique reaches the pivot bound, so
+        # each branch of the clique search scans a single vertex
+        began = time.perf_counter()
+        c = ComplexShape.simplex(2999).as_complex()
+        assert time.perf_counter() - began < 2
+        assert len(c.vertices) == 3000 and recognize(c) == ComplexShape.simplex(2999)
+
 
 class TestExports:
     def test_label_text(self):
@@ -492,6 +501,31 @@ class TestExports:
             assert to_json(c) == json.dumps(rendered(c), indent=2, sort_keys=True) + "\n"
             built += 1
         assert built >= 100
+
+    def test_dot_matches_skeleton_oracle(self):
+        # edges read off the rendered simplices against edges of the
+        # 1-skeleton mapped to texts, on string and tuple labels; triangles
+        # sharing an edge test that every simplex's pairs count, once each
+        rng = random.Random(22)
+        built = shared = 0
+        for _ in range(300):
+            edges, verts = random_graph(rng)
+            closure = set_flag_closure(edges, verts)
+            if not set_is_connected(closure):
+                continue
+            labels: dict = {}
+            while len(labels) < len(verts):
+                if rng.random() < 0.4:
+                    label = tuple(rng.randint(-3, 3) for _ in range(rng.randint(1, 4)))
+                else:
+                    label = "".join(rng.choices("abT01 _", k=rng.randint(1, 4)))
+                labels.setdefault(label, None)
+            name = dict(zip(verts, labels))
+            c = SimplicialComplex.from_maximal([[name[v] for v in s] for s in closure])
+            assert to_dot(c) == skeleton_to_dot(c)
+            built += 1
+            shared += any(len(a & b) >= 2 for a, b in combinations(closure, 2))
+        assert built >= 100 and shared >= 20
 
     def test_isomorphic_complexes_same_json_after_relabel(self):
         a = path_complex(4)

@@ -19,8 +19,8 @@ from kakimizu.thetagraph import (DEFAULT_MAX_VERTICES, Edge, PlanarMultigraph, T
                                  reduce_bigons, region_signatures, theta_subgraph)
 
 from euler import euler_characteristic
-from randgraphs import (cycle_text, graph_text, necklace_text, random_sphere_graph, route_graph,
-                        separable_graph)
+from randgraphs import (add_loop, cycle_text, graph_text, necklace_text, random_sphere_graph,
+                        route_graph, separable_graph)
 from setoracles import (apply_region, both_routes, pass_unions, rewalking_add_zero_edges,
                         set_is_connected, set_is_flag)
 
@@ -718,6 +718,17 @@ class TestPrimeReducedInput:
         with pytest.raises(InputError, match="bridge"):
             build_theta(g)
 
+    def test_loop_between_blocks_refused(self):
+        # the loop at v1 parts the faces of the blocks v0-v1 and v1-v2, so
+        # no face passes the cut vertex v1 without running along the loop
+        lines = ["vertex v0", "vertex v1", "vertex v2", "edge L0 v1 v1 weight=1 dir=+"]
+        lines += [f"edge {eid} v0 v1 weight=1 dir=+" for eid in "012"]
+        lines += [f"edge {eid} v1 v2 weight=1 dir=-" for eid in "678"]
+        lines += ["rot v0 0 2 1", "rot v1 L0:0 1 2 0 L0:1 8 6 7", "rot v2 6 8 7"]
+        g = PlanarMultigraph.from_text("\n".join(lines) + "\n")
+        with pytest.raises(InputError, match="edge L0 is a loop"):
+            build_theta(g)
+
     def test_matches_brute_force_oracle(self):
         rng = random.Random(12)
         graphs = [separable_graph(rng, rng.randint(1, 8)) for _ in range(150)]
@@ -741,6 +752,12 @@ class TestPrimeReducedInput:
             assert blocked == separates(g)
             refused += blocked
         assert refused >= 150
+        # a crossing joins two different Seifert circles, so every graph
+        # with a loop is refused, naming the loop, whatever its blocks
+        for g in graphs[:150] + graphs[-150:]:
+            looped, loop = add_loop(rng, g)
+            with pytest.raises(InputError, match=f"edge {loop} is a loop"):
+                build_theta(looped)
 
 
 class TestLeastStartPruning:
