@@ -20,7 +20,7 @@ import sys
 
 from . import fibred, pipeline, rational, thetagraph, twobridge
 from .complexes import recognize, to_dot, to_json
-from .errors import KakimizuError
+from .errors import KakimizuError, StructureError
 
 # the expansion of 1/q has q - 1 entries: `kakimizu expand` printed 10^4 /
 # 10^5 / 3*10^5 / 10^6 of them in 0.26 / 1.1 / 2.9 / 9.5 s (Python 3.11 on
@@ -116,6 +116,8 @@ def main(argv=None) -> int:
         elif args.command == "fibred":
             g = fibred.ReductionGraph.from_text(pipeline.read_text(args.graph, "graph file"))
             certificate = fibred.reduction_certificate(g)
+            if certificate is not None and not fibred.replay_certificate(g, certificate):
+                raise StructureError("the reduction certificate does not reduce the graph")
             print("fibred" if certificate is not None else "not fibred")
             if args.certificate and certificate is not None:
                 for kind, edge in certificate:

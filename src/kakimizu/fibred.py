@@ -27,19 +27,26 @@ decomposition is.
 A ``ReductionGraph`` is a validated, immutable input with no move methods:
 moves run only through :func:`reduction_certificate`, which finds them, and
 :func:`replay_certificate`, which checks them.  Both apply them to one
-mutable working graph, built once per call, whose ``apply`` rejects a
-malformed or illegal move with ``InputError``.  Connectivity is checked
-once, when the ``ReductionGraph`` is built, and never per move, because
-neither move can disconnect the graph: a loop is never a bridge, and a
-contraction merges the two ends of an edge, so every path through either
-end becomes a path through the merged vertex.
+mutable working graph, built once per call, which rejects a malformed or
+illegal move with ``InputError``.  Connectivity is checked once, when the
+``ReductionGraph`` is built, and never per move, because neither move can
+disconnect the graph: a loop is never a bridge, and a contraction merges the
+two ends of an edge, so every path through either end becomes a path through
+the merged vertex.
 
-A move costs O(log E) for E edges plus the degree of the absorbed vertex,
-whose edges are renamed to the surviving label.  The search finds its next
-move on two lazy heaps, vertices with loops and non-loop edges that may be
-contractible.  A move pushes an entry only for an edge it renames or for an
-end it drops to valence 2, and a stale entry is discarded once, when it
-reaches the top.
+The search finds its next move on two lazy heaps, vertices with loops and
+non-loop edges that may be contractible.  A move pushes an entry only for an
+edge it renames or for an end it drops to valence 2, and a stale entry is
+discarded once, when it reaches the top.  So a loop deletion never pushes
+onto the loop heap, and the search deletes all c loops at its least looped
+vertex as one run.  A run costs O(log E) for E edges, plus the degree of its
+vertex if that drops to valence 2, plus c list slots for its c equal moves in
+the certificate.  A contraction costs O(log E) plus the degree of the
+absorbed vertex, whose edges are renamed to the surviving label.  The replay
+checks a run of one move object repeated, as the search emits it, once for
+its form and once against the loops at its vertex, and applies it in one
+step; reading the run costs one loop step per move.  It applies every other
+move on its own.
 """
 
 from __future__ import annotations
@@ -158,35 +165,23 @@ class _WorkingGraph:
             heappop(contractible)
         return None
 
-    def apply(self, move) -> None:
-        try:
-            kind, (u, v) = move
-        except (TypeError, ValueError):
-            raise InputError(f"certificate move {move!r} is not a kind and an edge") from None
-        if not (isinstance(u, int) and isinstance(v, int)):
-            raise InputError(f"certificate move {move!r} does not name two vertex labels")
-        if kind == "delete_loop":
-            self._delete_loop((u, v))
-        elif kind == "contract":
-            self._contract((u, v))
-        else:
-            raise InputError(f"unknown certificate move {kind!r}")
-
-    def _delete_loop(self, edge) -> None:
+    def delete_loops(self, edge, count) -> None:
+        """Delete count loops at one vertex in one step: loop deletions
+        commute, and each changes only the degree of its vertex."""
         u, v = edge
         around = self.incidence.get(u)
-        if u != v or around is None or u not in around:
+        if u != v or around is None or around.get(u, 0) < count:
             raise InputError(f"{edge} is not a loop of this graph")
-        if around[u] > 1:
-            around[u] -= 1
+        if around[u] > count:
+            around[u] -= count
         else:
             around.pop(u)
-        self.degree[u] -= 2
-        self.edge_count -= 1
+        self.degree[u] -= 2 * count
+        self.edge_count -= count
         if self.degree[u] == 2:
             self._offer(u)
 
-    def _contract(self, edge) -> None:
+    def contract(self, edge) -> None:
         """Merge gone into the smaller label keep: parallel copies of the
         edge become loops, and loops at gone move to keep."""
         keep, gone = edge
@@ -228,6 +223,8 @@ def reduction_certificate(g: ReductionGraph):
     the labels current when the move fires.  The move system has one
     normal form, so taking the first available move at each step never
     loses a reduction: the answer is None only when no move applies.
+    The c loops at a vertex are deleted as one run, recorded as c copies
+    of one move.
     """
     work = _WorkingGraph(g)
     moves = []
@@ -235,15 +232,48 @@ def reduction_certificate(g: ReductionGraph):
         move = work.next_move()
         if move is None:
             return None
-        work.apply(move)
-        moves.append(move)
+        kind, edge = move
+        if kind == "contract":
+            work.contract(edge)
+            moves.append(move)
+        else:
+            v = edge[0]
+            loops = work.incidence[v][v]
+            work.delete_loops(edge, loops)
+            moves += [move] * loops
     return moves
 
 
 def replay_certificate(g: ReductionGraph, moves) -> bool:
-    """Check a certificate by applying its moves in order."""
-    work = _WorkingGraph(g)
-    for move in moves:
-        work.apply(move)
-    return work.is_reduced()
+    """Check a certificate by applying its moves in order.
 
+    A run of one loop deletion repeated, as the search emits it, is checked
+    for its form once and applied in one step.  An equal move that is
+    another object is checked on its own, so every move is held to the same
+    checks, in the same order, as when the moves are applied one by one.
+    """
+    work = _WorkingGraph(g)
+    run = loop = None   # the loop deletion repeated, and its checked edge
+    count = 0           # copies of run read but not yet applied
+    for move in moves:
+        if move is run:
+            count += 1
+            continue
+        if count:
+            work.delete_loops(loop, count)
+            count = 0
+        try:
+            kind, (u, v) = move
+        except (TypeError, ValueError):
+            raise InputError(f"certificate move {move!r} is not a kind and an edge") from None
+        if not (isinstance(u, int) and isinstance(v, int)):
+            raise InputError(f"certificate move {move!r} does not name two vertex labels")
+        if kind == "contract":
+            work.contract((u, v))
+        elif kind == "delete_loop":
+            run, loop, count = move, (u, v), 1
+        else:
+            raise InputError(f"unknown certificate move {kind!r}")
+    if count:
+        work.delete_loops(loop, count)
+    return work.is_reduced()

@@ -12,6 +12,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from kakimizu import fibred
 from kakimizu.cli import MAX_EXPAND_ENTRIES, main
 from kakimizu.errors import InputError
 from kakimizu.thetagraph import PlanarMultigraph
@@ -190,6 +191,18 @@ class TestFibred:
         lines = out.strip().splitlines()
         assert lines[0] == "fibred"
         assert len(lines) == 3
+
+    @pytest.mark.parametrize("text", ["v=1; edges=(0,0)(0,0)",
+                                      "v=3; edges=(0,1)(0,1)(1,2)(1,2)"])
+    def test_certificate_replayed_before_report(self, capsys, tmp_path, monkeypatch, text):
+        path = tmp_path / "g.txt"
+        path.write_text(text)
+        search = fibred.reduction_certificate
+        monkeypatch.setattr(fibred, "reduction_certificate", lambda g: search(g)[:-1])
+        code, out, err = run(capsys, "fibred", "--graph", str(path), "--certificate")
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:") and "Traceback" not in err
 
     def test_missing_file(self, capsys):
         code, _, err = run(capsys, "fibred", "--graph", "nope.txt")

@@ -7,7 +7,8 @@ from dataclasses import dataclass
 import pytest
 
 from kakimizu.errors import InputError, StructureError
-from kakimizu.fibred import ReductionGraph, reduction_certificate, replay_certificate
+from kakimizu.fibred import (ReductionGraph, _WorkingGraph, reduction_certificate,
+                             replay_certificate)
 
 
 def is_fibred_special(g: ReductionGraph) -> bool:
@@ -212,9 +213,21 @@ def outcome(replay, g, moves):
         return type(exc)
 
 
+def loop_runs(cert):
+    """The (start, end) slices of the maximal runs of equal loop deletions."""
+    runs, start = [], 0
+    for i in range(1, len(cert) + 1):
+        if i == len(cert) or cert[i] != cert[start]:
+            if cert[start][0] == "delete_loop":
+                runs.append((start, i))
+            start = i
+    return runs
+
+
 def mutations(cert, rng):
-    """The certificate with one move dropped, two moves swapped, and one
-    contracted edge reversed."""
+    """The certificate with one move dropped, two moves swapped, one
+    contracted edge reversed, one loop deletion added to a run of them, and
+    the last move of a loop run moved past the next different move."""
     i = rng.randrange(len(cert))
     yield cert[:i] + cert[i + 1:]
     if len(cert) > 1:
@@ -225,6 +238,17 @@ def mutations(cert, rng):
         k = rng.choice(contractions)
         u, v = cert[k][1]
         yield cert[:k] + [("contract", (v, u))] + cert[k + 1:]
+    # drawn from a stream of their own, so that the shared rng's draws do not
+    # depend on them
+    local = random.Random(repr(cert))
+    runs = loop_runs(cert)
+    if runs:
+        start, end = local.choice(runs)
+        yield cert[:end] + [cert[start]] + cert[end:]
+    followed = [(start, end) for start, end in runs if end < len(cert)]
+    if followed:
+        start, end = local.choice(followed)
+        yield cert[:end - 1] + [cert[end], cert[end - 1]] + cert[end + 1:]
 
 
 class TestPersistentOracle:
@@ -396,6 +420,45 @@ class TestDeepReduction:
             assert cert is not None and len(cert) == len(g.edges)
             assert replay_certificate(g, cert)
         assert time.perf_counter() - began < 10
+
+
+class TestLoopRuns:
+    def test_bouquet_is_one_run(self, monkeypatch):
+        runs = []
+        delete_loops = _WorkingGraph.delete_loops
+
+        def spy(self, edge, count):
+            runs.append(count)
+            delete_loops(self, edge, count)
+
+        monkeypatch.setattr(_WorkingGraph, "delete_loops", spy)
+        g = ReductionGraph.from_pairs(1, [(0, 0)] * 1500)
+        cert = reduction_certificate(g)
+        assert cert == [("delete_loop", (0, 0))] * 1500
+        assert runs == [1500]
+        assert replay_certificate(g, cert) is True
+        assert runs == [1500, 1500]
+
+    def test_replay_takes_a_one_shot_iterator(self):
+        g = ReductionGraph.from_pairs(3, [(0, 0), (0, 0), (0, 1), (0, 1), (1, 1), (1, 2), (1, 2)])
+        cert = reduction_certificate(g)
+        assert len(loop_runs(cert)) < sum(kind == "delete_loop" for kind, _ in cert)
+        assert replay_certificate(g, iter(cert)) is True
+        assert replay_certificate(g, (move for move in cert[:-1])) is False
+        # equal moves that are other objects replay as the same certificate
+        assert replay_certificate(g, iter([(kind, edge) for kind, edge in cert])) is True
+
+    def test_equal_moves_are_each_checked(self):
+        g = ReductionGraph.from_pairs(1, [(0, 0)] * 3)
+        with pytest.raises(InputError, match="two vertex labels"):
+            replay_certificate(g, [("delete_loop", (0, 0)), ("delete_loop", (0.0, 0.0))])
+        loop = ("delete_loop", (0, 0))
+        equal = tuple(["delete_loop", (0, 0)])
+        assert equal == loop and equal is not loop
+        with pytest.raises(InputError, match="not a loop"):
+            replay_certificate(g, [loop] * 3 + [equal])
+        with pytest.raises(InputError, match="not a loop"):
+            replay_certificate(g, [loop] * 4)
 
 
 class TestMalformedMoves:
