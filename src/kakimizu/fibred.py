@@ -24,35 +24,43 @@ decides reducibility and records a replayable certificate.  A homogeneous
 link is fibred exactly when each special alternating summand of its Murasugi
 decomposition is.
 
-A ``ReductionGraph`` is a validated, immutable input with no move methods:
-moves run only through :func:`reduction_certificate`, which finds them, and
-:func:`replay_certificate`, which checks them.  Both apply them to one
-mutable working graph, built once per call, which rejects a malformed or
-illegal move with ``InputError``.  Connectivity is checked once, when the
-``ReductionGraph`` is built, and never per move, because neither move can
-disconnect the graph: a loop is never a bridge, and a contraction merges the
-two ends of an edge, so every path through either end becomes a path through
-the merged vertex.
+A ``ReductionGraph`` is a validated, immutable input with no move methods.
+Validation counts its edges once into an incidence map, the multiplicity of
+each neighbour of each vertex, checks connectivity by a search over that map,
+and keeps it.  Connectivity is never checked per move, because neither move
+can disconnect the graph: a loop is never a bridge, and a contraction merges
+the two ends of an edge, so every path through either end becomes a path
+through the merged vertex.
 
-The search finds its next move on two lazy heaps, vertices with loops and
-non-loop edges that may be contractible.  A move pushes an entry only for an
-edge it renames or for an end it drops to valence 2, and a stale entry is
-discarded once, when it reaches the top.  So a loop deletion never pushes
-onto the loop heap, and the search deletes all c loops at its least looped
-vertex as one run.  A run costs O(log E) for E edges, plus the degree of its
-vertex if that drops to valence 2, plus c list slots for its c equal moves in
-the certificate.  A contraction costs O(log E) plus the degree of the
-absorbed vertex, whose edges are renamed to the surviving label.  The replay
-checks a run of one move object repeated, as the search emits it, once for
-its form and once against the loops at its vertex, and applies it in one
-step; reading the run costs one loop step per move.  It applies every other
-move on its own.
+Moves run only through :func:`reduction_certificate`, which finds them, and
+:func:`replay_certificate`, which checks them.  Each call copies the kept
+incidence map into a working graph that holds graph state only, the incidence
+map, the degrees and the edge count, and rejects a malformed or illegal move
+with ``InputError``.  The replay builds nothing else.
+
+The search deletes the input's loops first, all c loops at a vertex as one
+run, vertex by vertex in sorted order.  It then takes the least contractible
+edge from a lazy heap of non-loop edges.  A contraction pushes an entry for
+each edge it renames to an end of valence 2, and for each edge at the vertex
+it keeps if that drops to valence 2; a stale entry is discarded once, when
+it reaches the top.  A contraction makes loops only at the vertex it keeps,
+when no vertex has any, so the search deletes them at once as a run, which
+is the move that sorted order takes next.  A run costs O(1) plus c list slots
+for its c equal moves in the certificate.  A contraction renames the edges of
+the absorbed vertex to the surviving label, and costs O(log E) per entry it
+pushes, for E edges.
+
+The replay checks a run of one move object repeated, as the search emits it,
+once for its form and once against the loops at its vertex, and applies it
+in one step; reading the run costs one loop step per move.  It applies every
+other move on its own.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from collections import Counter
+from dataclasses import dataclass, field
 from heapq import heapify, heappop, heappush
 
 from .errors import InputError
@@ -67,34 +75,30 @@ class ReductionGraph:
 
     vertices: frozenset
     edges: tuple  # sorted (u, v) pairs with u <= v, repeats for multi-edges
+    # _incidence[v][w] counts the edges from v to w, a loop at v once under v
+    _incidence: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if not self.vertices:
             raise InputError("reduction graph needs at least one vertex")
-        for u, v in self.edges:
-            if u not in self.vertices or v not in self.vertices:
+        incidence = {v: {} for v in self.vertices}
+        for (u, v), count in Counter(self.edges).items():
+            if u not in incidence or v not in incidence:
                 raise InputError(f"edge ({u},{v}) touches an unknown vertex")
             if u > v:
                 raise InputError("edges must be stored with u <= v")
-        self._check_connected()
-
-    def _check_connected(self) -> None:
-        verts = set(self.vertices)
-        start = min(verts)
+            incidence[u][v] = incidence[v][u] = count
+        start = next(iter(incidence))
         seen = {start}
         stack = [start]
-        adj: dict = {v: set() for v in verts}
-        for u, v in self.edges:
-            adj[u].add(v)
-            adj[v].add(u)
         while stack:
-            v = stack.pop()
-            for w in adj[v]:
+            for w in incidence[stack.pop()]:
                 if w not in seen:
                     seen.add(w)
                     stack.append(w)
-        if seen != verts:
+        if len(seen) != len(incidence):
             raise InputError("reduction graph must be connected")
+        object.__setattr__(self, "_incidence", incidence)
 
     @classmethod
     def from_pairs(cls, n_or_vertices, pairs) -> "ReductionGraph":
@@ -115,55 +119,21 @@ class ReductionGraph:
             raise InputError("graph literal has a number too long to read") from exc
         if n > len(pairs) + 1:
             raise InputError(f"{n} vertices cannot be connected by {len(pairs)} edges")
-        for u, v in pairs:
-            if u >= n or v >= n:
-                raise InputError(f"edge ({u},{v}) outside vertex range 0..{n - 1}")
         return cls.from_pairs(n, pairs)
 
 
 class _WorkingGraph:
-    """A reduction graph that applies moves in place.
-
-    ``incidence[v]`` counts the edges from v to each neighbour, a loop at v
-    once under v itself; the keys of ``incidence`` are the live vertices.
-    """
+    """A copy of a reduction graph's incidence map that applies moves in
+    place; the keys of ``incidence`` are the live vertices."""
 
     def __init__(self, g: ReductionGraph) -> None:
-        incidence = {v: {} for v in g.vertices}
-        degree = dict.fromkeys(g.vertices, 0)
-        for u, v in g.edges:
-            incidence[u][v] = incidence[u].get(v, 0) + 1
-            if u != v:
-                incidence[v][u] = incidence[v].get(u, 0) + 1
-            degree[u] += 1
-            degree[v] += 1
-        self.incidence = incidence
-        self.degree = degree
+        self.incidence = {v: dict(around) for v, around in g._incidence.items()}
+        self.degree = {v: sum(around.values()) + around.get(v, 0)
+                       for v, around in self.incidence.items()}
         self.edge_count = len(g.edges)
-        self.looped = [v for v, around in incidence.items() if v in around]
-        self.contractible = [(u, v) for u, around in incidence.items() for v in around
-                             if u < v and 2 in (degree[u], degree[v])]
-        heapify(self.looped)
-        heapify(self.contractible)
 
     def is_reduced(self) -> bool:
         return len(self.incidence) == 1 and not self.edge_count
-
-    def next_move(self):
-        """The first sorted loop, else the first sorted contractible edge."""
-        incidence, degree = self.incidence, self.degree
-        looped, contractible = self.looped, self.contractible
-        while looped:
-            v = looped[0]
-            if v in incidence and v in incidence[v]:
-                return "delete_loop", (v, v)
-            heappop(looped)
-        while contractible:
-            u, v = contractible[0]
-            if u in incidence and v in incidence[u] and 2 in (degree[u], degree[v]):
-                return "contract", (u, v)
-            heappop(contractible)
-        return None
 
     def delete_loops(self, edge, count) -> None:
         """Delete count loops at one vertex in one step: loop deletions
@@ -178,12 +148,11 @@ class _WorkingGraph:
             around.pop(u)
         self.degree[u] -= 2 * count
         self.edge_count -= count
-        if self.degree[u] == 2:
-            self._offer(u)
 
-    def contract(self, edge) -> None:
+    def contract(self, edge) -> dict:
         """Merge gone into the smaller label keep: parallel copies of the
-        edge become loops, and loops at gone move to keep."""
+        edge become loops, and loops at gone move to keep.  Returns gone's
+        other neighbours, whose edges now end at keep."""
         keep, gone = edge
         incidence, degree = self.incidence, self.degree
         if keep >= gone or keep not in incidence or gone not in incidence[keep]:
@@ -199,21 +168,11 @@ class _WorkingGraph:
             around.pop(gone)
             around[keep] = around.get(keep, 0) + count
             kept[w] = kept.get(w, 0) + count
-            if degree[w] == 2:
-                heappush(self.contractible, (min(keep, w), max(keep, w)))
         if loops:
             kept[keep] = kept.get(keep, 0) + loops
-            heappush(self.looped, keep)
         degree[keep] += degree.pop(gone) - 2
         self.edge_count -= 1
-        if degree[keep] == 2:
-            self._offer(keep)
-
-    def _offer(self, v) -> None:
-        """Queue the non-loop edges at v, which has just reached valence 2."""
-        for w in self.incidence[v]:
-            if w != v:
-                heappush(self.contractible, (min(v, w), max(v, w)))
+        return absorbed
 
 
 def reduction_certificate(g: ReductionGraph):
@@ -221,26 +180,43 @@ def reduction_certificate(g: ReductionGraph):
 
     Moves are ('delete_loop', (v, v)) and ('contract', (u, v)), named by
     the labels current when the move fires.  The move system has one
-    normal form, so taking the first available move at each step never
-    loses a reduction: the answer is None only when no move applies.
-    The c loops at a vertex are deleted as one run, recorded as c copies
-    of one move.
+    normal form, so taking the first available move at each step, the
+    least looped vertex, else the least contractible edge, never loses a
+    reduction: the answer is None only when no move applies.  The c loops
+    at a vertex are deleted as one run, recorded as c copies of one move.
     """
     work = _WorkingGraph(g)
+    incidence, degree = work.incidence, work.degree
     moves = []
+
+    def clear_loops(v) -> None:
+        move = ("delete_loop", (v, v))
+        loops = incidence[v][v]
+        work.delete_loops(move[1], loops)
+        moves.extend([move] * loops)
+
+    for v in sorted(v for v, around in incidence.items() if v in around):
+        clear_loops(v)
+    contractible = [(u, v) for u, around in incidence.items() for v in around
+                    if u < v and 2 in (degree[u], degree[v])]
+    heapify(contractible)
     while not work.is_reduced():
-        move = work.next_move()
-        if move is None:
-            return None
-        kind, edge = move
-        if kind == "contract":
-            work.contract(edge)
-            moves.append(move)
+        while contractible:
+            u, v = contractible[0]
+            if u in incidence and v in incidence[u] and 2 in (degree[u], degree[v]):
+                break
+            heappop(contractible)
         else:
-            v = edge[0]
-            loops = work.incidence[v][v]
-            work.delete_loops(edge, loops)
-            moves += [move] * loops
+            return None
+        for w in work.contract((u, v)):
+            if degree[w] == 2:
+                heappush(contractible, (min(u, w), max(u, w)))
+        moves.append(("contract", (u, v)))
+        if u in incidence[u]:
+            clear_loops(u)
+        if degree[u] == 2:   # queue the edges at u, which now has no loop
+            for w in incidence[u]:
+                heappush(contractible, (min(u, w), max(u, w)))
     return moves
 
 

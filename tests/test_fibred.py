@@ -6,6 +6,7 @@ from dataclasses import dataclass
 
 import pytest
 
+from kakimizu import fibred
 from kakimizu.errors import InputError, StructureError
 from kakimizu.fibred import (ReductionGraph, _WorkingGraph, reduction_certificate,
                              replay_certificate)
@@ -296,6 +297,17 @@ class TestReductionGraph:
         with pytest.raises(InputError):
             ReductionGraph.from_pairs(4, [(0, 1), (2, 3)])
 
+    @pytest.mark.parametrize("vertices, edges, message", [
+        (frozenset(), (), "at least one vertex"),
+        (frozenset({0}), ((0, 1),), "unknown vertex"),
+        (frozenset({0, 1}), ((1, 0),), "u <= v"),
+        (frozenset({0, 1}), ((0, 0), (1, 1)), "connected"),
+        (frozenset({0, 1}), ((0, 0), (0, 0)), "connected"),
+    ])
+    def test_constructor_rejects(self, vertices, edges, message):
+        with pytest.raises(InputError, match=message):
+            ReductionGraph(vertices, edges)
+
     def test_contract_parallel_makes_loop(self):
         g = ReductionGraph.from_pairs(2, [(0, 1), (0, 1)])
         assert replay_certificate(g, [("contract", (0, 1))]) is False
@@ -482,3 +494,18 @@ class TestMalformedMoves:
             replay_certificate(g, [("contract", (0, 1))])
         with pytest.raises(InputError, match="not a loop"):
             replay_certificate(g, [("delete_loop", (1, 1))])
+
+
+class TestReplayState:
+    def test_replay_builds_no_heap(self, monkeypatch):
+        # the heaps belong to the search: the replay copies the graph only
+        certified = [(g, cert) for g in benchmark_families()
+                     if (cert := reduction_certificate(g)) is not None]
+
+        def refuse(*args):
+            raise AssertionError("the replay touched a heap")
+
+        monkeypatch.setattr(fibred, "heapify", refuse)
+        monkeypatch.setattr(fibred, "heappush", refuse)
+        for g, cert in certified:
+            assert replay_certificate(g, cert) is True

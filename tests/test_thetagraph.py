@@ -13,6 +13,7 @@ from kakimizu import thetagraph
 from kakimizu.complexes import SimplicialComplex, recognize
 from kakimizu.errors import (InputError, KakimizuError, MoveError, SizeLimitError,
                              StructureError)
+from kakimizu.fibred import ReductionGraph, reduction_certificate, replay_certificate
 from kakimizu.pipeline import load_theta_file
 from kakimizu.thetagraph import (DEFAULT_MAX_VERTICES, Edge, PlanarMultigraph, ThetaGraph,
                                  _edge_key, add_zero_edges, build_complex, build_theta,
@@ -758,6 +759,51 @@ class TestPrimeReducedInput:
             looped, loop = add_loop(rng, g)
             with pytest.raises(InputError, match=f"edge {loop} is a loop"):
                 build_theta(looped)
+
+
+    @pytest.mark.xfail(strict=True, raises=StructureError,
+                       reason="ROADMAP item 6: the theta subgraph of this prime reduced "
+                              "graph keeps a bigon the Seifert graph does not have")
+    def test_unreduced_bigon_fixture_builds(self):
+        g = PlanarMultigraph.from_text((TESTS / "unreduced_bigon.txt").read_text(encoding="utf-8"))
+        tg = build_theta(g)
+        c = build_complex(tg, tg.weights())
+        assert set_is_connected(c.simplices) and set_is_flag(c.simplices)
+        assert euler_characteristic(c) == 1
+
+
+def dual_reduction_graph(g):
+    """The planar dual of g: one vertex per face, and one edge per edge of
+    g, joining the faces of its two sides."""
+    faces = g.faces()
+    face = {side: i for i, walk in enumerate(faces) for side in walk}
+    return ReductionGraph.from_pairs(len(faces),
+                                     [(face[(eid, 0)], face[(eid, 1)]) for eid in g.edges])
+
+
+class TestFibredDual:
+    def test_reducing_dual_has_an_empty_theta_graph(self):
+        # a special diagram's Seifert graph is one checkerboard graph, its
+        # dual the other; if the dual reduces, the piece is fibred, its
+        # fibre is its unique minimal genus surface, and so its theta graph
+        # must be empty
+        rng = random.Random(7)
+        reduced = 0
+        for _ in range(2000):
+            g = random_sphere_graph(rng, ops=rng.randint(2, 12))
+            if not orient_coherently(g):
+                continue
+            for e in g.edges.values():
+                e.weight = 1
+            dual = dual_reduction_graph(g)
+            cert = reduction_certificate(dual)
+            if cert is None:
+                continue
+            assert replay_certificate(dual, cert)
+            with pytest.raises(StructureError, match="theta graph is empty"):
+                build_theta(g)
+            reduced += 1
+        assert reduced >= 200
 
 
 class TestLeastStartPruning:
