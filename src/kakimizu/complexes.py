@@ -1,31 +1,40 @@
 """Finite simplicial complexes given by their maximal simplices.
 
-A complex here is a set of labelled vertices together with the family of
-inclusion-maximal simplices.  Every Kakimizu complex is connected and flag
-(determined by its 1-skeleton), so a complex is checked as it is made: one
-assembler, :func:`_assemble`, takes candidate simplices as sorted tuples of
-vertex indices with a table of labels, finds the maximal simplices as the
-maximal cliques of the candidates' 1-skeleton and refuses a complex that is
-not connected or not flag.  The module also recognises the shapes that
-occur in knot tables (point, path, single simplex) and writes deterministic
-DOT and JSON exports.
+A complex here is a table of vertex labels together with the family of
+inclusion-maximal simplices, each the sorted tuple of its vertices' indices
+into the table.  Every Kakimizu complex is connected and flag (determined
+by its 1-skeleton), so a complex is checked as it is made: one assembler,
+:func:`_assemble`, takes the candidate simplices as keyed masks, finds the
+maximal simplices as the maximal cliques of the candidates' 1-skeleton and
+refuses a complex that is not connected or not flag.  The module also
+recognises the shapes that occur in knot tables (point, path, single
+simplex) and writes deterministic DOT and JSON exports.
+
+A set of vertex indices is an int with bit i for vertex i.  Its key is the
+pair ``(low, mask >> low)``, where low is its least index, so a key is as
+wide as its simplex's span of indices, not as the vertex count; a
+singleton {i} is ``(i, 1)``.
 
 Two entry points end in the assembler.  :meth:`SimplicialComplex.from_maximal`
-indexes labelled candidates once.  Both move calculi build their complexes
-through :func:`pass_complex`: :func:`full_passes` finds the vertex sets
-that the full passes from one state visit, walking each pass only from the
-least state on its cycle, and :func:`pass_complex` hands the index sets of
-the passes from every start to the assembler, so labels enter only the
-finished complex.
+indexes labelled candidates once and keys them.  Both move calculi build
+their complexes through :func:`pass_complex`: :func:`full_passes` finds the
+index masks of the sets that the full passes from one state visit, walking
+each pass only from the least state on its cycle, and :func:`pass_complex`
+keys the masks of the passes from every start for the assembler.
 
-The check runs on integer bitmasks: each vertex's neighbourhood is one
-int, connectivity is a breadth-first search over those masks, and
+The assembler runs on integer bitmasks too: each vertex's neighbourhood is
+one int, connectivity is a breadth-first search over those masks, and
 Bron-Kerbosch with Tomita's pivot enumerates the maximal cliques over them.
+The finished complex holds the label table and the index tuples; its
+``vertices`` and ``simplices`` are read-only label views, whose length is
+known without making a label set.  Labels become text only in the exports,
+which rank the vertex texts once and sort tuples of ranks.
 """
 
 from __future__ import annotations
 
 from collections import Counter
+from collections.abc import Set
 from dataclasses import dataclass
 from itertools import combinations
 from json.encoder import encode_basestring_ascii as _quote
@@ -48,17 +57,73 @@ def label_text(label: Label) -> str:
     return str(label)
 
 
-@dataclass(frozen=True, init=False)
+class _LabelView(Set):
+    """A read-only set of labels, or of label frozensets, read off a
+    complex's index tuples.
+
+    Its length is the number of indices or tuples, so ``len`` makes no
+    label set; any other use makes the frozenset of members once and keeps
+    it.  It compares and hashes as that frozenset, and set operations on it
+    return frozensets.
+    """
+
+    __slots__ = ("_size", "_make", "_members")
+    _from_iterable = frozenset
+
+    def __init__(self, size: int, make) -> None:
+        self._size, self._make, self._members = size, make, None
+
+    def _all(self) -> frozenset:
+        if self._members is None:
+            self._members = frozenset(self._make())
+        return self._members
+
+    def __len__(self) -> int:
+        return self._size
+
+    def __iter__(self):
+        return iter(self._all())
+
+    def __contains__(self, item) -> bool:
+        return item in self._all()
+
+    def __hash__(self) -> int:
+        return hash(self._all())
+
+    def __repr__(self) -> str:
+        return repr(self._all())
+
+
 class SimplicialComplex:
-    """A connected flag complex: its vertices and its maximal simplices.
+    """A connected flag complex: its label table and its maximal simplices.
+
+    ``labels`` is the tuple of vertex labels and ``maximal`` the tuple of
+    maximal simplices, each the sorted tuple of its vertices' indices into
+    ``labels``.  ``vertices`` (the labels) and ``simplices`` (each maximal
+    simplex as a frozenset of labels) are read-only views of them, and
+    complexes compare and hash by those views.
 
     Every complex is made by :func:`_assemble`, through :meth:`from_maximal`
     or :func:`pass_complex`, and it checks both properties, so every complex
-    has them.
+    has them; the class takes no constructor arguments and its attributes
+    cannot be set.
     """
 
-    vertices: frozenset
-    simplices: frozenset
+    __slots__ = ("labels", "maximal", "vertices", "simplices")
+
+    def __setattr__(self, name, value):
+        raise AttributeError("a SimplicialComplex cannot be changed")
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, SimplicialComplex):
+            return NotImplemented
+        return self.vertices == other.vertices and self.simplices == other.simplices
+
+    def __hash__(self) -> int:
+        return hash((self.vertices, self.simplices))
+
+    def __repr__(self) -> str:
+        return f"SimplicialComplex(vertices={self.vertices!r}, simplices={self.simplices!r})"
 
     @classmethod
     def from_maximal(cls, candidates) -> "SimplicialComplex":
@@ -66,29 +131,39 @@ class SimplicialComplex:
 
         Candidates may repeat or contain one another; an isolated vertex is
         passed as its own singleton.  The vertices are indexed once, in the
-        order they first appear, and each candidate is keyed as the sorted
-        tuple of its vertex indices for :func:`_assemble`, which raises
+        order they first appear, and each candidate is keyed by the mask of
+        its vertex indices for :func:`_assemble`, which raises
         StructureError unless the 1-skeleton is connected and the complex
         is flag.
         """
         index: dict = {}
         keys = set()
         for s in candidates:
-            key = tuple(sorted({index.setdefault(v, len(index)) for v in s}))
-            if key:
-                keys.add(key)
+            mask = 0
+            for v in s:
+                mask |= 1 << index.setdefault(v, len(index))
+            if mask:
+                keys.add(_key(mask))
         if not index:
             raise InputError("a simplicial complex needs at least one vertex")
         return _assemble(keys, list(index))
 
 
+def _key(mask: int) -> tuple:
+    """The key ``(low, mask >> low)`` of a non-empty index mask, where low
+    is its least index."""
+    low = (mask & -mask).bit_length() - 1
+    return low, mask >> low
+
+
 def _assemble(keys: set, labels) -> SimplicialComplex:
     """The checked complex with vertices `labels` whose candidate simplices
-    are `keys`, each the sorted tuple of its vertex indices into `labels`.
+    have the keys `keys` (see :func:`_key`), on indices into `labels`.
 
-    Every index must lie in some key; an isolated vertex is its own
+    Every index must lie in some candidate; an isolated vertex is its own
     singleton.  StructureError is raised unless the 1-skeleton is connected
-    and the complex is flag.  Labels are touched only to make the result.
+    and the complex is flag.  Labels are only stored: the complex keeps the
+    label table and each maximal simplex as a sorted index tuple.
 
     Every candidate is a clique, so it lies in a maximal clique, and a
     maximal clique that lies in a candidate equals it.  So a maximal clique
@@ -96,15 +171,15 @@ def _assemble(keys: set, labels) -> SimplicialComplex:
     when every maximal clique is a candidate, the maximal cliques are
     exactly the maximal simplices.  The clique search (see
     :func:`_maximal_cliques`) therefore yields the simplices and stops at
-    the first clique that is not a candidate.
+    the first clique whose key is not a candidate's.
     """
     adj = [0] * len(labels)
-    for key in keys:
-        mask = 0
-        for i in key:
-            mask |= 1 << i
-        for i in key:
-            adj[i] |= mask
+    for low, rest in keys:
+        mask = rest << low
+        while rest:
+            bit = rest & -rest
+            adj[low + bit.bit_length() - 1] |= mask
+            rest ^= bit
     for i in range(len(adj)):
         adj[i] ^= 1 << i   # every vertex lies in a candidate, so bit i is set
     seen = frontier = 1
@@ -117,13 +192,18 @@ def _assemble(keys: set, labels) -> SimplicialComplex:
     if seen != (1 << len(adj)) - 1:
         raise StructureError("Kakimizu complex must be connected")
 
-    def simplex(clique):
-        if tuple(sorted(clique)) not in keys:
+    maximal = []
+    for clique, mask in _maximal_cliques(adj):
+        if _key(mask) not in keys:
             raise StructureError("Kakimizu complex must be a flag complex")
-        return frozenset([labels[i] for i in clique])
+        maximal.append(tuple(sorted(clique)))
+    labels, maximal = tuple(labels), tuple(maximal)
     c = object.__new__(SimplicialComplex)
-    object.__setattr__(c, "simplices", frozenset(map(simplex, _maximal_cliques(adj))))
-    object.__setattr__(c, "vertices", frozenset(labels))
+    object.__setattr__(c, "labels", labels)
+    object.__setattr__(c, "maximal", maximal)
+    object.__setattr__(c, "vertices", _LabelView(len(labels), lambda: labels))
+    object.__setattr__(c, "simplices", _LabelView(len(maximal), lambda: (
+        frozenset([labels[i] for i in s]) for s in maximal)))
     return c
 
 
@@ -136,7 +216,8 @@ def _bits(mask: int):
 
 
 def _maximal_cliques(adj: list):
-    """Yield every maximal clique of the graph with adjacency masks `adj`.
+    """Yield every maximal clique of the graph with adjacency masks `adj`,
+    as the tuple of its vertices and their mask.
 
     Bron-Kerbosch with Tomita's pivot (Tomita, Tanaka, Takahashi, TCS 363,
     2006): a branch (R, P, X) tries only the vertices of P outside the
@@ -144,13 +225,14 @@ def _maximal_cliques(adj: list):
     No vertex has more than |P| neighbours in P, and none of P more than
     |P| - 1, so the scan for the pivot stops at the first vertex that
     reaches the bound, which a full scan would pick too.  Vertex i is bit i
-    of the masks P and X, and a clique R is the tuple of its vertices.
-    Open branches wait on an explicit stack as [R, P, X, vertices left to
-    try], one per vertex of R, and each child is made when its turn comes.
+    of the masks P and X, and a clique R is kept both as the tuple of its
+    vertices and as their mask.  Open branches wait on an explicit stack as
+    [R, R's mask, P, X, vertices left to try], one per vertex of R, and
+    each child is made when its turn comes.
     """
-    def branch(r, p, x):
+    def branch(r, rmask, p, x):
         if not p:
-            return [r, p, x, 0]
+            return [r, rmask, p, x, 0]
         # the lowest of the vertices with most neighbours in p
         most = -1
         bound = p.bit_count() - (not x)
@@ -164,27 +246,29 @@ def _maximal_cliques(adj: list):
                 most, pivot = n, u
                 if n == bound:
                     break
-        return [r, p, x, p & ~adj[pivot]]
+        return [r, rmask, p, x, p & ~adj[pivot]]
 
-    stack = [branch((), (1 << len(adj)) - 1, 0)]
+    stack = [branch((), 0, (1 << len(adj)) - 1, 0)]
     while stack:
         frame = stack[-1]
-        r, p, x, todo = frame
+        r, rmask, p, x, todo = frame
         if not todo:
             stack.pop()
             if not p and not x:
-                yield r
+                yield r, rmask
             continue
         bit = todo & -todo
         v = bit.bit_length() - 1
-        frame[1:] = p ^ bit, x | bit, todo ^ bit
-        stack.append(branch(r + (v,), p & adj[v], x & adj[v]))
+        frame[2:] = p ^ bit, x | bit, todo ^ bit
+        stack.append(branch(r + (v,), rmask | bit, p & adj[v], x & adj[v]))
 
 
-def full_passes(start, moves, step, label) -> frozenset:
-    """Label sets visited by the full passes of `moves` from `start` that
-    visit no state below it; states need a total order ``<`` (surface
-    tuples for 2-bridge, interned indices for theta).
+def full_passes(start, moves, step, label) -> set:
+    """Index masks of the sets visited by the full passes of `moves` from
+    `start` that visit no state below it: ``label(state)`` is the index of
+    the state's vertex, and a visited set is the int with bit
+    ``label(state)`` for each state it holds.  States need a total order
+    ``<`` (surface tuples for 2-bridge, interned indices for theta).
 
     A full pass applies every move once, each applicable when its turn
     comes: ``step(state, move)`` is the next state, or None where the move
@@ -193,11 +277,12 @@ def full_passes(start, moves, step, label) -> frozenset:
     ``w0 + signs(M)`` whatever the order; only applicability depends on it.
     The walk therefore runs over the 2^n subsets of moves, not the n!
     orderings: layer k maps each mask of k moves that an applicable ordering
-    reaches to its state and the visited sets of those orderings.
+    reaches to its state and the visited sets of those orderings, and a
+    step joins its state's bit into each of them with one OR.
     StructureError is raised when two orderings reach one mask in different
     states, or when the full mask does not return to `start`.  A step below
     `start` is checked against its mask's state, then dropped.  A mask's
-    label singleton is made once, when the mask is first reached.
+    state bit is made once, when the mask is first reached.
 
     A full pass is a cycle of states.  Rotating its move order gives a full
     pass from every state on the cycle (each move meets the state it met
@@ -206,8 +291,8 @@ def full_passes(start, moves, step, label) -> frozenset:
     keeps it, order checks included: the union over all starts is unchanged.
     """
     moves = tuple(moves)
-    # mask -> (state, visited sets, label singleton or None below start)
-    layer = {0: (start, {frozenset([label(start)])}, None)}
+    # mask -> (state, visited sets, the state's bit, or 0 below start)
+    layer = {0: (start, {1 << label(start)}, 0)}
     for _ in moves:
         nxt: dict = {}
         for mask, (state, seen, _) in layer.items():
@@ -220,18 +305,18 @@ def full_passes(start, moves, step, label) -> frozenset:
                 target = mask | 1 << i
                 entry = nxt.get(target)
                 if entry is None:
-                    here = None if after < start else frozenset([label(after)])
+                    here = 0 if after < start else 1 << label(after)
                     entry = nxt[target] = (after, set(), here)
                 elif entry[0] != after:
                     raise StructureError("the state after a set of moves depends on their order")
                 here = entry[2]
-                if here is not None:
+                if here:
                     entry[1].update(v | here for v in seen)
         layer = nxt
-    end, seen, _ = layer.get((1 << len(moves)) - 1, (start, (), None))
+    end, seen, _ = layer.get((1 << len(moves)) - 1, (start, set(), 0))
     if end != start:
         raise StructureError("a full pass must return to its start")
-    return frozenset(seen)
+    return seen
 
 
 def pass_complex(starts, moves, step, label, names) -> SimplicialComplex:
@@ -240,17 +325,15 @@ def pass_complex(starts, moves, step, label, names) -> SimplicialComplex:
     ``label(state)`` is the index of the state's vertex in `names`.  Each
     pass runs on these indices once, from the least state on its cycle (see
     :func:`full_passes`), since `starts` holds every state a pass can visit.
-    The candidates handed to :func:`_assemble` are the sorted index tuples
-    of every vertex as a singleton, so vertices no pass visits stay in the
-    complex, and of each visited set; `names` is the label table, and labels
-    enter only the finished complex.
+    The candidates handed to :func:`_assemble` are every vertex as a
+    singleton, so vertices no pass visits stay in the complex, and each
+    visited set, keyed as the passes from each start end; `names` is the
+    label table, and labels enter only the finished complex.
     """
     moves = tuple(moves)
-    visited: set = set()
+    keys = {(i, 1) for i in range(len(names))}
     for start in starts:
-        visited |= full_passes(start, moves, step, label)
-    keys = {(i,) for i in range(len(names))}
-    keys.update(tuple(sorted(s)) for s in visited)
+        keys.update(map(_key, full_passes(start, moves, step, label)))
     return _assemble(keys, names)
 
 
@@ -342,27 +425,45 @@ class ComplexShape:
 
 def recognize(c: SimplicialComplex) -> ComplexShape:
     """Name the shape of a complex when it is a point, path or single simplex."""
-    n = len(c.vertices)
+    n = len(c.labels)
     if n == 1:
         return ComplexShape.point()
-    if len(c.simplices) == 1:
-        (s,) = c.simplices
-        if len(s) == n:
-            return ComplexShape.simplex(n - 1)
-    if all(len(s) == 2 for s in c.simplices) and len(c.simplices) == n - 1:
+    if len(c.maximal) == 1 and len(c.maximal[0]) == n:
+        return ComplexShape.simplex(n - 1)
+    if all(len(s) == 2 for s in c.maximal) and len(c.maximal) == n - 1:
         # every complex is connected, so this one is a tree: a path unless a
         # vertex lies on three edges
-        if max(Counter(v for s in c.simplices for v in s).values()) == 2:
+        if max(Counter(i for s in c.maximal for i in s).values()) == 2:
             return ComplexShape.path(n)
     return ComplexShape("explicit", n)
+
+
+def _ranked(c: SimplicialComplex):
+    """The sorted vertex texts, and the sorted maximal simplices, each the
+    sorted list of its vertices' ranks in that list.
+
+    StructureError is raised when two vertices render as one text: the
+    ranks then could not follow the order of the texts, and an export would
+    repeat a vertex.
+    """
+    texts = [label_text(v) for v in c.labels]
+    if len(set(texts)) != len(texts):
+        raise StructureError("two vertices of the complex render as the same text")
+    order = sorted(range(len(texts)), key=texts.__getitem__)
+    rank = [0] * len(order)
+    for r, i in enumerate(order):
+        rank[i] = r
+    rank_of = rank.__getitem__
+    return ([texts[i] for i in order],
+            sorted([sorted(map(rank_of, s)) for s in c.maximal]))
 
 
 def rendered(c: SimplicialComplex) -> dict:
     """The sorted vertex texts and the sorted maximal simplices, each a
     sorted list of vertex texts: the fields every report of c renders."""
-    text = {v: label_text(v) for v in c.vertices}
-    return {"vertices": sorted(text.values()),
-            "maximal_simplices": sorted(sorted(text[v] for v in s) for s in c.simplices)}
+    texts, simplices = _ranked(c)
+    return {"vertices": texts,
+            "maximal_simplices": [[texts[r] for r in s] for s in simplices]}
 
 
 def to_json(c: SimplicialComplex) -> str:
@@ -373,27 +474,30 @@ def to_json(c: SimplicialComplex) -> str:
     sort_keys=True) + "\\n"``; every list is non-empty, since a complex has
     a vertex and every simplex one.
     """
-    r = rendered(c)
-    simplices = ",\n".join("    [\n" + ",\n".join("      " + _quote(v) for v in s) + "\n    ]"
-                           for s in r["maximal_simplices"])
-    vertices = ",\n".join("    " + _quote(v) for v in r["vertices"])
-    return ('{\n  "maximal_simplices": [\n' + simplices + '\n  ],\n  "vertices": [\n'
+    texts, simplices = _ranked(c)
+    quoted = [_quote(v) for v in texts]
+    member = ["      " + q for q in quoted]
+    body = ",\n".join("    [\n" + ",\n".join(map(member.__getitem__, s)) + "\n    ]"
+                      for s in simplices)
+    vertices = ",\n".join("    " + q for q in quoted)
+    return ('{\n  "maximal_simplices": [\n' + body + '\n  ],\n  "vertices": [\n'
             + vertices + "\n  ]\n}\n")
 
 
 def to_dot(c: SimplicialComplex) -> str:
     """Deterministic DOT: one node per vertex, one edge per 1-simplex.
 
-    Both are read off :func:`rendered`: the edges are the pairs of each
-    maximal simplex's sorted texts, without repeats.  Maximal simplices of
-    dimension two or more are annotated as comments so that filled cliques
-    survive the drop to the 1-skeleton.
+    Both are read off the ranked simplices: the edges are the rank pairs
+    of each maximal simplex, without repeats, sorted and then written as
+    texts.  Maximal simplices of dimension two or more are annotated as
+    comments so that filled cliques survive the drop to the 1-skeleton.
     """
-    r = rendered(c)
-    edges = {pair for s in r["maximal_simplices"] for pair in combinations(s, 2)}
+    texts, simplices = _ranked(c)
+    edges = {pair for s in simplices for pair in combinations(s, 2)}
     lines = ["graph kakimizu {", "  node [shape=circle];"]
-    lines += [f'  "{v}";' for v in r["vertices"]]
-    lines += [f'  "{a}" -- "{b}";' for a, b in sorted(edges)]
-    lines += ["  // filled simplex: " + " ".join(s) for s in r["maximal_simplices"] if len(s) >= 3]
+    lines += [f'  "{v}";' for v in texts]
+    lines += [f'  "{texts[a]}" -- "{texts[b]}";' for a, b in sorted(edges)]
+    lines += ["  // filled simplex: " + " ".join(map(texts.__getitem__, s))
+              for s in simplices if len(s) >= 3]
     lines.append("}")
     return "\n".join(lines) + "\n"

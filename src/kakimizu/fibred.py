@@ -104,7 +104,8 @@ class ReductionGraph:
     def from_pairs(cls, n_or_vertices, pairs) -> "ReductionGraph":
         if isinstance(n_or_vertices, int):
             n_or_vertices = range(n_or_vertices)
-        return cls(frozenset(n_or_vertices), tuple(sorted(tuple(sorted(p)) for p in pairs)))
+        return cls(frozenset(n_or_vertices),
+                   tuple(sorted((a, b) if a <= b else (b, a) for a, b in pairs)))
 
     @classmethod
     def from_text(cls, text: str) -> "ReductionGraph":

@@ -3,11 +3,13 @@
 The set-based oracles for the complex a family of candidates spans compare
 sets pair by pair and search neighbour sets, with none of the bitmask
 machinery of :meth:`kakimizu.complexes.SimplicialComplex.from_maximal`.
-:func:`all_full_passes` is the pass walk without the least-start pruning of
-:func:`kakimizu.complexes.full_passes`, :func:`labelled_pass_complex` the
-route that maps each visited index set to labels for
-:meth:`~kakimizu.complexes.SimplicialComplex.from_maximal`, which the index
-tuples of :func:`kakimizu.complexes.pass_complex` replaced,
+:func:`all_full_passes` is the pass walk on label sets, without the
+least-start pruning or the index masks of
+:func:`kakimizu.complexes.full_passes`, which :func:`labelled_full_passes`
+reads back as label sets.  :func:`labelled_pass_complex` is the route that
+maps each visited index set to labels for
+:meth:`~kakimizu.complexes.SimplicialComplex.from_maximal`, which the keyed
+masks of :func:`kakimizu.complexes.pass_complex` replaced,
 :func:`apply_region` the region move on weight dicts that the theta build's
 interned table replaced, and :func:`rewalking_add_zero_edges` the zero-edge
 insertion that walks the whole graph again after every insertion and tests
@@ -15,7 +17,7 @@ every position pair of a face, which the local face splits of
 :func:`kakimizu.thetagraph.add_zero_edges` replaced.
 :func:`skeleton_to_dot` is the DOT export that maps each edge of the
 1-skeleton to label texts, which :func:`kakimizu.complexes.to_dot`,
-reading the texts :func:`kakimizu.complexes.rendered` made, replaced.
+sorting the ranks of the texts, replaced.
 """
 
 from functools import cache
@@ -114,6 +116,21 @@ def all_full_passes(start, moves, step, label):
     return frozenset(seen)
 
 
+def positions(mask):
+    """The positions of the set bits of `mask`, lowest first."""
+    return [i for i, bit in enumerate(reversed(bin(mask)[2:])) if bit == "1"]
+
+
+def labelled_full_passes(start, moves, step, label):
+    """:func:`kakimizu.complexes.full_passes` on any hashable labels: each
+    label is given the next bit position when the walk first asks for it,
+    and each visited mask is read back as the frozenset of its labels."""
+    bit: dict = {}
+    masks = full_passes(start, moves, step, lambda s: bit.setdefault(label(s), len(bit)))
+    names = list(bit)
+    return frozenset(frozenset(names[i] for i in positions(m)) for m in masks)
+
+
 def pass_unions(module, build):
     """Run `build()` up to its call of ``module.pass_complex``, and return
     the union over all its starts of the engine's passes and of the
@@ -132,7 +149,7 @@ def pass_unions(module, build):
     ((starts, moves, step, label),) = calls
     step = cache(step)
     found = []
-    for walk in (full_passes, all_full_passes):
+    for walk in (labelled_full_passes, all_full_passes):
         passes = [walk(s, moves, step, label) for s in starts]
         found.append((set().union(*passes), sum(map(len, passes))))
     return found
@@ -141,15 +158,15 @@ def pass_unions(module, build):
 def labelled_pass_complex(starts, moves, step, label, names):
     """The complex spanned by the full passes from every start, assembled
     on labels: every vertex as a singleton, first and in the order of
-    `names`, then each visited set of two or more vertices mapped to
-    `names`, all handed to ``SimplicialComplex.from_maximal``."""
+    `names`, then each visited index mask of two or more vertices mapped
+    to `names`, all handed to ``SimplicialComplex.from_maximal``."""
     moves = tuple(moves)
     visited: set = set()
     for start in starts:
         visited |= full_passes(start, moves, step, label)
     candidates = [[v] for v in names]
     while visited:
-        s = visited.pop()
+        s = positions(visited.pop())
         if len(s) > 1:
             candidates.append([names[i] for i in s])
     return SimplicialComplex.from_maximal(candidates)
@@ -159,8 +176,8 @@ def both_routes(module, build):
     """Run `build()` up to its call of ``module.pass_complex``, then that call
     as it is and with :func:`labelled_pass_complex` in its place, both asking
     one memoised step; for each, the vertices and maximal simplices of the
-    complex, or the type and text of the refusal.  None when the build
-    refuses its input first."""
+    complex as frozensets, or the type and text of the refusal.  None when
+    the build refuses its input first."""
     calls = []
     with mock.patch.object(module, "pass_complex", lambda *args: calls.append(args)):
         try:
@@ -176,7 +193,7 @@ def both_routes(module, build):
         except KakimizuError as exc:
             found.append((type(exc), str(exc)))
         else:
-            found.append((c.vertices, c.simplices))
+            found.append((frozenset(c.vertices), frozenset(c.simplices)))
     return found
 
 

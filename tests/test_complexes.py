@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import random
@@ -9,15 +10,18 @@ from pathlib import Path
 
 import pytest
 
-from kakimizu import complexes
+from kakimizu import complexes, thetagraph, twobridge
 from kakimizu.complexes import (MAX_SHAPE_VERTICES, ComplexShape, SimplicialComplex,
                                 full_passes, label_text, pass_complex, recognize, rendered,
                                 to_dot, to_json)
 from kakimizu.errors import InputError, SizeLimitError, StructureError
 
 from isomorphism import isomorphic, one_skeleton
-from setoracles import (all_full_passes, pairwise_maximal, set_flag_closure, set_is_connected,
-                        set_is_flag, skeleton_to_dot)
+from randgraphs import graph_text, route_graph
+from setoracles import (all_full_passes, labelled_full_passes, pairwise_maximal,
+                        set_flag_closure, set_is_connected, set_is_flag, skeleton_to_dot)
+
+TESTS = Path(__file__).resolve().parent
 
 
 def path_complex(n, prefix="T"):
@@ -214,16 +218,22 @@ class TestAssembler:
 
     def test_hollow_triangle_raises(self):
         with pytest.raises(StructureError, match="must be a flag complex"):
-            complexes._assemble({(0, 1), (1, 2), (0, 2)}, ["a", "b", "c"])
+            complexes._assemble(keyed(0b011, 0b110, 0b101), ["a", "b", "c"])
 
     def test_isolated_vertices_raise(self):
         with pytest.raises(StructureError, match="must be connected"):
-            complexes._assemble({(0,), (1,)}, ["a", "b"])
+            complexes._assemble(keyed(0b01, 0b10), ["a", "b"])
 
     def test_labels_enter_only_the_result(self):
-        c = complexes._assemble({(0,), (1,), (2,), (0, 1), (1, 2)}, ["x", "y", "z"])
+        c = complexes._assemble(keyed(0b001, 0b010, 0b100, 0b011, 0b110), ["x", "y", "z"])
+        assert c.labels == ("x", "y", "z") and c.maximal == ((0, 1), (1, 2))
         assert c.vertices == {"x", "y", "z"}
         assert c.simplices == {frozenset("xy"), frozenset("yz")}
+
+    def test_keys_are_as_wide_as_the_span(self):
+        assert complexes._key(0b1) == (0, 1)
+        assert complexes._key(1 << 70) == (70, 1)
+        assert complexes._key(0b1011 << 500) == (500, 0b1011)
 
     def test_pass_complex_refuses_alike(self):
         # with no moves each state is a pass of its own: two isolated vertices
@@ -232,6 +242,11 @@ class TestAssembler:
         # moves +1, -1 on states mod 3 visit {0, 1}, {0, 2} and {1, 2}
         with pytest.raises(StructureError, match="must be a flag complex"):
             pass_complex(range(3), (1, -1), lambda s, m: (s + m) % 3, _same, ["a", "b", "c"])
+
+
+def keyed(*masks):
+    """The assembler's keys of the given index masks."""
+    return set(map(complexes._key, masks))
 
 
 def _add(state, move):
@@ -254,39 +269,47 @@ class TestFullPasses:
     """The pass engine on a toy calculus: integer states, moves that add.
 
     The engine keeps the passes that visit no state below their start;
-    the unpruned oracle keeps every pass."""
+    the unpruned oracle keeps every pass.  The engine's index masks are
+    read back as label sets (setoracles.labelled_full_passes)."""
+
+    def test_visited_sets_are_index_masks(self):
+        # bit label(state) for each state a pass visits; the states below
+        # the start are never labelled
+        assert full_passes(0, (1, -1), _add, _same) == {0b11}
+        assert full_passes(0, (1, 1, 1), lambda s, m: (s + m) % 3, _same) == {0b111}
+        assert full_passes(2, (1, -1), _add, lambda s: 2 * s) == {1 << 4 | 1 << 6}
 
     def test_every_order_applies(self):
         # +1 then -1 visits 1, -1 then +1 visits -1, which is below 0
-        assert full_passes(0, (1, -1), _add, _same) == {frozenset({0, 1})}
+        assert labelled_full_passes(0, (1, -1), _add, _same) == {frozenset({0, 1})}
         assert all_full_passes(0, (1, -1), _add, _same) == {
             frozenset({0, 1}), frozenset({0, -1})}
         # the dropped pass, rotated to start at its least state
-        assert full_passes(-1, (1, -1), _add, _same) == {frozenset({0, -1})}
+        assert labelled_full_passes(-1, (1, -1), _add, _same) == {frozenset({0, -1})}
 
     def test_blocked_order_is_dropped(self):
-        assert full_passes(0, (1, -1), _add_nonnegative, _same) == {frozenset({0, 1})}
+        assert labelled_full_passes(0, (1, -1), _add_nonnegative, _same) == {frozenset({0, 1})}
         assert all_full_passes(0, (1, -1), _add_nonnegative, _same) == {frozenset({0, 1})}
 
     def test_labels_merge_passes(self):
         # 1, 1, -2 and its swap visit labels 0 and 1 only; the orders
         # through -1 or -2 go below the start
-        assert full_passes(0, (1, 1, -2), _add, _sign) == {frozenset({0, 1})}
+        assert labelled_full_passes(0, (1, 1, -2), _add, _sign) == {frozenset({0, 1})}
         assert all_full_passes(0, (1, 1, -2), _add, _sign) == {
             frozenset({0, 1}), frozenset({0, 1, -1}), frozenset({0, -1})}
 
     def test_no_moves_visit_the_start(self):
-        assert full_passes(5, (), _add, _same) == {frozenset({5})}
+        assert labelled_full_passes(5, (), _add, _same) == {frozenset({5})}
         assert all_full_passes(5, (), _add, _same) == {frozenset({5})}
 
     def test_no_applicable_ordering_is_empty(self):
-        for walk in (full_passes, all_full_passes):
+        for walk in (labelled_full_passes, all_full_passes):
             assert walk(0, (1, -1), lambda s, m: None, _same) == frozenset()
             assert walk(0, (-1, -2, 1), _add_nonnegative, _same) == frozenset()
 
     def test_order_dependent_step_raises(self):
         # the state records the order the moves came in
-        for walk in (full_passes, all_full_passes):
+        for walk in (labelled_full_passes, all_full_passes):
             with pytest.raises(StructureError, match="order"):
                 walk((), ("a", "b"), lambda s, m: s + (m,), len)
 
@@ -295,12 +318,12 @@ class TestFullPasses:
         # different states
         def step(state, move):
             return move if state == 0 else -(10 * state + move)
-        for walk in (full_passes, all_full_passes):
+        for walk in (labelled_full_passes, all_full_passes):
             with pytest.raises(StructureError, match="order"):
                 walk(0, (1, 2), step, _same)
 
     def test_pass_that_does_not_close_raises(self):
-        for walk in (full_passes, all_full_passes):
+        for walk in (labelled_full_passes, all_full_passes):
             with pytest.raises(StructureError, match="return"):
                 walk(0, (1, 2), _add, _same)
 
@@ -311,9 +334,9 @@ class TestFullPasses:
             return (state + move) % 3
         for start in range(3):
             assert all_full_passes(start, (1, 1, 1), step, _same) == {frozenset({0, 1, 2})}
-        assert full_passes(0, (1, 1, 1), step, _same) == {frozenset({0, 1, 2})}
-        assert full_passes(1, (1, 1, 1), step, _same) == frozenset()
-        assert full_passes(2, (1, 1, 1), step, _same) == frozenset()
+        assert labelled_full_passes(0, (1, 1, 1), step, _same) == {frozenset({0, 1, 2})}
+        assert labelled_full_passes(1, (1, 1, 1), step, _same) == frozenset()
+        assert labelled_full_passes(2, (1, 1, 1), step, _same) == frozenset()
 
     def test_pass_complex_walks_each_pass_from_its_least_state(self):
         # the walk from 0 takes 3 + 6 + 3 steps; from 1 it drops every mask
@@ -527,9 +550,86 @@ class TestExports:
             shared += any(len(a & b) >= 2 for a, b in combinations(closure, 2))
         assert built >= 100 and shared >= 20
 
+    def test_labels_that_render_alike_are_refused(self):
+        # the ranks of the texts order the exports only when the texts are
+        # distinct; otherwise the JSON would list one vertex text twice
+        for labels in (["(0,1)", (0, 1)], ["7", 7], [(1, 2), "x", "(1,2)"]):
+            c = SimplicialComplex.from_maximal([labels])
+            for export in (rendered, to_json, to_dot):
+                with pytest.raises(StructureError, match="same text"):
+                    export(c)
+        assert to_json(SimplicialComplex.from_maximal([["(0,1)", (0, 2)]]))
+
     def test_isomorphic_complexes_same_json_after_relabel(self):
         a = path_complex(4)
         b = path_complex(4, prefix="X")
         relabelled = SimplicialComplex.from_maximal(
             [{v.replace("X", "T") for v in s} for s in b.simplices])
         assert to_json(a) == to_json(relabelled)
+
+
+class TestLabelViews:
+    """A complex holds its label table and index tuples; vertices and
+    simplices are read-only label views over them."""
+
+    def test_len_makes_no_label_set(self):
+        # unhashable labels: any label set would raise, len does not
+        c = pass_complex(range(3), (1, 1, 1), lambda s, m: (s + m) % 3, _same,
+                         [["a"], ["b"], ["c"]])
+        assert len(c.vertices) == 3 and len(c.simplices) == 1
+        assert c.maximal == ((0, 1, 2),) and recognize(c) == ComplexShape.simplex(2)
+        assert to_json(c).count("['a']") == 2
+        with pytest.raises(TypeError):
+            set(c.vertices)
+
+    def test_views_behave_as_frozensets(self):
+        c = SimplicialComplex.from_maximal([["b", "a"], ["c", "b"]])
+        for view, members in ((c.vertices, frozenset("abc")),
+                              (c.simplices, frozenset({frozenset("ab"), frozenset("bc")}))):
+            assert view == members and members == view and view == set(members)
+            assert hash(view) == hash(members) and set(view) == members
+            assert all(m in view for m in members) and None not in view
+            assert view - members == frozenset() and isinstance(view | members, frozenset)
+        assert repr(c) == (f"SimplicialComplex(vertices={frozenset(c.vertices)!r}, "
+                           f"simplices={frozenset(c.simplices)!r})")
+        with pytest.raises(AttributeError):
+            c.vertices = frozenset()
+        with pytest.raises(AttributeError):
+            c.labels = ()
+
+    def test_equality_follows_the_labels(self):
+        # other candidate orders index the vertices differently
+        a = SimplicialComplex.from_maximal([["p", "q"], ["q", "r"]])
+        b = SimplicialComplex.from_maximal([["r", "q"], ["q", "p"]])
+        assert a.labels != b.labels
+        assert a == b and hash(a) == hash(b) and len({a, b}) == 1
+        assert a != SimplicialComplex.from_maximal([["p", "q"], ["p", "r"]])
+
+
+def _digest(text):
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+
+class TestPinnedExports:
+    """JSON and DOT of two large complexes, pinned by the sha256 of the
+    bytes the label-sorting exports wrote before the exports sorted ranks."""
+
+    def test_route_graph_r5_w5(self):
+        text = (TESTS / "route_r5_w5.txt").read_text(encoding="utf-8")
+        assert text == graph_text(route_graph(random.Random(5), 5, 5))
+        g = thetagraph.PlanarMultigraph.from_text(text)
+        tg = thetagraph.build_theta(g)
+        c = thetagraph.build_complex(tg, tg.weights())
+        assert (len(c.vertices), len(c.simplices)) == (126, 625)
+        assert _digest(to_json(c)) == (
+            "dfef2e294d8533880f0014cbf3a8cc58442a8cb4bd7cfa5f6281216076d7d7ed")
+        assert _digest(to_dot(c)) == (
+            "e4638260450827f3c48d58178ec2fb88be71f6a00a15d33407cf2c86eb5d0ac3")
+
+    def test_chain_minus_four_to_the_sixth(self):
+        c = twobridge.build_complex(twobridge.BandChain((-4,) * 6))
+        assert (len(c.vertices), len(c.simplices)) == (32, 120)
+        assert _digest(to_json(c)) == (
+            "970bc6cc7dcf9a0a8aa8474b52ea4692dbbc92763df8e9e8fb9aa7142256f4ce")
+        assert _digest(to_dot(c)) == (
+            "9cdd303a39f32e7ac723022b136a7298ebe3703151cf1bbc2c7835fd39f74a0b")

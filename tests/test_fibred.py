@@ -293,6 +293,22 @@ class TestReductionGraph:
         with pytest.raises(InputError):
             ReductionGraph.from_text(bad)
 
+    def test_from_pairs_orders_each_pair_as_sorting_does(self):
+        # the per-pair sort it replaced is the oracle, on random pairs with
+        # loops, reversed pairs and repeats, given as tuples and as lists
+        rng = random.Random(31)
+        for _ in range(300):
+            n = rng.randint(1, 8)
+            pairs = [(rng.randrange(n), rng.randrange(n)) for _ in range(rng.randint(0, 12))]
+            pairs += [(v, v) for v in rng.sample(range(n), rng.randint(0, n))]
+            pairs += [(b, a) for a, b in rng.sample(pairs, len(pairs) // 3)]
+            pairs += [(u, u + 1) for u in range(n - 1)]   # a path keeps it connected
+            rng.shuffle(pairs)
+            given = [list(p) if rng.random() < 0.3 else p for p in pairs]
+            g = ReductionGraph.from_pairs(n, given)
+            assert g.edges == tuple(sorted(tuple(sorted(p)) for p in pairs))
+            assert g == ReductionGraph(frozenset(range(n)), g.edges)
+
     def test_disconnected_rejected(self):
         with pytest.raises(InputError):
             ReductionGraph.from_pairs(4, [(0, 1), (2, 3)])

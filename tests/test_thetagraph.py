@@ -855,8 +855,8 @@ class TestLeastStartPruning:
 
 
 class TestIndexAssembly:
-    """pass_complex assembles on index tuples; the labelled route through
-    from_maximal (setoracles.labelled_pass_complex) is the oracle."""
+    """pass_complex assembles on keyed index masks; the labelled route
+    through from_maximal (setoracles.labelled_pass_complex) is the oracle."""
 
     def test_route_graphs(self):
         rng = random.Random(9)

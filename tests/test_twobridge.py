@@ -256,8 +256,8 @@ class TestLeastStartPruning:
 
 
 class TestIndexAssembly:
-    """pass_complex assembles on index tuples; the labelled route through
-    from_maximal (setoracles.labelled_pass_complex) is the oracle."""
+    """pass_complex assembles on keyed index masks; the labelled route
+    through from_maximal (setoracles.labelled_pass_complex) is the oracle."""
 
     def test_exhaustive_small_chains(self):
         # all 1 364 chains with at most 5 bands of twist 2 or 4
