@@ -91,7 +91,10 @@ class _LabelView(Set):
         return hash(self._all())
 
     def __repr__(self) -> str:
-        return repr(self._all())
+        # a copy, as frozenset(view) makes it: a set's order depends on the
+        # order its members were added in, so the stored set may print
+        # differently
+        return repr(frozenset(self))
 
 
 class SimplicialComplex:
@@ -276,13 +279,17 @@ def full_passes(start, moves, step, label) -> set:
     the state after a set M of moves is ``start XOR flank(M)`` or
     ``w0 + signs(M)`` whatever the order; only applicability depends on it.
     The walk therefore runs over the 2^n subsets of moves, not the n!
-    orderings: layer k maps each mask of k moves that an applicable ordering
-    reaches to its state and the visited sets of those orderings, and a
-    step joins its state's bit into each of them with one OR.
-    StructureError is raised when two orderings reach one mask in different
-    states, or when the full mask does not return to `start`.  A step below
-    `start` is checked against its mask's state, then dropped.  A mask's
-    state bit is made once, when the mask is first reached.
+    orderings.  Layer k maps each mask of k moves that an applicable
+    ordering reaches to its state, and each such mask whose state is not
+    below `start` to the visited sets of those orderings.  A layer first
+    steps every kept mask by each move it lacks, taken from precomputed
+    ``(bit, move)`` pairs, recording each reached mask's state and the
+    visited sets of the masks that reach it; then each reached mask at or
+    above `start` gets its visited sets in one comprehension, which joins
+    its state's bit into every set that reaches it.  StructureError is
+    raised when two orderings reach one mask in different states, or when
+    the full mask does not return to `start`.  A mask whose state is below
+    `start` is kept for the order check only, and not stepped.
 
     A full pass is a cycle of states.  Rotating its move order gives a full
     pass from every state on the cycle (each move meets the state it met
@@ -290,33 +297,34 @@ def full_passes(start, moves, step, label) -> set:
     least state visits nothing below its start, so the walk from there
     keeps it, order checks included: the union over all starts is unchanged.
     """
-    moves = tuple(moves)
-    # mask -> (state, visited sets, the state's bit, or 0 below start)
-    layer = {0: (start, {1 << label(start)}, 0)}
-    for _ in moves:
-        nxt: dict = {}
-        for mask, (state, seen, _) in layer.items():
-            if not seen:
-                continue   # the state of this mask is below start
-            for i, move in enumerate(moves):
-                after = None if mask >> i & 1 else step(state, move)
+    steps = [(1 << i, move) for i, move in enumerate(moves)]
+    state_of = {0: start}
+    sets_of = {0: {1 << label(start)}}
+    for _ in steps:
+        reached: dict = {}
+        joined: dict = {}   # a reached mask -> the visited sets reaching it
+        for mask, seen in sets_of.items():
+            state = state_of[mask]
+            for bit, move in steps:
+                if mask & bit:
+                    continue
+                after = step(state, move)
                 if after is None:
                     continue
-                target = mask | 1 << i
-                entry = nxt.get(target)
-                if entry is None:
-                    here = 0 if after < start else 1 << label(after)
-                    entry = nxt[target] = (after, set(), here)
-                elif entry[0] != after:
+                target = mask | bit
+                if reached.setdefault(target, after) != after:
                     raise StructureError("the state after a set of moves depends on their order")
-                here = entry[2]
-                if here:
-                    entry[1].update(v | here for v in seen)
-        layer = nxt
-    end, seen, _ = layer.get((1 << len(moves)) - 1, (start, set(), 0))
-    if end != start:
+                joined.setdefault(target, []).append(seen)
+        state_of, sets_of = reached, {}
+        for target, parts in joined.items():
+            after = reached[target]
+            if not after < start:
+                here = 1 << label(after)
+                sets_of[target] = {v | here for seen in parts for v in seen}
+    full = (1 << len(steps)) - 1
+    if state_of.get(full, start) != start:
         raise StructureError("a full pass must return to its start")
-    return seen
+    return sets_of.get(full, set())
 
 
 def pass_complex(starts, moves, step, label, names) -> SimplicialComplex:

@@ -31,7 +31,7 @@ incident edge ends at every vertex.  Files use one line per item::
     rot <vertex> <end> <end> ...
 
 where an edge end is ``<edge-id>`` or, for loops, ``<edge-id>:0`` /
-``<edge-id>:1``.
+``<edge-id>:1``; so an edge id holds no ``:``.
 """
 
 from __future__ import annotations
@@ -40,14 +40,17 @@ import heapq
 from bisect import bisect_left
 from collections import Counter
 from dataclasses import dataclass
+from operator import itemgetter
 
 from .complexes import SimplicialComplex, pass_complex
 from .errors import InputError, SizeLimitError, StructureError
 
 # route graphs with R = 4 regions and W parallel edges, the slower of the
-# two measured ladders, built 17 296 vertices (W = 45) in 14 s and 23 426
-# (W = 50) in 26.5 s; R = 3 built 45 451 (W = 300) in 15 s (Python 3.11
-# on one core of a shared VM, one build per rung)
+# two measured ladders, built 17 296 vertices (W = 45) in 4.4 s and 23 426
+# (W = 50) in 5.7 s; R = 3 built 45 451 (W = 300) in 7.1 s, with the cap
+# lifted (Python 3.11 on one core of a shared 2-core VM, one build per
+# rung, peak RSS 80 / 114 / 202 MB); the cap keeps its value until it is
+# sized against a measured runtime
 DEFAULT_MAX_VERTICES = 20_000
 MAX_REGIONS = 8
 
@@ -106,7 +109,7 @@ class PlanarMultigraph:
         self._faces = None
         if not self.vertices:
             raise StructureError("graph has no vertices")
-        expected = {}
+        ends = {}   # an edge end -> its vertex
         for eid, e in self.edges.items():
             if e.u not in self.rotation or e.v not in self.rotation:
                 raise StructureError(f"edge {eid} touches an unknown vertex")
@@ -114,17 +117,22 @@ class PlanarMultigraph:
                 raise StructureError(f"edge {eid} has direction {e.direction!r}")
             if e.weight < 0:
                 raise StructureError(f"edge {eid} has negative weight")
-            expected[(eid, 0)] = e.u
-            expected[(eid, 1)] = e.v
-        listed = []
+            ends[eid, 0] = e.u
+            ends[eid, 1] = e.v
+        # every listed end is an end of its vertex, so the ends are listed
+        # exactly once when as many are listed as there are, all distinct
+        listed = set()
+        count = 0
         for v in self.vertices:
-            for dart in self.rotation.get(v, []):
-                if expected.get(dart) != v:
+            rot = self.rotation.get(v, [])
+            for dart in rot:
+                if ends.get(dart) != v:
                     raise StructureError(f"rotation at {v} lists foreign end {dart}")
-                listed.append(dart)
-        if len(listed) != len(set(listed)) or set(listed) != set(expected):
+            listed.update(rot)
+            count += len(rot)
+        if count != len(listed) or count != len(ends):
             raise StructureError("rotation system must list each edge end exactly once")
-        self._check_connected()
+        self._check_connected(ends)
         faces = self.faces()
         # a bare vertex has no walk: its single face has empty boundary
         if self.edges and len(self.vertices) - len(self.edges) + len(faces) != 2:
@@ -133,14 +141,14 @@ class PlanarMultigraph:
                 f"{len(self.vertices)}-{len(self.edges)}+{len(faces)}")
         self._faces = faces
 
-    def _check_connected(self) -> None:
+    def _check_connected(self, ends: dict) -> None:
         start = self.vertices[0]
         seen = {start}
         stack = [start]
         while stack:
             v = stack.pop()
             for eid, end in self.rotation[v]:
-                w = self.end_vertex(eid, 1 - end)
+                w = ends[eid, 1 - end]
                 if w not in seen:
                     seen.add(w)
                     stack.append(w)
@@ -155,7 +163,8 @@ class PlanarMultigraph:
         walk continues with the rotation successor there, so every directed
         side is used exactly once over all faces.  Walks are rotated to
         start at their smallest side and the list is sorted, making the
-        face order deterministic.
+        face order deterministic.  No side lies on two walks, so sorting
+        by first sides alone gives the order of the whole walks.
 
         A validated graph keeps the walks its Euler check made and returns
         a new list of them on every call, so the construction stages read
@@ -183,7 +192,8 @@ class PlanarMultigraph:
                     eid, a = cur
                     cur = succ[(eid, 1 - a)]
                 walks.append(_rotate_min(walk))
-        return sorted(walks)
+        walks.sort(key=itemgetter(0))
+        return walks
 
     def walk_vertices(self, walk) -> list:
         return [self.end_vertex(eid, a) for eid, a in walk]
@@ -225,6 +235,9 @@ class PlanarMultigraph:
                     eid, u, v = parts[1:4]
                     if eid in edges:
                         raise InputError(f"duplicate edge {eid}")
+                    if ":" in eid:
+                        raise InputError(f"edge id {eid!r} contains ':', "
+                                         "which marks the end of a loop in a rotation")
                     attrs = dict(p.split("=", 1) for p in parts[4:])
                     weight = int(attrs.pop("weight", "1"))
                     dirtext = attrs.pop("dir", "+")
@@ -246,19 +259,23 @@ class PlanarMultigraph:
                 raise InputError(f"rotation for unknown vertex {vid}")
             darts = []
             for tok in tokens:
-                if ":" in tok:
-                    eid, endtext = tok.rsplit(":", 1)
+                # no edge id holds ':', so a token is an edge id or a loop end
+                e = edges.get(tok)
+                if e is None:
+                    eid, colon, endtext = tok.rpartition(":")
+                    if not colon:
+                        raise InputError(f"unknown edge {tok!r} in rotation")
                     if endtext not in ("0", "1") or eid not in edges:
                         raise InputError(f"bad edge end {tok!r}")
                     darts.append((eid, int(endtext)))
-                elif tok not in edges:
-                    raise InputError(f"unknown edge {tok!r} in rotation")
-                elif edges[tok].u == edges[tok].v:
+                elif e.u == e.v:
                     raise InputError(f"loop edge {tok} needs explicit ends {tok}:0 {tok}:1")
-                elif vid not in edges[tok].ends():
-                    raise InputError(f"edge {tok} is not incident to {vid}")
+                elif vid == e.u:
+                    darts.append((tok, 0))
+                elif vid == e.v:
+                    darts.append((tok, 1))
                 else:
-                    darts.append((tok, edges[tok].ends().index(vid)))
+                    raise InputError(f"edge {tok} is not incident to {vid}")
             rotation[vid] = darts
         return cls(vertices, edges, rotation)
 
@@ -298,8 +315,9 @@ def reduce_bigons(g: PlanarMultigraph) -> PlanarMultigraph:
     Merging until none remain therefore joins exactly the classes of the
     relation "bound a common bigon" on the input's edges, whatever the
     order.  The input's faces are read once, each class is found by
-    union-find, and its edge with the smallest id survives with the
-    class's weight sum.  Requires the all weight-1 Seifert graph as input.
+    union-find, and its edge with the smallest id, picked once per class,
+    survives with the class's weight sum.  Requires the all weight-1
+    Seifert graph as input.
     """
     if any(e.weight != 1 for e in g.edges.values()):
         raise InputError("bigon reduction starts from the weight-1 Seifert graph")
@@ -312,21 +330,25 @@ def reduce_bigons(g: PlanarMultigraph) -> PlanarMultigraph:
             parent[eid] = eid = parent[parent[eid]]
         return eid
 
-    def id_key(eid):
-        return _edge_key(eid), eid
-
     for walk in faces:
         if len(walk) != 2:
             continue
         (e1, _), (e2, _) = walk
-        if e1 == e2 or g.edges[e1].u == g.edges[e1].v \
-                or frozenset(g.edges[e1].ends()) != frozenset(g.edges[e2].ends()):
+        a, b = g.edges[e1], g.edges[e2]
+        if e1 == e2 or a.u == a.v or {a.u, a.v} != {b.u, b.v}:
             continue
-        keep, drop = sorted((root(e1), root(e2)), key=id_key)
-        parent[drop] = keep
-    dropped = {eid for eid in g.edges if root(eid) != eid}
-    for eid in dropped:
-        g.edges[root(eid)].weight += g.edges.pop(eid).weight
+        parent[root(e2)] = root(e1)
+    classes: dict = {}
+    for eid in g.edges:
+        classes.setdefault(root(eid), []).append(eid)
+    dropped = set()
+    for members in classes.values():
+        if len(members) > 1:
+            keep = min(members, key=lambda eid: (_edge_key(eid), eid))
+            for eid in members:
+                if eid != keep:
+                    dropped.add(eid)
+                    g.edges[keep].weight += g.edges.pop(eid).weight
     for v in g.vertices:
         g.rotation[v] = [d for d in g.rotation[v] if d[0] not in dropped]
     return g
@@ -480,16 +502,19 @@ def build_theta(g: PlanarMultigraph) -> ThetaGraph:
 def _check_blocks(g: PlanarMultigraph) -> None:
     # the walks decide blocks only without loops: a face that runs along a
     # loop passes its vertex twice, whether that vertex separates or not
+    corner = {}   # a side -> the vertex it leaves
     for eid, e in g.edges.items():
         if e.u == e.v:
             raise InputError(f"Seifert graph edge {eid} is a loop: "
                              "a crossing joins two different Seifert circles")
+        corner[eid, 0] = e.u
+        corner[eid, 1] = e.v
     for walk in g.faces():
-        sides = [eid for eid, _ in walk]
-        if len(set(sides)) < len(walk):
+        if len({eid for eid, _ in walk}) < len(walk):
+            sides = [eid for eid, _ in walk]
             raise InputError(f"Seifert graph edge {Counter(sides).most_common(1)[0][0]} "
                              "is a bridge: not reduced")
-        corners = g.walk_vertices(walk)
+        corners = list(map(corner.__getitem__, walk))
         if len(set(corners)) < len(walk):
             raise InputError(f"Seifert graph vertex {Counter(corners).most_common(1)[0][0]} "
                              "is a cut vertex: not prime")
@@ -537,12 +562,27 @@ def build_complex(tg: ThetaGraph, w0: dict,
     visits a simplex.  Inclusion-maximal visited sets are the maximal
     simplices; the result must come out connected and flag.
 
-    The reachability search interns each weight tuple as an index and
+    The reachability search packs each weight vector into one int, with
+    one field per edge in ``tg.edge_order()``, ``total.bit_length() + 1``
+    bits wide for the start's total weight.  The top bit of a field is a
+    guard, kept clear in a packed vector.  Every region's signs sum to
+    zero (checked first), so applying a region keeps the total, and no
+    weight of a reachable vector exceeds it: a field never overflows into
+    its neighbour.  A region is the packed pair ``(add, sub)`` of its
+    positive and negative shifts, each at most 1 per edge, since an edge
+    has one sign of each kind over all regions.  With every guard set,
+    subtracting ``sub`` borrows within a field only, and clears its guard
+    exactly when that weight would drop below zero; so the region applies
+    exactly when ``((w | guard) - sub) & guard == guard``, and its result
+    is that difference with the guards cleared, plus ``add``.
+
+    The search interns the packed vectors breadth first as indices and
     records, per index and region, the index the region leads to.  The
     passes run on indices, stepping by table lookup and ordered by index;
     interning is a bijection, so the pass engine's checks hold on the
-    indices exactly when they hold on the tuples.  The complex is assembled
-    on the visited index sets too, and the tuples label only its result.
+    indices exactly when they hold on the weight vectors.  The complex is
+    assembled on the visited index sets too, and the packed vectors are
+    decoded to weight tuples once, to label its vertices.
     """
     regions = region_signatures(tg)
     if len(regions) > MAX_REGIONS:
@@ -558,21 +598,31 @@ def build_complex(tg: ThetaGraph, w0: dict,
         raise InputError("weights must be non-negative integers")
 
     order = tg.edge_order()
-    shifts = [tuple(sum(s for e, s in region.boundary if e == eid) for eid in order)
-              for region in regions]
+    width = sum(w0.values()).bit_length() + 1
+    offset = {eid: k * width for k, eid in enumerate(order)}
+    guard = sum(1 << (k + width - 1) for k in offset.values())
+    moves = []
+    for region in regions:
+        shift = dict.fromkeys(order, 0)
+        for eid, sign in region.boundary:
+            shift[eid] += sign
+        moves.append((sum(d << offset[eid] for eid, d in shift.items() if d > 0),
+                      sum(-d << offset[eid] for eid, d in shift.items() if d < 0)))
 
-    # intern the reachable weight tuples breadth first: states[i] is the
-    # tuple of index i, succ[i][r] the index region r leads to, or None
-    states = [tuple(w0[eid] for eid in order)]
+    # intern the reachable packed vectors breadth first: states[i] is the
+    # vector of index i, succ[i][r] the index region r leads to, or None
+    states = [sum(w0[eid] << k for eid, k in offset.items())]
     index = {states[0]: 0}
     succ = []
     for w in states:
         row = []
-        for shift in shifts:
-            w2 = tuple(a + b for a, b in zip(w, shift))
-            if min(w2) < 0:
+        w |= guard
+        for add, sub in moves:
+            w2 = w - sub
+            if w2 & guard != guard:
                 row.append(None)
                 continue
+            w2 = (w2 ^ guard) + add
             j = index.get(w2)
             if j is None:
                 if len(states) >= max_vertices:
@@ -582,5 +632,7 @@ def build_complex(tg: ThetaGraph, w0: dict,
             row.append(j)
         succ.append(row)
 
-    return pass_complex(range(len(states)), range(len(shifts)),
-                        lambda i, r: succ[i][r], int, states)   # an index is its own label
+    field = (1 << width - 1) - 1
+    labels = [tuple(w >> k & field for k in offset.values()) for w in states]
+    return pass_complex(range(len(states)), range(len(moves)),
+                        lambda i, r: succ[i][r], int, labels)   # an index is its own label

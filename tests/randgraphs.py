@@ -5,8 +5,8 @@ operations (parallel duplication, a chord across a face, edge subdivision),
 so every generated graph is 2-edge-connected and spherical by construction;
 the constructor's Euler check confirms it.  Route graphs are seeded Seifert
 graphs with a known complex, and separable graphs join two random graphs at
-a cut vertex or by a bridge, and :func:`add_loop` draws a loop inside a
-face.  The text helpers write graph files.
+a cut vertex or by a bridge, :func:`add_loop` draws a loop inside a face,
+and :func:`add_pendant_bridge` hangs a new vertex on a bridge.  The text helpers write graph files.
 """
 
 import random
@@ -155,6 +155,19 @@ def add_loop(rng: random.Random, g: PlanarMultigraph) -> tuple:
     rot.insert(rot.index(walk[i]), (loop, 0))
     rot.insert(rot.index(walk[j]), (loop, 1))
     return PlanarMultigraph(g.vertices, edges, rotation), loop
+
+
+def add_pendant_bridge(g: PlanarMultigraph, weight: int) -> tuple:
+    """A copy of `g` with a new vertex joined to its first vertex by a
+    bridge of the given weight, and the bridge's id.  One face meets both
+    sides of the bridge, so every region's signs on it cancel."""
+    bridge, pendant = f"B{len(g.edges)}", f"P{len(g.vertices)}"
+    edges = {eid: Edge(e.u, e.v, e.weight, e.direction) for eid, e in g.edges.items()}
+    edges[bridge] = Edge(g.vertices[0], pendant, weight, 1)
+    rotation = {x: list(r) for x, r in g.rotation.items()}
+    rotation[g.vertices[0]].append((bridge, 0))
+    rotation[pendant] = [(bridge, 1)]
+    return PlanarMultigraph(g.vertices + [pendant], edges, rotation), bridge
 
 
 def necklace_text(bundles) -> str:

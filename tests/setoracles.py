@@ -11,7 +11,10 @@ maps each visited index set to labels for
 :meth:`~kakimizu.complexes.SimplicialComplex.from_maximal`, which the keyed
 masks of :func:`kakimizu.complexes.pass_complex` replaced,
 :func:`apply_region` the region move on weight dicts that the theta build's
-interned table replaced, and :func:`rewalking_add_zero_edges` the zero-edge
+interned table replaced, :func:`tuple_reachability` the breadth-first
+search on weight tuples that the packed ints of
+:func:`kakimizu.thetagraph.build_complex` replaced, and
+:func:`rewalking_add_zero_edges` the zero-edge
 insertion that walks the whole graph again after every insertion and tests
 every position pair of a face, which the local face splits of
 :func:`kakimizu.thetagraph.add_zero_edges` replaced.
@@ -25,8 +28,9 @@ from itertools import combinations
 from unittest import mock
 
 from kakimizu.complexes import SimplicialComplex, full_passes, label_text
-from kakimizu.errors import InputError, KakimizuError, MoveError, StructureError
-from kakimizu.thetagraph import Edge
+from kakimizu.errors import (InputError, KakimizuError, MoveError, SizeLimitError,
+                             StructureError)
+from kakimizu.thetagraph import Edge, region_signatures
 
 from isomorphism import one_skeleton
 
@@ -224,6 +228,33 @@ def apply_region(w: dict, region) -> dict:
         if out[eid] < 0:
             raise MoveError(f"region {region.index} drives edge {eid} negative")
     return out
+
+
+def tuple_reachability(tg, w0: dict, max_vertices: int):
+    """The weight tuples, in ``tg.edge_order()``, that the regions of `tg`
+    reach from `w0`, in breadth-first order, the regions as moves and the
+    step on tuples: a region adds each edge's sum of its signs there, and
+    does not apply where a weight would drop below zero.  SizeLimitError
+    is raised when a search finds more than `max_vertices` tuples."""
+    order = tg.edge_order()
+    shifts = [tuple(sum(s for e, s in region.boundary if e == eid) for eid in order)
+              for region in region_signatures(tg)]
+
+    def step(w, r):
+        w2 = tuple(a + b for a, b in zip(w, shifts[r]))
+        return None if min(w2) < 0 else w2
+
+    states = [tuple(w0[eid] for eid in order)]
+    seen = {states[0]}
+    for w in states:
+        for r in range(len(shifts)):
+            w2 = step(w, r)
+            if w2 is not None and w2 not in seen:
+                if len(states) >= max_vertices:
+                    raise SizeLimitError(f"more than {max_vertices} reachable surfaces")
+                seen.add(w2)
+                states.append(w2)
+    return states, range(len(shifts)), step
 
 
 def rewalking_add_zero_edges(g):

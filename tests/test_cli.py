@@ -160,6 +160,27 @@ class TestTheta:
         assert code == 2
         assert err.startswith("error:")
 
+    @pytest.mark.parametrize("text", [
+        # once refused as "bad edge end 'a:1'"
+        "vertex u\nvertex v\nedge a:1 u v\nedge 1 u v\nrot u a:1 1\nrot v 1 a:1\n",
+        # once refused as "rotation at u lists foreign end ('a', 1)"
+        "vertex u\nvertex v\nedge a u v\nedge a:1 u v\nrot u a a:1\nrot v a:1 a\n",
+    ])
+    def test_edge_id_with_colon_refused(self, tmp_path, text):
+        # a rotation reads id:0 and id:1 as the ends of a loop, so an edge
+        # whose id holds ':' could never be listed
+        with pytest.raises(InputError, match="edge id 'a:1' contains ':'"):
+            PlanarMultigraph.from_text(text)
+        path = tmp_path / "g.txt"
+        path.write_text(text, encoding="utf-8")
+        proc = subprocess.run([sys.executable, "-m", "kakimizu", "theta", str(path)],
+                              env=dict(os.environ, PYTHONPATH=str(SRC)),
+                              capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 2
+        assert "Traceback" not in proc.stderr
+        assert proc.stderr == ("error: edge id 'a:1' contains ':', "
+                               "which marks the end of a loop in a rotation\n")
+
     def test_connected_sum_refused(self, capsys, tmp_path):
         # a path of three double edges: a cut vertex, so not prime
         path = tmp_path / "sum.txt"

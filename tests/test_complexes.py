@@ -612,7 +612,8 @@ def _digest(text):
 
 class TestPinnedExports:
     """JSON and DOT of two large complexes, pinned by the sha256 of the
-    bytes the label-sorting exports wrote before the exports sorted ranks."""
+    bytes the label-sorting exports wrote before the exports sorted ranks,
+    and of a bigon-heavy route graph, pinned before the packed search."""
 
     def test_route_graph_r5_w5(self):
         text = (TESTS / "route_r5_w5.txt").read_text(encoding="utf-8")
@@ -625,6 +626,21 @@ class TestPinnedExports:
             "dfef2e294d8533880f0014cbf3a8cc58442a8cb4bd7cfa5f6281216076d7d7ed")
         assert _digest(to_dot(c)) == (
             "e4638260450827f3c48d58178ec2fb88be71f6a00a15d33407cf2c86eb5d0ac3")
+
+    def test_route_graph_with_bundles(self):
+        # 362 edges, most of them in bundles that bigon reduction merges
+        text = (TESTS / "route_bundles.txt").read_text(encoding="utf-8")
+        assert text == graph_text(route_graph(random.Random(7), 4, 2, 30))
+        g = thetagraph.PlanarMultigraph.from_text(text)
+        assert len(g.edges) == 362
+        tg = thetagraph.build_theta(g)
+        assert len(tg.edges) == 4
+        c = thetagraph.build_complex(tg, tg.weights())
+        assert (len(c.vertices), len(c.simplices)) == (10, 8)
+        assert _digest(to_json(c)) == (
+            "9f04b3e6620a5bbacbe0d0473a030b93098835eb969bc31fa983d9fe264bd8f4")
+        assert _digest(to_dot(c)) == (
+            "e1261a15e68193b77fe0076de0f68f08d899930621b3f53e8b71d6901d26c557")
 
     def test_chain_minus_four_to_the_sixth(self):
         c = twobridge.build_complex(twobridge.BandChain((-4,) * 6))

@@ -15,15 +15,16 @@ from kakimizu.errors import (InputError, KakimizuError, MoveError, SizeLimitErro
                              StructureError)
 from kakimizu.fibred import ReductionGraph, reduction_certificate, replay_certificate
 from kakimizu.pipeline import load_theta_file
-from kakimizu.thetagraph import (DEFAULT_MAX_VERTICES, Edge, PlanarMultigraph, ThetaGraph,
-                                 _edge_key, add_zero_edges, build_complex, build_theta,
-                                 reduce_bigons, region_signatures, theta_subgraph)
+from kakimizu.thetagraph import (DEFAULT_MAX_VERTICES, MAX_REGIONS, Edge, PlanarMultigraph,
+                                 ThetaGraph, _edge_key, add_zero_edges, build_complex,
+                                 build_theta, reduce_bigons, region_signatures, theta_subgraph)
 
 from euler import euler_characteristic
-from randgraphs import (add_loop, cycle_text, graph_text, necklace_text, random_sphere_graph,
-                        route_graph, separable_graph)
-from setoracles import (apply_region, both_routes, pass_unions, rewalking_add_zero_edges,
-                        set_is_connected, set_is_flag)
+from randgraphs import (add_loop, add_pendant_bridge, cycle_text, graph_text, necklace_text,
+                        random_sphere_graph, route_graph, separable_graph)
+from setoracles import (apply_region, both_routes, labelled_pass_complex, pass_unions,
+                        rewalking_add_zero_edges, set_is_connected, set_is_flag,
+                        tuple_reachability)
 
 FIXTURES = ("theta_11_94.txt", "theta_11_237.txt", "theta_11_340.txt")
 TESTS = Path(__file__).resolve().parent
@@ -292,6 +293,16 @@ class TestReduceBigons:
             assert embedding(reduced) == embedding(expected)
             merged += len(g.edges) > len(reduced.edges)
         assert merged >= 100
+
+    def test_matches_sequential_oracle_on_route_graphs(self):
+        # shuffled ids, so a class's least id is rarely its first edge
+        rng = random.Random(2)
+        for r in range(2, 5):
+            for w in range(1, 4):
+                for bundle in range(2, 4):
+                    g = route_graph(rng, r, w, bundle)
+                    expected = sequential_reduce_bigons(g, rng=random.Random(rng.random()))
+                    assert embedding(reduce_bigons(g)) == embedding(expected)
 
     def test_edge_count_strictly_decreases(self):
         g = parallel_edges(4)
@@ -896,3 +907,79 @@ class TestIndexAssembly:
                     e.weight = rng.randint(0, 1)
                 built += check(lambda: build_complex(g, g.weights(), max_vertices=100))
         assert built >= 30
+
+
+def packed_matches_tuples(tg, w0, max_vertices=DEFAULT_MAX_VERTICES):
+    """Build the complex of `tg` from `w0`, and by the tuple search of
+    setoracles with the pass complex on its tuple step; both must give the
+    same complex, with the vertices in the oracle's breadth-first order,
+    or refuse alike.  1 when they build, 0 when they refuse."""
+    try:
+        states, moves, step = tuple_reachability(tg, w0, max_vertices)
+        index = {w: i for i, w in enumerate(states)}
+        expected = labelled_pass_complex(states, moves, step, index.__getitem__, states)
+    except KakimizuError as exc:
+        expected = (type(exc), str(exc))
+    try:
+        c = build_complex(tg, w0, max_vertices)
+    except KakimizuError as exc:
+        assert (type(exc), str(exc)) == expected
+        return 0
+    assert c == expected
+    assert set(c.vertices) == set(states) and c.labels == tuple(states)
+    return 1
+
+
+class TestPackedReachability:
+    """build_complex searches weight vectors packed into ints; the search
+    on weight tuples (setoracles.tuple_reachability) is the oracle."""
+
+    def test_route_graphs(self):
+        rng = random.Random(4)
+        for r in range(2, 9):
+            for w in range(1, 5):
+                for bundle in range(1, 4):
+                    tg = build_theta(route_graph(rng, r, w, bundle))
+                    assert packed_matches_tuples(tg, tg.weights()) == 1, (r, w, bundle)
+
+    def test_random_sphere_graphs(self):
+        # coherently oriented graphs with weights 0 to 3, so the totals,
+        # and with them the field widths, vary; searches past the cap are
+        # refused alike
+        rng = random.Random(8)
+        compared = built = 0
+        while compared < 200:
+            g = random_sphere_graph(rng, ops=rng.randint(2, 10))
+            if not orient_coherently(g) or len(region_signatures(g)) > MAX_REGIONS:
+                continue
+            built += packed_matches_tuples(g, g.weights(), max_vertices=200)
+            compared += 1
+        assert built >= 80
+
+    def test_bridge_starts(self):
+        # a bridge's signs cancel in the one region it borders, so its
+        # weight never changes and the rest searches as without it, also
+        # at weight 0; a weight of at least 2**70 makes every field wider
+        # than a machine word
+        rng = random.Random(3)
+        graphs = [build_theta(route_graph(rng, r, w)) for r in range(2, 7) for w in range(1, 4)]
+        while len(graphs) < 45:
+            g = random_sphere_graph(rng, ops=rng.randint(2, 8))
+            if orient_coherently(g) and len(region_signatures(g)) <= MAX_REGIONS:
+                graphs.append(g)
+        checked = 0
+        for g in graphs:
+            try:
+                light = build_complex(g, g.weights(), max_vertices=200)
+            except KakimizuError:
+                continue
+            checked += 1
+            for weight in (0, 2**70 + rng.randrange(2**70)):
+                bridged, bridge = add_pendant_bridge(g, weight)
+                assert packed_matches_tuples(bridged, bridged.weights()) == 1
+                c = build_complex(bridged, bridged.weights())
+                k = bridged.edge_order().index(bridge)
+                assert {w[k] for w in c.labels} == {weight}
+                assert [w[:k] + w[k + 1:] for w in c.labels] == list(light.labels)
+                assert c.maximal == light.maximal
+        assert checked >= 25
