@@ -31,6 +31,7 @@ canonical JSON, byte-identical across runs.
 from __future__ import annotations
 
 import csv
+import io
 import json
 import time
 from dataclasses import dataclass
@@ -198,8 +199,11 @@ def load_table(path) -> list:
     path = Path(path)
     records = []
     names = set()
-    reader = csv.reader(read_text(path, "table").splitlines())
-    for lineno, row in enumerate(reader, start=1):
+    # csv splits the rows itself: a quoted field may hold a line break, and
+    # str.splitlines() would also split at U+2028, U+0085 and form feeds
+    reader = csv.reader(io.StringIO(read_text(path, "table"), newline=""))
+    for row in reader:
+        lineno = reader.line_num
         if not row or (row[0].startswith("#")):
             continue
         if lineno == 1 and [c.strip() for c in row] == ["name", "class", "params", "expected"]:

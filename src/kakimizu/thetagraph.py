@@ -10,7 +10,7 @@ graph of the surface; its faces are the regions.
 
 The construction walks each graph's faces once.  A validated graph keeps
 the walks its Euler check made, and the prime and reduced check of a
-loopless Seifert graph (see :func:`build_theta`), bigon reduction, the
+Seifert graph (see :func:`build_theta`), bigon reduction, the
 theta-graph check and the region signs read them.  Zero-edge insertion
 walks the reduced graph once and then works face by face: an edge drawn
 across a face splits that face alone into two walks made of its own sides
@@ -30,8 +30,9 @@ incident edge ends at every vertex.  Files use one line per item::
     edge <id> <u> <v> weight=<w> dir=<+|->
     rot <vertex> <end> <end> ...
 
-where an edge end is ``<edge-id>`` or, for loops, ``<edge-id>:0`` /
-``<edge-id>:1``; so an edge id holds no ``:``.
+where an edge end is its edge id.  A crossing joins two different Seifert
+circles, so no Seifert graph, and no theta graph, has a loop: validation
+refuses one, and each end of an edge lies at a different vertex.
 """
 
 from __future__ import annotations
@@ -82,9 +83,10 @@ class PlanarMultigraph:
     """A connected multigraph embedded in the sphere.
 
     The embedding is a rotation system: for every vertex, the cyclic order of
-    incident edge ends.  Validation checks that each end appears exactly once
-    at the right vertex, that the graph is connected, and that the face count
-    satisfies Euler's formula V - E + F = 2.
+    incident edge ends.  Validation refuses a loop with InputError, and
+    checks that each end appears exactly once at the right vertex, that the
+    graph is connected, and that the face count satisfies Euler's formula
+    V - E + F = 2.
     """
 
     def __init__(self, vertices, edges, rotation):
@@ -111,6 +113,9 @@ class PlanarMultigraph:
             raise StructureError("graph has no vertices")
         ends = {}   # an edge end -> its vertex
         for eid, e in self.edges.items():
+            if e.u == e.v:
+                raise InputError(f"edge {eid} is a loop: "
+                                 "a crossing joins two different Seifert circles")
             if e.u not in self.rotation or e.v not in self.rotation:
                 raise StructureError(f"edge {eid} touches an unknown vertex")
             if e.direction not in (1, -1):
@@ -235,9 +240,6 @@ class PlanarMultigraph:
                     eid, u, v = parts[1:4]
                     if eid in edges:
                         raise InputError(f"duplicate edge {eid}")
-                    if ":" in eid:
-                        raise InputError(f"edge id {eid!r} contains ':', "
-                                         "which marks the end of a loop in a rotation")
                     attrs = dict(p.split("=", 1) for p in parts[4:])
                     weight = int(attrs.pop("weight", "1"))
                     dirtext = attrs.pop("dir", "+")
@@ -259,18 +261,10 @@ class PlanarMultigraph:
                 raise InputError(f"rotation for unknown vertex {vid}")
             darts = []
             for tok in tokens:
-                # no edge id holds ':', so a token is an edge id or a loop end
                 e = edges.get(tok)
                 if e is None:
-                    eid, colon, endtext = tok.rpartition(":")
-                    if not colon:
-                        raise InputError(f"unknown edge {tok!r} in rotation")
-                    if endtext not in ("0", "1") or eid not in edges:
-                        raise InputError(f"bad edge end {tok!r}")
-                    darts.append((eid, int(endtext)))
-                elif e.u == e.v:
-                    raise InputError(f"loop edge {tok} needs explicit ends {tok}:0 {tok}:1")
-                elif vid == e.u:
+                    raise InputError(f"unknown edge {tok!r} in rotation")
+                if vid == e.u:
                     darts.append((tok, 0))
                 elif vid == e.v:
                     darts.append((tok, 1))
@@ -290,12 +284,10 @@ class ThetaGraph(PlanarMultigraph):
 
     def validate(self) -> None:
         super().validate()
-        for pair, fam in self.parallel_families().items():
+        for fam in self.parallel_families().values():
             if len(fam) < 2:
                 raise StructureError(
                     f"theta edge family {sorted(fam)} is a single edge")
-            if len(pair) == 1:
-                raise StructureError("theta graphs carry no loops")
         for walk in self.faces():
             if len(walk) == 2:
                 w1 = self.edges[walk[0][0]].weight
@@ -333,11 +325,11 @@ def reduce_bigons(g: PlanarMultigraph) -> PlanarMultigraph:
     for walk in faces:
         if len(walk) != 2:
             continue
+        # a bigon leaves one vertex along e1 and comes back along e2, so,
+        # with no loops, two distinct edges of a bigon join the same pair
         (e1, _), (e2, _) = walk
-        a, b = g.edges[e1], g.edges[e2]
-        if e1 == e2 or a.u == a.v or {a.u, a.v} != {b.u, b.v}:
-            continue
-        parent[root(e2)] = root(e1)
+        if e1 != e2:
+            parent[root(e2)] = root(e1)
     classes: dict = {}
     for eid in g.edges:
         classes.setdefault(root(eid), []).append(eid)
@@ -387,12 +379,11 @@ def add_zero_edges(g: PlanarMultigraph) -> PlanarMultigraph:
     nbrs: dict = {}
     tails: dict = {}
     for pair, fam in g.parallel_families().items():
-        if len(pair) == 2:
-            u, v = pair
-            nbrs.setdefault(u, set()).add(v)
-            nbrs.setdefault(v, set()).add(u)
-            e = g.edges[fam[0]]
-            tails[pair] = e.u if e.direction == 1 else e.v
+        u, v = pair
+        nbrs.setdefault(u, set()).add(v)
+        nbrs.setdefault(v, set()).add(u)
+        e = g.edges[fam[0]]
+        tails[pair] = e.u if e.direction == 1 else e.v
     before: dict = {}   # an edge end -> the new ends placed just before it
     touched = set()
     counter = 0
@@ -489,24 +480,19 @@ def build_theta(g: PlanarMultigraph) -> ThetaGraph:
     A special diagram's Seifert graph is one of its checkerboard graphs, so
     the diagram is prime and reduced exactly when the graph has no cut
     vertex and no bridge, and then its knot is prime (Menasco, Topology
-    1984).  A crossing joins two different Seifert circles, so a loop is
-    refused first.  On the sphere the face walks the Euler check kept then
-    decide the rest: an edge is a bridge exactly when one face meets both
-    of its sides, and a vertex of a loopless graph is a cut vertex exactly
-    when one face passes it twice.  Each is refused with InputError.
+    1984).  Validation has refused a loop, and on the sphere the face walks
+    the Euler check kept decide the rest: an edge is a bridge exactly when
+    one face meets both of its sides, and a vertex of a loopless graph is a
+    cut vertex exactly when one face passes it twice.  Each is refused with
+    InputError.
     """
     _check_blocks(g)
     return theta_subgraph(add_zero_edges(reduce_bigons(g)))
 
 
 def _check_blocks(g: PlanarMultigraph) -> None:
-    # the walks decide blocks only without loops: a face that runs along a
-    # loop passes its vertex twice, whether that vertex separates or not
     corner = {}   # a side -> the vertex it leaves
     for eid, e in g.edges.items():
-        if e.u == e.v:
-            raise InputError(f"Seifert graph edge {eid} is a loop: "
-                             "a crossing joins two different Seifert circles")
         corner[eid, 0] = e.u
         corner[eid, 1] = e.v
     for walk in g.faces():

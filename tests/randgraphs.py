@@ -5,8 +5,9 @@ operations (parallel duplication, a chord across a face, edge subdivision),
 so every generated graph is 2-edge-connected and spherical by construction;
 the constructor's Euler check confirms it.  Route graphs are seeded Seifert
 graphs with a known complex, and separable graphs join two random graphs at
-a cut vertex or by a bridge, :func:`add_loop` draws a loop inside a face,
-and :func:`add_pendant_bridge` hangs a new vertex on a bridge.  The text helpers write graph files.
+a cut vertex or by a bridge, :func:`add_loop` draws a loop inside a face
+(which the constructor refuses), and :func:`add_pendant_bridge` hangs a new
+vertex on a bridge.  The text helpers write graph files.
 """
 
 import random
@@ -131,12 +132,13 @@ def separable_graph(rng: random.Random, ops: int = 6) -> PlanarMultigraph:
     return PlanarMultigraph(list(rotation), edges, rotation)
 
 
-def add_loop(rng: random.Random, g: PlanarMultigraph) -> tuple:
-    """A copy of `g` with a weight-1 loop drawn inside a face at a vertex
-    the face passes, and the loop's id.  Half the time, when some face
-    passes a vertex twice, the loop's ends go into two corners of that face
-    there, parting the blocks that meet at the vertex; otherwise both go
-    into one corner of a random face."""
+def add_loop(rng: random.Random, g: PlanarMultigraph) -> PlanarMultigraph:
+    """A copy of `g` with a weight-1 loop ``L<edge count>`` drawn inside a
+    face at a vertex the face passes, which the constructor refuses with
+    InputError.  Half the time, when some face passes a vertex twice, the
+    loop's ends go into two corners of that face there, parting the blocks
+    that meet at the vertex; otherwise both go into one corner of a random
+    face."""
     faces = g.faces()
     apart = [(walk, i, j) for walk in faces for verts in [g.walk_vertices(walk)]
              for i in range(len(walk)) for j in range(i + 1, len(walk)) if verts[i] == verts[j]]
@@ -154,7 +156,7 @@ def add_loop(rng: random.Random, g: PlanarMultigraph) -> tuple:
     # an end placed just before a side the walk leaves along lies in its face
     rot.insert(rot.index(walk[i]), (loop, 0))
     rot.insert(rot.index(walk[j]), (loop, 1))
-    return PlanarMultigraph(g.vertices, edges, rotation), loop
+    return PlanarMultigraph(g.vertices, edges, rotation)
 
 
 def add_pendant_bridge(g: PlanarMultigraph, weight: int) -> tuple:
@@ -206,7 +208,5 @@ def graph_text(g: PlanarMultigraph) -> str:
     lines += [f"edge {eid} {e.u} {e.v} weight={e.weight} dir={'+' if e.direction == 1 else '-'}"
               for eid, e in g.edges.items()]
     for v in g.vertices:
-        ends = (f"{eid}:{end}" if g.edges[eid].u == g.edges[eid].v else eid
-                for eid, end in g.rotation[v])
-        lines.append(" ".join(["rot", v, *ends]))
+        lines.append(" ".join(["rot", v, *(eid for eid, _ in g.rotation[v])]))
     return "\n".join(lines) + "\n"

@@ -15,7 +15,8 @@ from hypothesis import strategies as st
 from kakimizu import fibred
 from kakimizu.cli import MAX_EXPAND_ENTRIES, main
 from kakimizu.errors import InputError
-from kakimizu.thetagraph import PlanarMultigraph
+from kakimizu.pipeline import load_table, run_batch
+from kakimizu.thetagraph import Edge, PlanarMultigraph, ThetaGraph
 from kakimizu.twobridge import DEFAULT_MAX_BANDS
 
 from randgraphs import cycle_text, necklace_text
@@ -161,25 +162,50 @@ class TestTheta:
         assert err.startswith("error:")
 
     @pytest.mark.parametrize("text", [
-        # once refused as "bad edge end 'a:1'"
         "vertex u\nvertex v\nedge a:1 u v\nedge 1 u v\nrot u a:1 1\nrot v 1 a:1\n",
-        # once refused as "rotation at u lists foreign end ('a', 1)"
         "vertex u\nvertex v\nedge a u v\nedge a:1 u v\nrot u a a:1\nrot v a:1 a\n",
-    ])
-    def test_edge_id_with_colon_refused(self, tmp_path, text):
-        # a rotation reads id:0 and id:1 as the ends of a loop, so an edge
-        # whose id holds ':' could never be listed
-        with pytest.raises(InputError, match="edge id 'a:1' contains ':'"):
-            PlanarMultigraph.from_text(text)
-        path = tmp_path / "g.txt"
-        path.write_text(text, encoding="utf-8")
-        proc = subprocess.run([sys.executable, "-m", "kakimizu", "theta", str(path)],
-                              env=dict(os.environ, PYTHONPATH=str(SRC)),
-                              capture_output=True, text=True, timeout=60)
-        assert proc.returncode == 2
-        assert "Traceback" not in proc.stderr
-        assert proc.stderr == ("error: edge id 'a:1' contains ':', "
-                               "which marks the end of a loop in a rotation\n")
+    ], ids=["colon_id", "colon_id_beside_its_prefix"])
+    def test_edge_id_with_colon_parses(self, tmp_path, text):
+        # an end is its edge id, so ':' is an ordinary character in an id:
+        # the file runs like the same file with a:1 renamed to b
+        g = PlanarMultigraph.from_text(text)
+        assert ("a:1", 0) in g.rotation["u"] and ("a:1", 1) in g.rotation["v"]
+        outcomes = []
+        for name, body in (("colon", text), ("plain", text.replace("a:1", "b"))):
+            path = tmp_path / f"{name}.txt"
+            path.write_text(body, encoding="utf-8")
+            proc = subprocess.run([sys.executable, "-m", "kakimizu", "theta", str(path)],
+                                  env=dict(os.environ, PYTHONPATH=str(SRC)),
+                                  capture_output=True, text=True, timeout=60)
+            assert "Traceback" not in proc.stderr
+            outcomes.append((proc.returncode, proc.stdout, proc.stderr))
+        assert outcomes[0] == outcomes[1]
+
+    def test_loop_refused_at_every_entry_point(self, tmp_path):
+        # a crossing joins two different Seifert circles, so every way in
+        # refuses a loop with one message that names it
+        message = "edge l is a loop: a crossing joins two different Seifert circles"
+        text = "vertex u\nvertex v\nedge 1 u v\nedge 2 u v\nedge l u u\nrot u 1 l l 2\nrot v 2 1\n"
+        edges = {"1": Edge("u", "v", 1, 1), "2": Edge("u", "v", 1, 1), "l": Edge("u", "u", 1, 1)}
+        rotation = {"u": [("1", 0), ("l", 0), ("l", 1), ("2", 0)], "v": [("2", 1), ("1", 1)]}
+        for build in (lambda: PlanarMultigraph.from_text(text),
+                      lambda: PlanarMultigraph(["u", "v"], edges, rotation),
+                      lambda: ThetaGraph(["u", "v"], edges, rotation)):
+            with pytest.raises(InputError) as err:
+                build()
+            assert str(err.value) == message
+        (tmp_path / "looped.txt").write_text(text, encoding="utf-8")
+        for flags in ([], ["-O"]):
+            proc = subprocess.run([sys.executable, *flags, "-m", "kakimizu", "theta",
+                                   str(tmp_path / "looped.txt")],
+                                  env=dict(os.environ, PYTHONPATH=str(SRC)),
+                                  capture_output=True, text=True, timeout=60)
+            assert (proc.returncode, proc.stdout, proc.stderr) == (2, "", f"error: {message}\n")
+        table = tmp_path / "table.csv"
+        table.write_text("name,class,params,expected\nlooped,special_alternating,looped.txt,point\n",
+                         encoding="utf-8")
+        (row,) = run_batch(load_table(table))
+        assert row.error == message
 
     def test_connected_sum_refused(self, capsys, tmp_path):
         # a path of three double edges: a cut vertex, so not prime
@@ -398,8 +424,8 @@ def _theta_file(draw):
     darts = {v: [] for v in names}
     for k, (u, v, weight, sign) in enumerate(edges, start=1):
         lines.append(f"edge {k} {u} {v} weight={weight} dir={sign}")
-        darts[u].append(f"{k}:0")
-        darts[v].append(f"{k}:1")
+        darts[u].append(str(k))
+        darts[v].append(str(k))
     for v in names:
         lines.append(" ".join(["rot", v] + draw(st.permutations(darts[v]))))
     return "\n".join(lines) + "\n"

@@ -127,6 +127,25 @@ class TestLoadTable:
             load_table(path)
         assert ":2:" in str(err.value)
 
+    def test_quoted_line_break_stays_in_its_field(self, tmp_path):
+        # csv splits the rows, so "x<newline>y" is not read as "xy"; a row
+        # error names the line the row ends on
+        path = tmp_path / "t.csv"
+        rows = 'name,class,params,expected\n"x\ny",fibred,-,point\n"xy",fibred,-,point\n'
+        path.write_text(rows, encoding="utf-8")
+        assert [r.name for r in load_table(path)] == ["x\ny", "xy"]
+        path.write_text(rows + "k,mystery,-,point\n", encoding="utf-8")
+        with pytest.raises(InputError) as err:
+            load_table(path)
+        assert ":5:" in str(err.value)
+
+    def test_unicode_line_breaks_are_field_text(self, tmp_path):
+        # str.splitlines() would split at each of these three
+        path = tmp_path / "t.csv"
+        path.write_text("name,class,params,expected\na\u2028b,fibred,-,point\n"
+                        "c\x85d,fibred,-,point\ne\x0cf,fibred,-,point\n", encoding="utf-8")
+        assert [r.name for r in load_table(path)] == ["a\u2028b", "c\x85d", "e\x0cf"]
+
     def test_wrong_column_count(self, tmp_path):
         path = tmp_path / "t.csv"
         path.write_text("name,class,params,expected\nk,fibred,-\n")

@@ -182,9 +182,9 @@ class TestFaces:
         assert sorted(len(f) for f in g.faces()) == [2, 2, 2]
 
     def test_single_loop(self):
-        g = PlanarMultigraph(["a"], {"l": Edge("a", "a", 1, 1)},
-                             {"a": [("l", 0), ("l", 1)]})
-        assert len(g.faces()) == 2
+        # a crossing joins two different Seifert circles
+        with pytest.raises(InputError, match="edge l is a loop"):
+            PlanarMultigraph(["a"], {"l": Edge("a", "a", 1, 1)}, {"a": [("l", 0), ("l", 1)]})
 
     def test_two_edge_path(self):
         g = PlanarMultigraph(
@@ -247,10 +247,11 @@ class TestParser:
         with pytest.raises((InputError, StructureError)):
             PlanarMultigraph.from_text(text)
 
-    def test_loop_needs_explicit_ends(self):
-        g = PlanarMultigraph.from_text(
-            "vertex a\nedge l a a weight=1 dir=+\nrot a l:0 l:1\n")
-        assert len(g.faces()) == 2
+    def test_loop_refused(self):
+        # an end is its edge id, so both ends of a loop read alike; the
+        # loop is refused before the rotation is checked
+        with pytest.raises(InputError, match="edge l is a loop"):
+            PlanarMultigraph.from_text("vertex a\nedge l a a weight=1 dir=+\nrot a l l\n")
 
 
 class TestReduceBigons:
@@ -731,15 +732,15 @@ class TestPrimeReducedInput:
             build_theta(g)
 
     def test_loop_between_blocks_refused(self):
-        # the loop at v1 parts the faces of the blocks v0-v1 and v1-v2, so
-        # no face passes the cut vertex v1 without running along the loop
+        # a loop at v1 drawn between the blocks v0-v1 and v1-v2 would part
+        # their faces, so no face would pass the cut vertex v1 without
+        # running along the loop; the graph is refused as it is built
         lines = ["vertex v0", "vertex v1", "vertex v2", "edge L0 v1 v1 weight=1 dir=+"]
         lines += [f"edge {eid} v0 v1 weight=1 dir=+" for eid in "012"]
         lines += [f"edge {eid} v1 v2 weight=1 dir=-" for eid in "678"]
-        lines += ["rot v0 0 2 1", "rot v1 L0:0 1 2 0 L0:1 8 6 7", "rot v2 6 8 7"]
-        g = PlanarMultigraph.from_text("\n".join(lines) + "\n")
+        lines += ["rot v0 0 2 1", "rot v1 L0 1 2 0 L0 8 6 7", "rot v2 6 8 7"]
         with pytest.raises(InputError, match="edge L0 is a loop"):
-            build_theta(g)
+            PlanarMultigraph.from_text("\n".join(lines) + "\n")
 
     def test_matches_brute_force_oracle(self):
         rng = random.Random(12)
@@ -765,11 +766,11 @@ class TestPrimeReducedInput:
             refused += blocked
         assert refused >= 150
         # a crossing joins two different Seifert circles, so every graph
-        # with a loop is refused, naming the loop, whatever its blocks
+        # with a loop is refused as it is built, naming the loop, whatever
+        # its blocks
         for g in graphs[:150] + graphs[-150:]:
-            looped, loop = add_loop(rng, g)
-            with pytest.raises(InputError, match=f"edge {loop} is a loop"):
-                build_theta(looped)
+            with pytest.raises(InputError, match=f"edge L{len(g.edges)} is a loop"):
+                add_loop(rng, g)
 
 
     @pytest.mark.xfail(strict=True, raises=StructureError,
