@@ -13,9 +13,5 @@ class StructureError(KakimizuError):
     """A structural invariant fails (non-spherical embedding, empty theta graph)."""
 
 
-class MoveError(KakimizuError):
-    """A surface move or region was applied where it is not applicable."""
-
-
 class SizeLimitError(KakimizuError):
     """A configurable size bound was exceeded."""

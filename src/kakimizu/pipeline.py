@@ -173,10 +173,11 @@ def classify_and_compute(rec: KnotRecord,
 
 
 def read_text(path, what: str) -> str:
-    """The text of a UTF-8 file; a file that cannot be opened or decoded is
-    an InputError naming `what` it was read as."""
+    """The text of a UTF-8 file, less a byte-order mark at its start; a file
+    that cannot be opened or decoded is an InputError naming `what` it was
+    read as."""
     try:
-        return Path(path).read_text(encoding="utf-8")
+        return Path(path).read_text(encoding="utf-8-sig")
     except (OSError, UnicodeDecodeError) as exc:
         raise InputError(f"cannot read {what} {path}: {exc}") from exc
 

@@ -30,9 +30,11 @@ incident edge ends at every vertex.  Files use one line per item::
     edge <id> <u> <v> weight=<w> dir=<+|->
     rot <vertex> <end> <end> ...
 
-where an edge end is its edge id.  A crossing joins two different Seifert
-circles, so no Seifert graph, and no theta graph, has a loop: validation
-refuses one, and each end of an edge lies at a different vertex.
+where an edge end is its edge id, and each optional edge attribute appears
+at most once (weight 1 and dir + when left out).  A crossing joins two
+different Seifert circles, so no Seifert graph, and no theta graph, has a
+loop: validation refuses one, and each end of an edge lies at a different
+vertex.
 """
 
 from __future__ import annotations
@@ -241,9 +243,10 @@ class PlanarMultigraph:
                     if eid in edges:
                         raise InputError(f"duplicate edge {eid}")
                     attrs = dict(p.split("=", 1) for p in parts[4:])
+                    repeated = len(attrs) < len(parts) - 4
                     weight = int(attrs.pop("weight", "1"))
                     dirtext = attrs.pop("dir", "+")
-                    if attrs or dirtext not in ("+", "-"):
+                    if repeated or attrs or dirtext not in ("+", "-"):
                         raise InputError(f"bad edge attributes on {eid}")
                     edges[eid] = Edge(u, v, weight, 1 if dirtext == "+" else -1)
                 elif kind == "rot":

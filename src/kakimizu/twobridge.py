@@ -8,26 +8,30 @@ moves at Hopf bands identify tuples that name isotopic surfaces, and the
 identification classes are the vertices of the Kakimizu complex.
 
 Applying a component band B_k flips the plumbing bits of the disks next to
-it; an interior band applies only when its two flanking bits agree.  A full
-pass that applies every band exactly once returns to the starting surface,
-and the set of vertices such a pass visits spans a maximal simplex.
+it; an interior band applies only when its two flanking bits agree.  The
+one band move, :func:`apply_band`, returns the next surface or None where
+the band does not apply, which is the step both the Hopf orbits and the
+full passes take.  A full pass that applies every band exactly once
+returns to the starting surface, and the set of vertices such a pass
+visits spans a maximal simplex.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 from itertools import product
 
 from . import rational
 from .complexes import SimplicialComplex, pass_complex
-from .errors import InputError, MoveError, SizeLimitError
+from .errors import InputError, SizeLimitError
 
 SurfaceTuple = tuple  # of 0/1 ints, one per plumbing disk
 
-# the slowest ladder at 9 bands, (-4)^9, builds in about 2.6 s, and one more
-# band multiplies a ladder's time by 3 to 11: (-4)^10 took 28 s and 454 MB
-# (``perfbench/rungs.py``, Python 3.11 on one core of a shared VM)
+# the slowest ladder at 9 bands, (-4)^9, builds in about 1 s, and one more
+# band multiplies a ladder's time by 3 to 8: (-4)^10 took 8.1 to 8.4 s and
+# 151 MB (``perfbench/rungs.py``, Python 3.11 on one core of a shared VM)
 DEFAULT_MAX_BANDS = 9
 
 
@@ -99,24 +103,19 @@ def _check_tuple(chain: BandChain, t) -> SurfaceTuple:
     return t
 
 
-def is_applicable(chain: BandChain, t, k: int) -> bool:
-    """Whether component band k may be applied to the surface t.
+def apply_band(chain: BandChain, t, k: int) -> SurfaceTuple | None:
+    """The surface after band k, or None where band k does not apply.
 
-    End bands apply at any time.  An interior band applies only when the two
-    disks flanking it carry equal plumbing bits.
+    Applying band k flips the plumbing bit of every disk flanking it.  End
+    bands apply at any time; an interior band applies only when its two
+    flanking disks carry equal bits.
     """
     t = _check_tuple(chain, t)
     disks = flanking_disks(chain, k)
-    return len(disks) < 2 or t[disks[0] - 1] == t[disks[1] - 1]
-
-
-def apply_band(chain: BandChain, t, k: int) -> SurfaceTuple:
-    """Apply band k: flip the plumbing bit of every disk flanking it."""
-    t = _check_tuple(chain, t)
-    if not is_applicable(chain, t, k):
-        raise MoveError(f"band {k} not applicable at {t}")
+    if len(disks) == 2 and t[disks[0] - 1] != t[disks[1] - 1]:
+        return None
     bits = list(t)
-    for d in flanking_disks(chain, k):
+    for d in disks:
         bits[d - 1] ^= 1
     return tuple(bits)
 
@@ -142,12 +141,12 @@ class IsotopyOrbit:
 def hopf_orbits(chain: BandChain) -> tuple:
     """Partition all surface tuples into isotopy orbits, sorted by label.
 
-    Only moves at Hopf bands identify surfaces; interior Hopf moves are
-    conditional on their flanking bits being equal, exactly as in
-    :func:`is_applicable`.  A Hopf move undoes itself, so an orbit is the
-    set a search of Hopf moves reaches from any member.  The search starts
-    from each tuple not yet met, in lexicographic order, so each start is
-    its orbit's minimum, which is the label.
+    Only moves at Hopf bands identify surfaces; an interior Hopf move
+    applies only where its flanking bits are equal, and :func:`apply_band`
+    returns None where it does not.  A Hopf move undoes itself, so an orbit
+    is the set a search of Hopf moves reaches from any member.  The search
+    starts from each tuple not yet met, in lexicographic order, so each
+    start is its orbit's minimum, which is the label.
     """
     hopf = chain.hopf_positions()
     seen: set = set()
@@ -159,11 +158,10 @@ def hopf_orbits(chain: BandChain) -> tuple:
         while stack:
             t = stack.pop()
             for k in hopf:
-                if is_applicable(chain, t, k):
-                    u = apply_band(chain, t, k)
-                    if u not in members:
-                        members.add(u)
-                        stack.append(u)
+                u = apply_band(chain, t, k)
+                if u is not None and u not in members:
+                    members.add(u)
+                    stack.append(u)
         seen |= members
         orbits.append(IsotopyOrbit(label, frozenset(members)))
     return tuple(orbits)
@@ -175,15 +173,12 @@ def build_complex(chain: BandChain, max_bands: int = DEFAULT_MAX_BANDS) -> Simpl
     Vertices are the Hopf orbits, labelled by their minimal member; maximal
     simplices are the inclusion-maximal visited-orbit sets over all starting
     surfaces and all fully applicable orderings.  The passes step on surface
-    tuples and label each by the index of its orbit.
+    tuples with :func:`apply_band` and label each by the index of its orbit.
     """
     if chain.n > max_bands:
         raise SizeLimitError(f"chain has {chain.n} bands, limit is {max_bands}")
     orbits = hopf_orbits(chain)
     index = {t: i for i, o in enumerate(orbits) for t in o.members}
-
-    def step(t, k):
-        """The surface after band k, or None where band k does not apply."""
-        return apply_band(chain, t, k) if is_applicable(chain, t, k) else None
-    return pass_complex(all_surface_tuples(chain), range(1, chain.n + 1), step,
-                        index.__getitem__, [o.label for o in orbits])
+    return pass_complex(all_surface_tuples(chain), range(1, chain.n + 1),
+                        partial(apply_band, chain), index.__getitem__,
+                        [o.label for o in orbits])

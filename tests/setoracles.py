@@ -28,11 +28,14 @@ from itertools import combinations
 from unittest import mock
 
 from kakimizu.complexes import SimplicialComplex, full_passes, label_text
-from kakimizu.errors import (InputError, KakimizuError, MoveError, SizeLimitError,
-                             StructureError)
+from kakimizu.errors import InputError, KakimizuError, SizeLimitError, StructureError
 from kakimizu.thetagraph import Edge, region_signatures
 
 from isomorphism import one_skeleton
+
+
+class MoveError(Exception):
+    """:func:`apply_region` met a region that does not apply."""
 
 
 def pairwise_maximal(family):

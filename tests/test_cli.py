@@ -148,10 +148,14 @@ class TestTheta:
         assert "Traceback" not in proc.stderr
         assert "unique surface" in proc.stderr
 
-    @pytest.mark.parametrize("direction", ["", "+-"])
-    def test_direction_is_one_sign(self, capsys, tmp_path, direction):
-        # a substring test once read dir= and dir=+- as dir=-
-        text = (f"vertex a\nvertex b\nedge 1 a b\nedge 2 a b dir={direction}\n"
+    @pytest.mark.parametrize("attrs", [
+        pytest.param("dir=", id=""), pytest.param("dir=+-", id="+-"),
+        pytest.param("weight=1 weight=5", id="weight_twice"),
+        pytest.param("dir=+ dir=-", id="dir_twice")])
+    def test_direction_is_one_sign(self, capsys, tmp_path, attrs):
+        # a substring test once read dir= and dir=+- as dir=-, and a
+        # repeated attribute was once read as its last value
+        text = (f"vertex a\nvertex b\nedge 1 a b\nedge 2 a b {attrs}\n"
                 "rot a 1 2\nrot b 2 1\n")
         with pytest.raises(InputError, match="bad edge attributes on 2"):
             PlanarMultigraph.from_text(text)
@@ -363,6 +367,62 @@ def test_non_utf8_file_exits_two(capsys, tmp_path, command):
     what = "table" if command == ["batch"] else "graph file"
     assert err.startswith(f"error: cannot read {what} {path}:")
     assert "Traceback" not in err
+
+
+class TestByteOrderMark:
+    """A file may start with a UTF-8 byte-order mark and reads as the same
+    file without it; a U+FEFF anywhere else, a second one at the start
+    included, stays an error."""
+
+    @staticmethod
+    def outcomes(capsys, tmp_path, text, argv, report=False):
+        """(exit code, stdout, stderr, report bytes or None where none was
+        written) of `argv` on `text` after each prefix: none, one mark, two
+        marks."""
+        found = []
+        for i, prefix in enumerate(("", "\ufeff", "\ufeff\ufeff")):
+            path = tmp_path / str(i) / "input.txt"
+            path.parent.mkdir()
+            path.write_text(prefix + text, encoding="utf-8")
+            out_path = path.parent / "report.json"
+            extra = ["--out", str(out_path)] if report else []
+            code, out, err = run(capsys, *argv, str(path), *extra)
+            found.append((code, out, err, out_path.read_bytes() if out_path.exists() else None))
+        return found
+
+    def test_table(self, capsys, data_dir, tmp_path):
+        text = (data_dir / "knots11.csv").read_text(encoding="utf-8")
+        plain, marked, doubled = self.outcomes(capsys, tmp_path, text, ["batch"], report=True)
+        assert plain[0] == 0
+        # the summary lines carry timings, so only the report is compared
+        assert marked[0] == plain[0] and marked[3] == plain[3]
+        assert doubled[0] == 2 and doubled[3] is None
+        assert "unknown shape literal 'expected'" in doubled[2]
+        mid = tmp_path / "mid.csv"
+        mid.write_text("name,class,params,expected\nk,fibred,,\ufeffpoint\n", encoding="utf-8")
+        code, _, err = run(capsys, "batch", str(mid))
+        assert code == 2 and "unknown shape literal '\\ufeffpoint'" in err
+
+    def test_graph_file(self, capsys, data_dir, tmp_path):
+        text = (data_dir / "theta_11_94.txt").read_text(encoding="utf-8")
+        plain, marked, doubled = self.outcomes(capsys, tmp_path, text, ["theta", "--json"])
+        assert plain[0] == 0 and marked == plain
+        assert doubled[0] == 2 and "unknown directive '\\ufeff" in doubled[2]
+        mid = tmp_path / "mid.txt"
+        mid.write_text(text.replace("\nvertex", "\n\ufeffvertex", 1), encoding="utf-8")
+        code, _, err = run(capsys, "theta", str(mid))
+        assert code == 2 and "unknown directive '\\ufeffvertex'" in err
+
+    def test_reduction_graph(self, capsys, tmp_path):
+        text = "v=3; edges=(0,1)(0,1)(1,2)(1,2)\n"
+        plain, marked, doubled = self.outcomes(capsys, tmp_path, text,
+                                               ["fibred", "--certificate", "--graph"])
+        assert plain[0] == 0 and plain[1].startswith("fibred\n") and marked == plain
+        assert doubled[0] == 2 and "cannot parse graph literal '\\ufeffv=3" in doubled[2]
+        mid = tmp_path / "mid.txt"
+        mid.write_text(text.replace("edges", "\ufeffedges"), encoding="utf-8")
+        code, _, err = run(capsys, "fibred", "--graph", str(mid))
+        assert code == 2 and err.startswith("error: cannot parse graph literal")
 
 
 @pytest.mark.parametrize("option", ["--max-bands", "--max-vertices"])

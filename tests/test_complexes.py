@@ -613,7 +613,8 @@ def _digest(text):
 class TestPinnedExports:
     """JSON and DOT of two large complexes, pinned by the sha256 of the
     bytes the label-sorting exports wrote before the exports sorted ranks,
-    and of a bigon-heavy route graph, pinned before the packed search."""
+    of a bigon-heavy route graph, pinned before the packed search, and of a
+    Hopf-rich chain, pinned before the band move returned None."""
 
     def test_route_graph_r5_w5(self):
         text = (TESTS / "route_r5_w5.txt").read_text(encoding="utf-8")
@@ -649,3 +650,15 @@ class TestPinnedExports:
             "970bc6cc7dcf9a0a8aa8474b52ea4692dbbc92763df8e9e8fb9aa7142256f4ce")
         assert _digest(to_dot(c)) == (
             "9cdd303a39f32e7ac723022b136a7298ebe3703151cf1bbc2c7835fd39f74a0b")
+
+    def test_hopf_rich_chain(self):
+        # (-4)^6 has no Hopf band; here half the bands are, and an orbit
+        # holds up to 16 surfaces
+        chain = twobridge.BandChain((2, -4) * 4)
+        assert max(len(o.members) for o in twobridge.hopf_orbits(chain)) == 16
+        c = twobridge.build_complex(chain)
+        assert (len(c.vertices), len(c.simplices)) == (27, 48)
+        assert _digest(to_json(c)) == (
+            "674abea5e49c2fb9270b8758bbc9f1a8a9abf510ae312680106d6b904703557c")
+        assert _digest(to_dot(c)) == (
+            "82c228c8170ea1275cc0cbe692ab8fd901588dedef35c2f85b10f65f6ce58650")

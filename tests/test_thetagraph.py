@@ -11,8 +11,7 @@ import pytest
 
 from kakimizu import thetagraph
 from kakimizu.complexes import SimplicialComplex, recognize
-from kakimizu.errors import (InputError, KakimizuError, MoveError, SizeLimitError,
-                             StructureError)
+from kakimizu.errors import InputError, KakimizuError, SizeLimitError, StructureError
 from kakimizu.fibred import ReductionGraph, reduction_certificate, replay_certificate
 from kakimizu.pipeline import load_theta_file
 from kakimizu.thetagraph import (DEFAULT_MAX_VERTICES, MAX_REGIONS, Edge, PlanarMultigraph,
@@ -22,8 +21,8 @@ from kakimizu.thetagraph import (DEFAULT_MAX_VERTICES, MAX_REGIONS, Edge, Planar
 from euler import euler_characteristic
 from randgraphs import (add_loop, add_pendant_bridge, cycle_text, graph_text, necklace_text,
                         random_sphere_graph, route_graph, separable_graph)
-from setoracles import (apply_region, both_routes, labelled_pass_complex, pass_unions,
-                        rewalking_add_zero_edges, set_is_connected, set_is_flag,
+from setoracles import (MoveError, apply_region, both_routes, labelled_pass_complex,
+                        pass_unions, rewalking_add_zero_edges, set_is_connected, set_is_flag,
                         tuple_reachability)
 
 FIXTURES = ("theta_11_94.txt", "theta_11_237.txt", "theta_11_340.txt")

@@ -9,9 +9,9 @@ from hypothesis import strategies as st
 
 from kakimizu import twobridge
 from kakimizu.complexes import ComplexShape, SimplicialComplex, recognize
-from kakimizu.errors import InputError, MoveError, SizeLimitError
+from kakimizu.errors import InputError, SizeLimitError
 from kakimizu.twobridge import (BandChain, apply_band, build_complex,
-                                flanking_disks, hopf_orbits, is_applicable)
+                                flanking_disks, hopf_orbits)
 
 from catalog import ROWS
 from euler import euler_characteristic
@@ -70,10 +70,8 @@ def band_passes(chain, start):
     """Orbit-label sets visited by every full pass from `start`: the
     unpruned pass walk driven by the public band moves."""
     label_of = {t: o.label for o in hopf_orbits(chain) for t in o.members}
-
-    def step(t, k):
-        return apply_band(chain, t, k) if is_applicable(chain, t, k) else None
-    return all_full_passes(start, range(1, chain.n + 1), step, label_of.__getitem__)
+    return all_full_passes(start, range(1, chain.n + 1),
+                           lambda t, k: apply_band(chain, t, k), label_of.__getitem__)
 
 
 def walk_cycles(chain, start, label_of):
@@ -87,8 +85,8 @@ def walk_cycles(chain, start, label_of):
             results.add(frozenset(visited))
             return
         for k in remaining:
-            if is_applicable(chain, t, k):
-                t2 = apply_band(chain, t, k)
+            t2 = apply_band(chain, t, k)
+            if t2 is not None:
                 walk(t2, remaining - {k}, visited | {label_of[t2]})
 
     walk(start, frozenset(range(1, chain.n + 1)), frozenset({label_of[start]}))
@@ -120,13 +118,13 @@ class TestBandChain:
 class TestMoves:
     def test_interior_needs_equal_flanks(self):
         chain = BandChain((-4, -2, -2, -2, -4, -2))
-        assert not is_applicable(chain, (1, 0, 1, 0, 0), 2)
-        assert is_applicable(chain, (1, 1, 1, 0, 0), 2)
+        assert apply_band(chain, (1, 0, 1, 0, 0), 2) is None
+        assert apply_band(chain, (1, 1, 1, 0, 0), 2) is not None
 
     def test_boundary_always_applicable(self):
         chain = BandChain((-8, -4))
-        assert is_applicable(chain, (0,), 1)
-        assert is_applicable(chain, (0,), 2)
+        assert apply_band(chain, (0,), 1) is not None
+        assert apply_band(chain, (0,), 2) is not None
 
     def test_apply_end_band(self):
         chain = BandChain((-8, -4))
@@ -137,10 +135,9 @@ class TestMoves:
         chain = BandChain((-4, -2, -2, -2, -4, -2))
         assert apply_band(chain, (0, 0, 0, 0, 0), 3) == (0, 1, 1, 0, 0)
 
-    def test_not_applicable_raises(self):
+    def test_not_applicable_is_none(self):
         chain = BandChain((-4, -2, -2, -2, -4, -2))
-        with pytest.raises(MoveError):
-            apply_band(chain, (1, 0, 1, 0, 0), 2)
+        assert apply_band(chain, (1, 0, 1, 0, 0), 2) is None
 
     def test_index_out_of_range(self):
         chain = BandChain((-8, -4))
@@ -153,9 +150,8 @@ class TestMoves:
         chain = BandChain(tuple(bands))
         t = tuple(data.draw(st.sampled_from([0, 1])) for _ in range(chain.disks))
         k = data.draw(st.integers(1, chain.n))
-        if is_applicable(chain, t, k):
-            t2 = apply_band(chain, t, k)
-            assert is_applicable(chain, t2, k)
+        t2 = apply_band(chain, t, k)
+        if t2 is not None:
             assert apply_band(chain, t2, k) == t
 
 
@@ -344,10 +340,9 @@ def test_single_move_adjacency_matches_cycles_diagnostic(capsys):
         move_edges = set()
         for t in product((0, 1), repeat=chain.disks):
             for k in range(1, chain.n + 1):
-                if not chain.is_hopf(k) and is_applicable(chain, t, k):
-                    a, b = label_of[t], label_of[apply_band(chain, t, k)]
-                    if a != b:
-                        move_edges.add(frozenset((a, b)))
+                u = None if chain.is_hopf(k) else apply_band(chain, t, k)
+                if u is not None and label_of[t] != label_of[u]:
+                    move_edges.add(frozenset((label_of[t], label_of[u])))
         c = build_complex(chain)
         cycle_edges = set()
         for s in c.simplices:
