@@ -20,7 +20,7 @@ import sys
 
 from . import fibred, pipeline, rational, thetagraph, twobridge
 from .complexes import recognize, to_dot, to_json
-from .errors import KakimizuError, StructureError
+from .errors import InputError, KakimizuError, StructureError
 
 # the expansion of 1/q has q - 1 entries: `kakimizu expand` printed 10^4 /
 # 10^5 / 3*10^5 / 10^6 of them in 0.26 / 1.1 / 2.9 / 9.5 s (Python 3.11 on
@@ -106,9 +106,9 @@ def main(argv=None) -> int:
                 try:
                     values = [int(tok) for tok in args.weights.split(",")]
                 except ValueError:
-                    raise KakimizuError(f"bad weight list {args.weights!r}")
+                    raise InputError(f"bad weight list {args.weights!r}")
                 if len(values) != len(order):
-                    raise KakimizuError(
+                    raise InputError(
                         f"expected {len(order)} weights for edges {', '.join(order)}")
                 weights = dict(zip(order, values))
             _emit_complex(args, thetagraph.build_complex(

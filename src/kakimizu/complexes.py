@@ -417,15 +417,15 @@ class ComplexShape:
             return f"explicit({self.size} vertices)"
         return self.kind
 
-    def as_complex(self, prefix: str = "T") -> SimplicialComplex:
+    def as_complex(self) -> SimplicialComplex:
         """A representative complex of this named shape with labels T1, T2, ..."""
         if self.kind == "point":
-            return SimplicialComplex.from_maximal([[f"{prefix}1"]])
+            return SimplicialComplex.from_maximal([["T1"]])
         if self.kind == "simplex":
-            verts = [f"{prefix}{i}" for i in range(1, self.size + 2)]
+            verts = [f"T{i}" for i in range(1, self.size + 2)]
             return SimplicialComplex.from_maximal([verts])
         if self.kind == "path":
-            verts = [f"{prefix}{i}" for i in range(1, self.size + 1)]
+            verts = [f"T{i}" for i in range(1, self.size + 1)]
             return SimplicialComplex.from_maximal(
                 [[verts[i], verts[i + 1]] for i in range(self.size - 1)])
         raise StructureError(f"{self} has no representative complex")

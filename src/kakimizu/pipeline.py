@@ -24,6 +24,10 @@ needs:
     a shape literal; the complex is taken from the record (used where the
     published derivation is a prose proof, not an algorithm).
 
+The two rule classes read their params text directly:
+:func:`strip_fibred_summands` and :func:`plumbing_theorem_complex` each
+take it whole, check its flags and return the complex.
+
 Records run independently; one bad row never aborts a batch.  Reports are
 canonical JSON, byte-identical across runs.
 """
@@ -44,25 +48,6 @@ from .twobridge import DEFAULT_MAX_BANDS
 
 KNOT_CLASSES = ("fibred", "two_bridge", "special_alternating", "unique_base_plus_fibred",
                 "plumbing_unique_pair", "table_expected")
-
-
-@dataclass(frozen=True)
-class MarkingFlags:
-    """Which marked product disks exist in the plumbing theorem's setting."""
-
-    product_disk_a1: bool = False
-    product_disk_a1_prime: bool = False
-    product_disk_a2: bool = False
-    product_disk_a2_prime: bool = False
-
-    @classmethod
-    def parse(cls, text: str) -> "MarkingFlags":
-        keys = ("A1", "A1p", "A2", "A2p")
-        fields = _rule_params(text, keys)
-        for key, value in fields.items():
-            if value not in (None, "0", "1"):
-                raise InputError(f"marking flag {key} must be 0 or 1, got {value!r}")
-        return cls(*(fields[key] == "1" for key in keys))
 
 
 def _rule_params(params: str, keys) -> dict:
@@ -105,36 +90,14 @@ class ResultRecord:
     error: str | None = None
 
 
-def strip_fibred_summands(base_unique: bool, summand_count: int) -> SimplicialComplex:
+def strip_fibred_summands(params: str) -> SimplicialComplex:
     """Deplumb fibred summands from a unique-surface base.
 
+    ``params`` is the rule text ``base_unique=<0|1>;fibred_summands=<k>``.
     Each deplumbing is a product decomposition inducing a bijection of
     surface sets, so the complex equals the base's, a point, whatever the
     number of summands.
     """
-    if not base_unique:
-        raise InputError("base must span a unique surface")
-    if summand_count < 0:
-        raise InputError("summand count cannot be negative")
-    return ComplexShape.point().as_complex()
-
-
-def plumbing_theorem_complex(flags: MarkingFlags) -> SimplicialComplex:
-    """Complex of a plumbing of two unique-surface, non-fibred pieces.
-
-    With no product disk at any marking, the surface and its dual are the
-    only classes (an edge).  With a product disk at A1 only, the dual of the
-    re-plumbed surface joins in (a path of three).  Other flag combinations
-    fall outside the theorem.
-    """
-    if flags == MarkingFlags():
-        return SimplicialComplex.from_maximal([["[S]", "[S^c]"]])
-    if flags == MarkingFlags(product_disk_a1=True):
-        return SimplicialComplex.from_maximal([["[S^c]", "[S]"], ["[S]", "[T^c]"]])
-    raise InputError(f"flag combination outside the plumbing theorem: {flags}")
-
-
-def _unique_base_params(params: str):
     fields = _rule_params(params, ("base_unique", "fibred_summands"))
     if fields["base_unique"] not in ("0", "1"):
         raise InputError("base_unique must be 0 or 1")
@@ -142,7 +105,34 @@ def _unique_base_params(params: str):
         count = int(fields["fibred_summands"] or "")
     except ValueError as exc:
         raise InputError("fibred_summands must be an integer") from exc
-    return fields["base_unique"] == "1", count
+    if fields["base_unique"] == "0":
+        raise InputError("base must span a unique surface")
+    if count < 0:
+        raise InputError("summand count cannot be negative")
+    return ComplexShape.point().as_complex()
+
+
+def plumbing_theorem_complex(params: str) -> SimplicialComplex:
+    """Complex of a plumbing of two unique-surface, non-fibred pieces.
+
+    ``params`` is the rule text ``A1=..;A1p=..;A2=..;A2p=..``, each flag 0
+    or 1 (left out means 0), marking a product disk at that marking.  With
+    no product disk, the surface and its dual are the only classes (an
+    edge).  With a product disk at A1 only, the dual of the re-plumbed
+    surface joins in (a path of three).  Other flag combinations fall
+    outside the theorem.
+    """
+    fields = _rule_params(params, ("A1", "A1p", "A2", "A2p"))
+    for key, value in fields.items():
+        if value not in (None, "0", "1"):
+            raise InputError(f"marking flag {key} must be 0 or 1, got {value!r}")
+    disks = [key for key, value in fields.items() if value == "1"]
+    if not disks:
+        return SimplicialComplex.from_maximal([["[S]", "[S^c]"]])
+    if disks == ["A1"]:
+        return SimplicialComplex.from_maximal([["[S^c]", "[S]"], ["[S]", "[T^c]"]])
+    raise InputError("flag combination outside the plumbing theorem: "
+                     f"product disks at {', '.join(disks)}")
 
 
 def classify_and_compute(rec: KnotRecord,
@@ -164,12 +154,11 @@ def classify_and_compute(rec: KnotRecord,
     if rec.klass == "fibred":
         return ComplexShape.point().as_complex()
     if rec.klass == "unique_base_plus_fibred":
-        return strip_fibred_summands(*_unique_base_params(rec.params))
+        return strip_fibred_summands(rec.params)
     if rec.klass == "plumbing_unique_pair":
-        return plumbing_theorem_complex(MarkingFlags.parse(rec.params))
-    if rec.klass == "table_expected":
-        return ComplexShape.parse(rec.params).as_complex()
-    raise InputError(f"unknown knot class {rec.klass!r}")
+        return plumbing_theorem_complex(rec.params)
+    # table_expected: KnotRecord refuses every other class
+    return ComplexShape.parse(rec.params).as_complex()
 
 
 def read_text(path, what: str) -> str:

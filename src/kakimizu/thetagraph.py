@@ -65,9 +65,6 @@ class Edge:
     weight: int
     direction: int  # +1 means oriented u -> v, -1 the reverse
 
-    def ends(self):
-        return (self.u, self.v)
-
 
 def _edge_key(eid: str):
     # numeric ids sort numerically, generated ids (z1, z2, ...) after them;
@@ -470,7 +467,7 @@ def theta_subgraph(g: PlanarMultigraph) -> ThetaGraph:
             keep.update(fam)
     if not keep:
         raise StructureError("theta graph is empty: the knot has a unique surface")
-    verts = sorted({v for eid in keep for v in g.edges[eid].ends()})
+    verts = sorted({v for eid in keep for v in (g.edges[eid].u, g.edges[eid].v)})
     edges = {eid: Edge(e.u, e.v, e.weight, e.direction)
              for eid, e in g.edges.items() if eid in keep}
     rotation = {v: [d for d in g.rotation[v] if d[0] in keep] for v in verts}
@@ -509,32 +506,26 @@ def _check_blocks(g: PlanarMultigraph) -> None:
                              "is a cut vertex: not prime")
 
 
-@dataclass(frozen=True)
-class Region:
-    """A face of the theta graph with signed boundary edges."""
-
-    index: int
-    boundary: tuple  # of (edge id, sign)
-
-
 def region_signatures(tg: PlanarMultigraph) -> tuple:
     """Signed boundaries of all regions, from coherent face traversal.
 
-    Every face is walked with the face kept on a fixed side, so an edge is
-    traversed forwards by exactly one face and backwards by the other; the
-    sign records whether the traversal agrees with the edge's stored
-    direction.  Consequently each edge receives opposite signs from its two
+    Returns one boundary per region: region i is face i of
+    :meth:`PlanarMultigraph.faces`, and its boundary is the sorted tuple of
+    its (edge id, sign) pairs.  Every face is walked with the face kept on
+    a fixed side, so an edge is traversed forwards by exactly one face and
+    backwards by the other; the sign records whether the traversal agrees
+    with the edge's stored direction.  Consequently each edge receives opposite signs from its two
     regions, and applying every region once shifts no weight at all.
     """
     regions = []
     per_edge: dict = {}
-    for idx, walk in enumerate(tg.faces()):
+    for walk in tg.faces():
         boundary = []
         for eid, a in walk:
             sign = tg.edges[eid].direction * (1 if a == 0 else -1)
             boundary.append((eid, sign))
             per_edge.setdefault(eid, []).append(sign)
-        regions.append(Region(idx, tuple(sorted(boundary))))
+        regions.append(tuple(sorted(boundary)))
     for eid, signs in per_edge.items():
         if sorted(signs) != [-1, 1]:
             raise StructureError(f"edge {eid} signs {signs} do not cancel")
@@ -576,10 +567,10 @@ def build_complex(tg: ThetaGraph, w0: dict,
     regions = region_signatures(tg)
     if len(regions) > MAX_REGIONS:
         raise SizeLimitError(f"{len(regions)} regions exceed the bound {MAX_REGIONS}")
-    for region in regions:
-        if sum(sign for _, sign in region.boundary) != 0:
+    for idx, boundary in enumerate(regions):
+        if sum(sign for _, sign in boundary) != 0:
             raise StructureError(
-                f"region {region.index} has unbalanced signs: edge directions "
+                f"region {idx} has unbalanced signs: edge directions "
                 "are not coherent with the link orientation")
     if set(w0) != set(tg.edges):
         raise InputError("weight vector must be supported on the theta edges")
@@ -591,9 +582,9 @@ def build_complex(tg: ThetaGraph, w0: dict,
     offset = {eid: k * width for k, eid in enumerate(order)}
     guard = sum(1 << (k + width - 1) for k in offset.values())
     moves = []
-    for region in regions:
+    for boundary in regions:
         shift = dict.fromkeys(order, 0)
-        for eid, sign in region.boundary:
+        for eid, sign in boundary:
             shift[eid] += sign
         moves.append((sum(d << offset[eid] for eid, d in shift.items() if d > 0),
                       sum(-d << offset[eid] for eid, d in shift.items() if d < 0)))

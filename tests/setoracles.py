@@ -221,15 +221,16 @@ def skeleton_to_dot(c: SimplicialComplex) -> str:
     return "\n".join(lines) + "\n"
 
 
-def apply_region(w: dict, region) -> dict:
-    """Shift each boundary weight by its sign; other weights are untouched."""
+def apply_region(w: dict, boundary) -> dict:
+    """Shift each weight of a region's signed boundary by its sign; other
+    weights are untouched."""
     out = dict(w)
-    for eid, sign in region.boundary:
+    for eid, sign in boundary:
         if eid not in out:
             raise InputError(f"weight vector missing edge {eid}")
         out[eid] += sign
         if out[eid] < 0:
-            raise MoveError(f"region {region.index} drives edge {eid} negative")
+            raise MoveError(f"region drives edge {eid} negative")
     return out
 
 
@@ -240,8 +241,8 @@ def tuple_reachability(tg, w0: dict, max_vertices: int):
     does not apply where a weight would drop below zero.  SizeLimitError
     is raised when a search finds more than `max_vertices` tuples."""
     order = tg.edge_order()
-    shifts = [tuple(sum(s for e, s in region.boundary if e == eid) for eid in order)
-              for region in region_signatures(tg)]
+    shifts = [tuple(sum(s for e, s in boundary if e == eid) for eid in order)
+              for boundary in region_signatures(tg)]
 
     def step(w, r):
         w2 = tuple(a + b for a, b in zip(w, shifts[r]))

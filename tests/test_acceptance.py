@@ -11,9 +11,8 @@ from itertools import product
 from kakimizu.cli import main as cli_main
 from kakimizu.complexes import ComplexShape, recognize
 from kakimizu.fibred import ReductionGraph, reduction_certificate
-from kakimizu.pipeline import (KnotRecord, MarkingFlags, classify_and_compute,
-                               load_theta_file, plumbing_theorem_complex,
-                               strip_fibred_summands)
+from kakimizu.pipeline import (KnotRecord, classify_and_compute, load_theta_file,
+                               plumbing_theorem_complex, strip_fibred_summands)
 from kakimizu.rational import (evaluate_cfe, even_cfe, normalize_two_bridge,
                                parse_fraction)
 from kakimizu.thetagraph import build_complex as theta_complex, region_signatures
@@ -119,8 +118,8 @@ def test_criterion_7_region_sign_invariants(data_dir):
     for g in graphs:
         regions = region_signatures(g)
         per_edge = {}
-        for region in regions:
-            for eid, s in region.boundary:
+        for boundary in regions:
+            for eid, s in boundary:
                 per_edge.setdefault(eid, []).append(s)
         assert all(sorted(v) == [-1, 1] for v in per_edge.values())
         shuffled = list(regions)
@@ -155,11 +154,11 @@ def test_criterion_9_rule_engine():
     edge = ComplexShape.simplex(1).as_complex()
     path3 = ComplexShape.path(3).as_complex()
     for name in ("11_45", "11_280"):
-        c = plumbing_theorem_complex(MarkingFlags.parse("A1=0;A1p=0;A2=0;A2p=0"))
+        c = plumbing_theorem_complex("A1=0;A1p=0;A2=0;A2p=0")
         assert isomorphic(c, edge), name
-    c = plumbing_theorem_complex(MarkingFlags.parse("A1=1;A1p=0;A2=0;A2p=0"))
+    c = plumbing_theorem_complex("A1=1;A1p=0;A2=0;A2p=0")
     assert isomorphic(c, path3)
-    stripped = strip_fibred_summands(True, 2)
+    stripped = strip_fibred_summands("base_unique=1;fibred_summands=2")
     assert str(recognize(stripped)) == "point"
     c = classify_and_compute(KnotRecord("11_103", "table_expected", "path(2)"))
     assert isomorphic(c, edge)

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from kakimizu import fibred
+from kakimizu import cli, fibred
 from kakimizu.cli import MAX_EXPAND_ENTRIES, main
 from kakimizu.errors import InputError
 from kakimizu.pipeline import load_table, run_batch
@@ -224,6 +224,25 @@ class TestTheta:
                            "--weights", "1,0,0")
         assert code == 2
         assert "expected 2 weights" in err
+
+    @pytest.mark.parametrize("weights, message", [
+        ("1,x", "error: bad weight list '1,x'\n"),
+        ("1,0,0", "error: expected 2 weights for edges 1, z1\n"),
+    ], ids=["not_integers", "wrong_count"])
+    def test_malformed_weights_are_input_errors(self, capsys, monkeypatch, data_dir,
+                                                weights, message):
+        # main prints the message inside its handler: record what it handles
+        handled = []
+        real_print = print
+
+        def recording_print(*args, **kwargs):
+            handled.append(sys.exc_info()[0])
+            real_print(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "print", recording_print, raising=False)
+        code, _, err = run(capsys, "theta", str(data_dir / "theta_11_94.txt"),
+                           "--weights", weights)
+        assert (code, err, handled) == (2, message, [InputError])
 
 
 class TestFibred:

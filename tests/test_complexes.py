@@ -25,7 +25,10 @@ TESTS = Path(__file__).resolve().parent
 
 
 def path_complex(n, prefix="T"):
-    return ComplexShape.path(n).as_complex(prefix)
+    """The representative path of n vertices, labelled with `prefix` in
+    place of its T."""
+    return SimplicialComplex.from_maximal(
+        [[prefix + v[1:] for v in s] for s in ComplexShape.path(n).as_complex().simplices])
 
 
 def random_size(rng):

@@ -7,7 +7,7 @@ import pytest
 from kakimizu import complexes, pipeline
 from kakimizu.complexes import ComplexShape, recognize
 from kakimizu.errors import InputError
-from kakimizu.pipeline import (KnotRecord, MarkingFlags, classify_and_compute,
+from kakimizu.pipeline import (KnotRecord, classify_and_compute,
                                load_table, load_theta_file, plumbing_theorem_complex,
                                report_payload, run_batch, strip_fibred_summands,
                                summary_table, write_report)
@@ -15,46 +15,52 @@ from kakimizu.pipeline import (KnotRecord, MarkingFlags, classify_and_compute,
 
 class TestMarkingFlags:
     def test_parse(self):
-        flags = MarkingFlags.parse("A1=1;A1p=0;A2=0;A2p=0")
-        assert flags.product_disk_a1 and not flags.product_disk_a2
+        c = plumbing_theorem_complex("A1=1;A1p=0;A2=0;A2p=0")
+        assert str(recognize(c)) == "path(3)"
 
     @pytest.mark.parametrize("bad", ["A1=2", "B1=0", "A1"])
     def test_rejects(self, bad):
         with pytest.raises(InputError):
-            MarkingFlags.parse(bad)
+            plumbing_theorem_complex(bad)
 
 
 class TestRules:
     def test_no_disks_gives_edge(self):
-        c = plumbing_theorem_complex(MarkingFlags())
-        assert str(recognize(c)) == "simplex(1)"
-        assert c.vertices == {"[S]", "[S^c]"}
+        for params in ("A1=0;A1p=0;A2=0;A2p=0", ""):
+            c = plumbing_theorem_complex(params)
+            assert str(recognize(c)) == "simplex(1)"
+            assert c.vertices == {"[S]", "[S^c]"}
 
     def test_disk_at_first_marking_gives_path(self):
-        c = plumbing_theorem_complex(MarkingFlags(product_disk_a1=True))
+        c = plumbing_theorem_complex("A1=1")
         assert str(recognize(c)) == "path(3)"
         assert c.vertices == {"[S^c]", "[S]", "[T^c]"}
 
-    @pytest.mark.parametrize("flags", [
-        MarkingFlags(product_disk_a2=True),
-        MarkingFlags(product_disk_a1=True, product_disk_a2=True),
-        MarkingFlags(product_disk_a1_prime=True),
-    ])
+    @pytest.mark.parametrize("flags", [("A2",), ("A1", "A2"), ("A1p",)])
     def test_other_combinations_rejected(self, flags):
-        with pytest.raises(InputError):
-            plumbing_theorem_complex(flags)
+        # the refusal names the flagged disks
+        with pytest.raises(InputError, match=f"product disks at {', '.join(flags)}$"):
+            plumbing_theorem_complex(";".join(f"{key}=1" for key in flags))
 
     def test_strip_summands(self):
-        c = strip_fibred_summands(True, 2)
+        c = strip_fibred_summands("base_unique=1;fibred_summands=2")
         assert str(recognize(c)) == "point"
 
     def test_strip_no_summands(self):
-        c = strip_fibred_summands(True, 0)
+        c = strip_fibred_summands("base_unique=1;fibred_summands=0")
         assert str(recognize(c)) == "point"
 
     def test_strip_needs_unique_base(self):
+        with pytest.raises(InputError, match="unique surface"):
+            strip_fibred_summands("base_unique=0;fibred_summands=1")
+
+    @pytest.mark.parametrize("bad", ["base_unique=2;fibred_summands=1", "fibred_summands=1",
+                                     "base_unique=1", "base_unique=1;fibred_summands=x",
+                                     "base_unique=1;fibred_summands=-1",
+                                     "base_unique=1;fibred_summands=1;extra=1"])
+    def test_strip_rejects(self, bad):
         with pytest.raises(InputError):
-            strip_fibred_summands(False, 1)
+            strip_fibred_summands(bad)
 
 
 class TestDispatch:

@@ -90,7 +90,7 @@ def sequential_reduce_bigons(g, rng=None):
             (e1, _), (e2, _) = walk
             if e1 == e2:
                 continue
-            if frozenset(g.edges[e1].ends()) == frozenset(g.edges[e2].ends()) \
+            if {g.edges[e1].u, g.edges[e1].v} == {g.edges[e2].u, g.edges[e2].v} \
                     and g.edges[e1].u != g.edges[e1].v:
                 bigons.append(tuple(sorted((e1, e2), key=_edge_key)))
         if not bigons:
@@ -124,7 +124,7 @@ def permutation_complex(tg, w0):
 
     def try_region(w, region):
         out = dict(w)
-        for eid, sign in region.boundary:
+        for eid, sign in region:
             out[eid] += sign
             if out[eid] < 0:
                 return None
@@ -496,7 +496,7 @@ class TestRegions:
         regions = region_signatures(tg)
         assert len(regions) == 2
         for region in regions:
-            assert sorted(s for _, s in region.boundary) == [-1, 1]
+            assert sorted(s for _, s in region) == [-1, 1]
 
     def test_three_regions_with_per_edge_cancellation(self):
         tg = theta_subgraph(parallel_edges(3, weights=[1, 0, 0]))
@@ -504,7 +504,7 @@ class TestRegions:
         assert len(regions) == 3
         totals = Counter()
         for region in regions:
-            for eid, s in region.boundary:
+            for eid, s in region:
                 totals[eid] += s
         assert all(v == 0 for v in totals.values())
 
@@ -551,11 +551,11 @@ class TestRegions:
 
 
 def _applicable(w, region):
-    return all(w[eid] + s >= 0 for eid, s in region.boundary)
+    return all(w[eid] + s >= 0 for eid, s in region)
 
 
 def _inverse(a, b):
-    return Counter(dict(a.boundary)) == Counter({e: -s for e, s in b.boundary})
+    return Counter(dict(a)) == Counter({e: -s for e, s in b})
 
 
 class TestRandomSphereGraphs:
@@ -566,9 +566,9 @@ class TestRandomSphereGraphs:
             per_edge = Counter()
             face_count = Counter()
             for region in region_signatures(g):
-                for eid, s in region.boundary:
+                for eid, s in region:
                     per_edge[eid] += s
-                for eid in {e for e, _ in region.boundary}:
+                for eid in {e for e, _ in region}:
                     face_count[eid] += 1
             assert all(v == 0 for v in per_edge.values())
             assert all(c == 2 for c in face_count.values())
@@ -668,10 +668,13 @@ class TestBuildComplex:
             compared += 1
 
     def test_matches_permutation_oracle_on_random_seifert_graphs(self):
-        # random sphere graphs as weight-1 Seifert graphs; those with
-        # incoherent directions or a unique surface are refused
+        # random sphere graphs as weight-1 Seifert graphs; the outcomes are
+        # counted by class, so a graph that moves between classes shows,
+        # and any other error fails the test
+        empty = "theta graph is empty: the knot has a unique surface"
+        unreduced = "bigon between weight-positive edges was not reduced"
         rng = random.Random(9)
-        built = 0
+        outcomes = Counter()
         for _ in range(50):
             g = random_sphere_graph(rng, ops=rng.randint(2, 10))
             for e in g.edges.values():
@@ -679,12 +682,17 @@ class TestBuildComplex:
             try:
                 tg = build_theta(g)
                 c = build_complex(tg, tg.weights())
-            except KakimizuError:
+            except StructureError as exc:
+                if str(exc) not in (empty, unreduced):
+                    raise
+                outcomes[str(exc)] += 1
                 continue
             assert c == permutation_complex(tg, tg.weights())
             assert euler_characteristic(c) == 1
-            built += 1
-        assert built >= 10
+            outcomes["built"] += 1
+        # the unreduced bigons are the refusal that
+        # TestPrimeReducedInput::test_unreduced_bigon_fixture_builds marks
+        assert outcomes == {"built": 12, empty: 35, unreduced: 3}
 
     def test_incoherent_directions_rejected(self):
         g = parallel_edges(2, weights=[1, 0], dirs=[1, -1])
@@ -711,7 +719,7 @@ def separates(g):
                         stack.append(b)
         return seen == vertices
     edges = list(g.edges.values())
-    if any(not connected(set(g.vertices) - {x}, [e for e in edges if x not in e.ends()])
+    if any(not connected(set(g.vertices) - {x}, [e for e in edges if x not in (e.u, e.v)])
            for x in g.vertices):
         return True
     return any(e.u != e.v and not connected(g.vertices, [f for f in edges if f is not e])

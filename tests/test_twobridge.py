@@ -14,6 +14,7 @@ from kakimizu.twobridge import (BandChain, apply_band, build_complex,
                                 flanking_disks, hopf_orbits)
 
 from catalog import ROWS
+from census import check as check_census
 from euler import euler_characteristic
 from setoracles import (all_full_passes, both_routes, pass_unions, set_is_connected,
                         set_is_flag)
@@ -366,3 +367,12 @@ def test_randomised_start_order_independence():
         rebuilt = SimplicialComplex.from_maximal(
             simplices | {frozenset([o.label]) for o in hopf_orbits(chain)})
         assert rebuilt == reference
+
+
+class TestCensus:
+    # the numbers of 2-bridge knots with 3 to 10 crossings, mirror images
+    # counted once; every fraction of every knot is built and checked
+    @pytest.mark.parametrize("crossings, count", [(3, 1), (4, 1), (5, 2), (6, 3), (7, 7),
+                                                  (8, 12), (9, 24), (10, 45)])
+    def test_every_knot_builds_and_checks(self, crossings, count):
+        assert len(check_census(crossings)) == count
