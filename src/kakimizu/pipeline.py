@@ -53,7 +53,8 @@ KNOT_CLASSES = ("fibred", "two_bridge", "special_alternating", "unique_base_plus
 def _rule_params(params: str, keys) -> dict:
     """The values of ``key=value;...`` by key, None for a key not given.
 
-    An unknown key is an InputError; the caller checks the values.
+    An unknown key, or a key given twice, is an InputError; the caller
+    checks the values.
     """
     fields = dict.fromkeys(keys)
     for item in params.split(";"):
@@ -63,6 +64,8 @@ def _rule_params(params: str, keys) -> dict:
         key, _, value = item.partition("=")
         if key not in fields:
             raise InputError(f"unknown field {key!r} in {params!r}")
+        if fields[key] is not None:
+            raise InputError(f"field {key!r} given twice in {params!r}")
         fields[key] = value
     return fields
 
@@ -101,13 +104,14 @@ def strip_fibred_summands(params: str) -> SimplicialComplex:
     fields = _rule_params(params, ("base_unique", "fibred_summands"))
     if fields["base_unique"] not in ("0", "1"):
         raise InputError("base_unique must be 0 or 1")
-    try:
-        count = int(fields["fibred_summands"] or "")
-    except ValueError as exc:
-        raise InputError("fibred_summands must be an integer") from exc
+    count = fields["fibred_summands"] or ""
+    # ASCII digits after at most a minus sign, as graph-file weights:
+    # int() would also read "1_000", "+1" and other scripts' digits
+    if not (count.isascii() and count.removeprefix("-").isdecimal()):
+        raise InputError("fibred_summands must be an integer")
     if fields["base_unique"] == "0":
         raise InputError("base must span a unique surface")
-    if count < 0:
+    if int(count) < 0:
         raise InputError("summand count cannot be negative")
     return ComplexShape.point().as_complex()
 

@@ -8,14 +8,11 @@ edges where a parallel twist site could be created without a bigon, and keep
 the subgraph of edges lying in parallel families.  The result is the theta
 graph of the surface; its faces are the regions.
 
-The construction walks each graph's faces once.  A validated graph keeps
-the walks its Euler check made, and the prime and reduced check of a
-Seifert graph (see :func:`build_theta`), bigon reduction, the
-theta-graph check and the region signs read them.  Zero-edge insertion
-walks the reduced graph once and then works face by face: an edge drawn
-across a face splits that face alone into two walks made of its own sides
-and the new edge's, and joins a vertex pair an edge already joins, so
-every other face, and whether it admits an insertion, stays as it was.
+The construction does each piece of work once per graph.  Validation
+walks the faces on the successor map it builds as it checks the rotation,
+and keeps the walks for the prime and reduced check (:func:`build_theta`),
+bigon reduction, the theta-graph check and the region signs; bigon
+reduction derives its output's faces from them.
 
 Each face traversal gives every boundary edge a sign, opposite in the two
 faces an edge borders.  Applying a region shifts each boundary weight by its
@@ -31,10 +28,9 @@ incident edge ends at every vertex.  Files use one line per item::
     rot <vertex> <end> <end> ...
 
 where an edge end is its edge id, and each optional edge attribute appears
-at most once (weight 1 and dir + when left out).  A crossing joins two
-different Seifert circles, so no Seifert graph, and no theta graph, has a
-loop: validation refuses one, and each end of an edge lies at a different
-vertex.
+at most once (weight 1 and dir + when left out), a weight in ASCII digits.
+A crossing joins two different Seifert circles, so no Seifert graph, and
+no theta graph, has a loop: validation refuses one.
 """
 
 from __future__ import annotations
@@ -43,6 +39,7 @@ import heapq
 from bisect import bisect_left
 from collections import Counter
 from dataclasses import dataclass
+from itertools import compress, repeat
 from operator import itemgetter
 
 from .complexes import SimplicialComplex, pass_complex
@@ -56,6 +53,10 @@ from .errors import InputError, SizeLimitError, StructureError
 # sized against a measured runtime
 DEFAULT_MAX_VERTICES = 20_000
 MAX_REGIONS = 8
+# what validation knows of an edge end: its vertex, the other end, the end
+# itself and the far vertex; a foreign end has no vertex
+_VERTEX, _TWIN, _ITSELF, _FAR = map(itemgetter, range(4))
+_FOREIGN = (None,) * 4
 
 
 @dataclass
@@ -95,22 +96,16 @@ class PlanarMultigraph:
         self.validate()
 
     def copy(self) -> "PlanarMultigraph":
-        g = object.__new__(type(self))
-        g.vertices = list(self.vertices)
-        g.edges = {e: Edge(d.u, d.v, d.weight, d.direction) for e, d in self.edges.items()}
-        g.rotation = {v: list(r) for v, r in self.rotation.items()}
-        g._faces = None   # callers edit the copy's rotation
-        return g
+        edges = {e: Edge(d.u, d.v, d.weight, d.direction) for e, d in self.edges.items()}
+        return _stage(self, edges, {v: list(r) for v, r in self.rotation.items()})
 
     def end_vertex(self, eid: str, end: int) -> str:
-        e = self.edges[eid]
-        return e.u if end == 0 else e.v
+        return self.edges[eid].v if end else self.edges[eid].u
 
     def validate(self) -> None:
         self._faces = None
         if not self.vertices:
             raise StructureError("graph has no vertices")
-        ends = {}   # an edge end -> its vertex
         for eid, e in self.edges.items():
             if e.u == e.v:
                 raise InputError(f"edge {eid} is a loop: "
@@ -121,43 +116,49 @@ class PlanarMultigraph:
                 raise StructureError(f"edge {eid} has direction {e.direction!r}")
             if e.weight < 0:
                 raise StructureError(f"edge {eid} has negative weight")
-            ends[eid, 0] = e.u
-            ends[eid, 1] = e.v
-        # every listed end is an end of its vertex, so the ends are listed
-        # exactly once when as many are listed as there are, all distinct
-        listed = set()
-        count = 0
-        for v in self.vertices:
-            rot = self.rotation.get(v, [])
-            for dart in rot:
-                if ends.get(dart) != v:
-                    raise StructureError(f"rotation at {v} lists foreign end {dart}")
-            listed.update(rot)
-            count += len(rot)
-        if count != len(listed) or count != len(ends):
-            raise StructureError("rotation system must list each edge end exactly once")
-        self._check_connected(ends)
-        faces = self.faces()
+        succ, far, spans = self._successors()
+        seen, stack = {self.vertices[0]}, [self.vertices[0]]
+        while stack:
+            near = set(far[slice(*spans[stack.pop()])])
+            stack += near - seen
+            seen |= near
+        if not seen.issuperset(self.vertices):
+            raise StructureError("graph is not connected")
+        faces = _walk_faces(succ)
         # a bare vertex has no walk: its single face has empty boundary
         if self.edges and len(self.vertices) - len(self.edges) + len(faces) != 2:
-            raise StructureError(
-                f"not a sphere embedding: V-E+F = "
-                f"{len(self.vertices)}-{len(self.edges)}+{len(faces)}")
+            raise StructureError(f"not a sphere embedding: V-E+F = "
+                                 f"{len(self.vertices)}-{len(self.edges)}+{len(faces)}")
         self._faces = faces
 
-    def _check_connected(self, ends: dict) -> None:
-        start = self.vertices[0]
-        seen = {start}
-        stack = [start]
-        while stack:
-            v = stack.pop()
-            for eid, end in self.rotation[v]:
-                w = ends[eid, 1 - end]
-                if w not in seen:
-                    seen.add(w)
-                    stack.append(w)
-        if set(self.vertices) - seen:
-            raise StructureError("graph is not connected")
+    def _successors(self) -> tuple:
+        # the side after each side on its face, the far vertex of each listed
+        # end and each vertex's span of them; one tuple per end, met by identity
+        ends = {}   # an edge end -> (its vertex, the other end, itself, the far vertex)
+        for eid, e in self.edges.items():
+            d0, d1 = (eid, 0), (eid, 1)
+            ends[d0], ends[d1] = (e.u, d1, d0, e.v), (e.v, d0, d1, e.u)
+        listed, at, after, spans = [], [], [], {}
+        for v in self.vertices:
+            rot = self.rotation.get(v, [])
+            k = len(listed)
+            spans[v] = k, k + len(rot)
+            listed += rot
+            at += repeat(v, len(rot))
+            after += range(k + 1, k + len(rot))
+            after += [k] if rot else []
+        info = list(map(ends.get, listed, repeat(_FOREIGN)))
+        found = list(map(_VERTEX, info))
+        if found != at:
+            k = next(k for k, v in enumerate(at) if found[k] != v)
+            raise StructureError(f"rotation at {at[k]} lists foreign end {listed[k]}")
+        own = list(map(_ITSELF, info))
+        succ = dict(zip(map(_TWIN, info), map(own.__getitem__, after)))
+        # every listed end is an end of its vertex, so the ends are listed
+        # exactly once when as many are listed as there are, all distinct
+        if len(listed) != len(succ) or len(listed) != len(ends):
+            raise StructureError("rotation system must list each edge end exactly once")
+        return succ, list(map(_FAR, info)), spans
 
     def faces(self) -> list:
         """Boundary walks of the embedding, one per face.
@@ -170,44 +171,22 @@ class PlanarMultigraph:
         face order deterministic.  No side lies on two walks, so sorting
         by first sides alone gives the order of the whole walks.
 
-        A validated graph keeps the walks its Euler check made and returns
-        a new list of them on every call, so the construction stages read
-        the faces of a graph without walking it again.  ``copy()`` drops
-        them: the stages edit the copy's rotation.
+        A validated graph keeps the walks its Euler check made, and the
+        output of :func:`reduce_bigons` those it derives, and returns a new
+        list of them on every call.  Any other graph (a ``copy()``, the
+        output of :func:`add_zero_edges`) builds the successor map as
+        validation does, and walks it on every call.
         """
-        if self._faces is not None:
-            return list(self._faces)
-        succ = {}
-        for v in self.vertices:
-            rot = self.rotation[v]
-            for i, dart in enumerate(rot):
-                succ[dart] = rot[(i + 1) % len(rot)]
-        walks = []
-        seen = set()
-        for v in self.vertices:
-            for dart in self.rotation[v]:
-                if dart in seen:
-                    continue
-                walk = []
-                cur = dart
-                while cur not in seen:
-                    seen.add(cur)
-                    walk.append(cur)
-                    eid, a = cur
-                    cur = succ[(eid, 1 - a)]
-                walks.append(_rotate_min(walk))
-        walks.sort(key=itemgetter(0))
-        return walks
+        return list(self._faces) if self._faces is not None else _walk_faces(self._successors()[0])
 
     def walk_vertices(self, walk) -> list:
         return [self.end_vertex(eid, a) for eid, a in walk]
 
     def parallel_families(self) -> dict:
+        """Edge ids by endpoint pair, each family in the graph's edge order."""
         fams: dict = {}
         for eid, e in self.edges.items():
             fams.setdefault(frozenset((e.u, e.v)), []).append(eid)
-        for fam in fams.values():
-            fam.sort(key=_edge_key)
         return fams
 
     def edge_order(self) -> tuple:
@@ -218,34 +197,41 @@ class PlanarMultigraph:
 
     @classmethod
     def from_text(cls, text: str) -> "PlanarMultigraph":
-        vertices: list = []
-        seen: set = set()
+        vertices: dict = {}   # in file order
         edges: dict = {}
         rot_lines: dict = {}
         for lineno, raw in enumerate(text.splitlines(), start=1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
+            parts = raw.split("#", 1)[0].split()
+            if not parts:
                 continue
-            parts = line.split()
             kind = parts[0]
             try:
-                if kind == "vertex":
-                    (vid,) = parts[1:]
-                    if vid in seen:
-                        raise InputError(f"duplicate vertex {vid}")
-                    seen.add(vid)
-                    vertices.append(vid)
-                elif kind == "edge":
+                if kind == "edge":
                     eid, u, v = parts[1:4]
                     if eid in edges:
                         raise InputError(f"duplicate edge {eid}")
-                    attrs = dict(p.split("=", 1) for p in parts[4:])
-                    repeated = len(attrs) < len(parts) - 4
-                    weight = int(attrs.pop("weight", "1"))
-                    dirtext = attrs.pop("dir", "+")
-                    if repeated or attrs or dirtext not in ("+", "-"):
+                    # a repeated or unknown attribute is refused once all
+                    # parse; as in a dict, the last weight given is read
+                    weight, dirtext, bad = None, None, False
+                    for attr in parts[4:]:
+                        key, value = attr.split("=", 1)
+                        if key == "weight":
+                            bad, weight = bad or weight is not None, value
+                        elif key == "dir":
+                            bad, dirtext = bad or dirtext is not None, value
+                        else:
+                            bad = True
+                    weight = "1" if weight is None else weight
+                    number = int(weight)   # which also reads "+1", "1_0" and other digits
+                    if bad or dirtext not in (None, "+", "-") or not (
+                            weight.isascii() and weight.removeprefix("-").isdecimal()):
                         raise InputError(f"bad edge attributes on {eid}")
-                    edges[eid] = Edge(u, v, weight, 1 if dirtext == "+" else -1)
+                    edges[eid] = Edge(u, v, number, -1 if dirtext == "-" else 1)
+                elif kind == "vertex":
+                    (vid,) = parts[1:]
+                    if vid in vertices:
+                        raise InputError(f"duplicate vertex {vid}")
+                    vertices[vid] = None
                 elif kind == "rot":
                     vid = parts[1]
                     if vid in rot_lines:
@@ -259,19 +245,40 @@ class PlanarMultigraph:
         for vid, tokens in rot_lines.items():
             if vid not in rotation:
                 raise InputError(f"rotation for unknown vertex {vid}")
-            darts = []
             for tok in tokens:
                 e = edges.get(tok)
                 if e is None:
                     raise InputError(f"unknown edge {tok!r} in rotation")
-                if vid == e.u:
-                    darts.append((tok, 0))
-                elif vid == e.v:
-                    darts.append((tok, 1))
-                else:
+                end = 0 if vid == e.u else 1 if vid == e.v else None
+                if end is None:
                     raise InputError(f"edge {tok} is not incident to {vid}")
-            rotation[vid] = darts
+                rotation[vid].append((tok, end))
         return cls(vertices, edges, rotation)
+
+
+def _stage(g: PlanarMultigraph, edges: dict, rotation: dict, faces=None) -> PlanarMultigraph:
+    # an unvalidated graph on g's vertices: a copy, or a stage's output
+    out = object.__new__(type(g))
+    out.vertices, out.edges, out.rotation, out._faces = list(g.vertices), edges, rotation, faces
+    return out
+
+
+def _walk_faces(succ: dict) -> list:
+    # each side is taken out of succ as the walk passes it
+    walks = []
+    while succ:
+        start, side = succ.popitem()
+        after = succ.pop(side)
+        if after is start:
+            walks.append((start, side) if start < side else (side, start))
+            continue
+        walk = [start, side]
+        while after is not start:
+            walk.append(after)
+            after = succ.pop(after)
+        walks.append(_rotate_min(walk))
+    walks.sort(key=itemgetter(0))
+    return walks
 
 
 def _rotate_min(walk: list) -> tuple:
@@ -286,15 +293,10 @@ class ThetaGraph(PlanarMultigraph):
         super().validate()
         for fam in self.parallel_families().values():
             if len(fam) < 2:
-                raise StructureError(
-                    f"theta edge family {sorted(fam)} is a single edge")
+                raise StructureError(f"theta edge family {sorted(fam)} is a single edge")
         for walk in self.faces():
-            if len(walk) == 2:
-                w1 = self.edges[walk[0][0]].weight
-                w2 = self.edges[walk[1][0]].weight
-                if w1 > 0 and w2 > 0:
-                    raise StructureError(
-                        "bigon between weight-positive edges was not reduced")
+            if len(walk) == 2 and min(self.edges[eid].weight for eid, _ in walk) > 0:
+                raise StructureError("bigon between weight-positive edges was not reduced")
 
 
 def reduce_bigons(g: PlanarMultigraph) -> PlanarMultigraph:
@@ -306,44 +308,52 @@ def reduce_bigons(g: PlanarMultigraph) -> PlanarMultigraph:
     of the input with merged edges substituted, and no new bigon appears.
     Merging until none remain therefore joins exactly the classes of the
     relation "bound a common bigon" on the input's edges, whatever the
-    order.  The input's faces are read once, each class is found by
-    union-find, and its edge with the smallest id, picked once per class,
-    survives with the class's weight sum.  Requires the all weight-1
-    Seifert graph as input.
+    order, and deletes every bigon of two edges.  The classes grow along
+    the input's kept faces, the smaller of two joining the larger; the
+    least id of each survives with the class's weight sum, and the faces
+    that stay, survivors substituted, are kept as the result's.  Requires
+    the all weight-1 Seifert graph, which is left as it is: the result has
+    new Edge objects, for the survivors only, and new rotations.
     """
     if any(e.weight != 1 for e in g.edges.values()):
         raise InputError("bigon reduction starts from the weight-1 Seifert graph")
-    faces = g.faces()
-    g = g.copy()
-    parent = {eid: eid for eid in g.edges}
-
-    def root(eid):
-        while parent[eid] != eid:
-            parent[eid] = eid = parent[parent[eid]]
-        return eid
-
-    for walk in faces:
-        if len(walk) != 2:
-            continue
+    classes: dict = {}   # an edge on a bigon -> its class, a list its members share
+    faces = []   # the faces that stay
+    for walk in g.faces():
         # a bigon leaves one vertex along e1 and comes back along e2, so,
         # with no loops, two distinct edges of a bigon join the same pair
+        if len(walk) != 2 or walk[0][0] == walk[1][0]:
+            faces.append(walk)
+            continue
         (e1, _), (e2, _) = walk
-        if e1 != e2:
-            parent[root(e2)] = root(e1)
-    classes: dict = {}
-    for eid in g.edges:
-        classes.setdefault(root(eid), []).append(eid)
-    dropped = set()
-    for members in classes.values():
-        if len(members) > 1:
-            keep = min(members, key=lambda eid: (_edge_key(eid), eid))
-            for eid in members:
-                if eid != keep:
-                    dropped.add(eid)
-                    g.edges[keep].weight += g.edges.pop(eid).weight
-    for v in g.vertices:
-        g.rotation[v] = [d for d in g.rotation[v] if d[0] not in dropped]
-    return g
+        c1, c2 = classes.setdefault(e1, [e1]), classes.setdefault(e2, [e2])
+        if c1 is not c2:
+            if len(c1) < len(c2):
+                c1, c2 = c2, c1
+            c1 += c2
+            for eid in c2:
+                classes[eid] = c1
+    survivor = {}   # an edge on a bigon -> the edge its class keeps
+    for c in {id(c): c for c in classes.values()}.values():
+        survivor.update(dict.fromkeys(c, min(sorted(c), key=_edge_key)))
+    weights = Counter(survivor.values())
+    dropped = survivor.keys() - weights.keys()
+    edges = {eid: Edge(e.u, e.v, weights.get(eid, 1), e.direction)
+             for eid, e in g.edges.items() if eid not in dropped}
+
+    def moved(side):
+        # the survivor's side that leaves the vertex this side leaves
+        eid, a = side
+        if eid not in dropped:
+            return side
+        e, keep = g.edges[eid], survivor[eid]
+        return keep, 0 if edges[keep].u == (e.v if a else e.u) else 1
+
+    # a graph of bigons alone is one class: one edge is left, and one face
+    faces = sorted((walk if dropped.isdisjoint(map(itemgetter(0), walk))
+                    else _rotate_min(list(map(moved, walk))) for walk in faces),
+                   key=itemgetter(0)) or [((k, 0), (k, 1)) for k in edges]
+    return _stage(g, edges, {v: _darts_on(rot, edges) for v, rot in g.rotation.items()}, faces)
 
 
 def add_zero_edges(g: PlanarMultigraph) -> PlanarMultigraph:
@@ -356,53 +366,44 @@ def add_zero_edges(g: PlanarMultigraph) -> PlanarMultigraph:
     qualifying positions i < j of the first face in the sorted order of
     :meth:`PlanarMultigraph.faces` that has any, until nothing qualifies.
 
-    The graph is walked once, and each face split locally.  An edge z
-    inserted across walk w at positions i < j starts before w[i] at w's
-    i-th vertex and ends before w[j] at its j-th, so w becomes the two
-    walks ``w[:i] + [(z, 0)] + w[j:]`` and ``w[i:j] + [(z, 1)]``, each
-    rotated to its least side, and every other face is unchanged.  z joins
-    a pair an edge already joins, so no pair is added, and a face once
-    found to have no qualifying position never gains one.  The faces not
-    yet searched wait on a heap in walk order; the least is searched, and
-    either split, both halves going back on the heap, or dropped for
-    good.  This inserts exactly where re-walking the whole graph after
-    every insertion would.  The new ends are placed at the end, in one
-    pass over each rotation that gains any, rather than by a search of a
-    vertex's rotation at every insertion.
-
-    Each new edge is oriented like the least edge of its family, which
-    leaves the family's tail vertex unchanged whichever of its edges is
-    least later; so the tails are read once, before any insertion.
+    The input's faces are read once and split locally: an edge z across
+    walk w at positions i < j starts before w[i] and ends before w[j], so
+    w becomes ``w[:i] + [(z, 0)] + w[j:]`` and ``w[i:j] + [(z, 1)]``, each
+    rotated to its least side; z joins a pair an edge already joins, so
+    every other face, and whether it qualifies, stays as it was.  The
+    faces wait on a heap in walk order, the least split or dropped for
+    good, which inserts exactly where re-walking after every insertion
+    would.  The new ends go into each rotation that gains any in one pass.
+    A new edge is oriented like the least edge of its family, whose tail
+    vertex later insertions leave as it is.  The result shares the input's
+    Edge objects and keeps no faces.
     """
     faces = g.faces()   # sorted, so already a heap
-    g = g.copy()
-    nbrs: dict = {}
-    tails: dict = {}
+    edges = dict(g.edges)
+    nbrs, tails = {}, {}
     for pair, fam in g.parallel_families().items():
         u, v = pair
         nbrs.setdefault(u, set()).add(v)
         nbrs.setdefault(v, set()).add(u)
-        e = g.edges[fam[0]]
+        e = edges[min(fam, key=_edge_key)]
         tails[pair] = e.u if e.direction == 1 else e.v
     before: dict = {}   # an edge end -> the new ends placed just before it
-    touched = set()
-    counter = 0
+    touched, counter = set(), 0
     while faces:
         walk = heapq.heappop(faces)
-        verts = g.walk_vertices(walk)
+        verts = [edges[eid].v if a else edges[eid].u for eid, a in walk]
         insertion = _find_zero_insertion(verts, nbrs)
         if insertion is None:
             continue
         i, j = insertion
         counter += 1
-        eid = f"z{counter}"
-        while eid in g.edges:
+        while f"z{counter}" in edges:
             counter += 1
-            eid = f"z{counter}"
+        eid = f"z{counter}"
         u, v = verts[i], verts[j]
         # orient the new twist site like the existing edges of its family,
         # so the bigons they bound get balanced region signs
-        g.edges[eid] = Edge(u, v, 0, 1 if tails[frozenset((u, v))] == u else -1)
+        edges[eid] = Edge(u, v, 0, 1 if tails[frozenset((u, v))] == u else -1)
         # the walk leaves u along w[i]; an end placed just before w[i] in
         # u's rotation puts the new edge inside this face
         before.setdefault(walk[i], []).append((eid, 0))
@@ -410,9 +411,8 @@ def add_zero_edges(g: PlanarMultigraph) -> PlanarMultigraph:
         touched.update((u, v))
         heapq.heappush(faces, _rotate_min(walk[:i] + ((eid, 0),) + walk[j:]))
         heapq.heappush(faces, _rotate_min(walk[i:j] + ((eid, 1),)))
-    for x in touched:
-        g.rotation[x] = _place_ends(g.rotation[x], before)
-    return g
+    return _stage(g, edges, {x: _place_ends(rot, before) if x in touched else list(rot)
+                             for x, rot in g.rotation.items()})
 
 
 def _place_ends(rot: list, before: dict) -> list:
@@ -434,19 +434,18 @@ def _place_ends(rot: list, before: dict) -> list:
 def _find_zero_insertion(verts: list, nbrs: dict):
     # the least positions i < j of the walk with vertices verts whose
     # vertices an edge joins, with arcs j - i and len - (j - i) of at least
-    # two sides; for each i in turn, the least such j is the least position
-    # of a neighbour of verts[i] in [i + 2, min(len - 1, i + len - 2)],
-    # found by bisection in that neighbour's sorted positions; a vertex
-    # with more neighbours than the walk has vertices (the hub of many
-    # routes) is matched the other way round
+    # two sides: for each i, the least position of a neighbour of verts[i]
+    # in [i + 2, min(len - 1, i + len - 2)], by bisection in its sorted
+    # positions; a hub with more neighbours than the walk has vertices is
+    # matched the other way round
     length = len(verts)
     positions: dict = {}
     for k, x in enumerate(verts):
         positions.setdefault(x, []).append(k)
-    for i, u in enumerate(verts):
-        lo, hi = i + 2, min(length - 1, i + length - 2)
+    for i in range(length - 2):   # from i = length - 2 on, the range is empty
+        lo, hi = i + 2, length - 1 if i else length - 2
         best = None
-        near = nbrs.get(u, set())
+        near = nbrs[verts[i]]
         for x in (near if len(near) <= len(positions) else positions):
             at = positions.get(x)
             if at is None or x not in near:
@@ -460,18 +459,19 @@ def _find_zero_insertion(verts: list, nbrs: dict):
 
 
 def theta_subgraph(g: PlanarMultigraph) -> ThetaGraph:
-    """Restrict to edges whose endpoint pair carries at least two edges."""
-    keep = set()
-    for fam in g.parallel_families().values():
-        if len(fam) >= 2:
-            keep.update(fam)
-    if not keep:
+    """Restrict to edges whose endpoint pair carries at least two edges, as they are."""
+    pairs = [(pair, fam) for pair, fam in g.parallel_families().items() if len(fam) >= 2]
+    if not pairs:
         raise StructureError("theta graph is empty: the knot has a unique surface")
-    verts = sorted({v for eid in keep for v in (g.edges[eid].u, g.edges[eid].v)})
-    edges = {eid: Edge(e.u, e.v, e.weight, e.direction)
-             for eid, e in g.edges.items() if eid in keep}
-    rotation = {v: [d for d in g.rotation[v] if d[0] in keep] for v in verts}
-    return ThetaGraph(verts, edges, rotation)
+    keep = {eid for _, fam in pairs for eid in fam}
+    edges = {eid: e for eid, e in g.edges.items() if eid in keep}
+    verts = sorted({v for pair, _ in pairs for v in pair})
+    return ThetaGraph(verts, edges, {v: _darts_on(g.rotation[v], edges) for v in verts})
+
+
+def _darts_on(rot: list, edges: dict) -> list:
+    # the ends of rot whose edges are keys of edges, in rotation order
+    return list(compress(rot, map(edges.__contains__, map(itemgetter(0), rot))))
 
 
 def build_theta(g: PlanarMultigraph) -> ThetaGraph:
@@ -491,16 +491,16 @@ def build_theta(g: PlanarMultigraph) -> ThetaGraph:
 
 
 def _check_blocks(g: PlanarMultigraph) -> None:
-    corner = {}   # a side -> the vertex it leaves
-    for eid, e in g.edges.items():
-        corner[eid, 0] = e.u
-        corner[eid, 1] = e.v
     for walk in g.faces():
-        if len({eid for eid, _ in walk}) < len(walk):
-            sides = [eid for eid, _ in walk]
+        # a bigon of two edges meets neither side of an edge twice, and its
+        # corners are the two ends of a loopless edge
+        if len(walk) == 2 and walk[0][0] != walk[1][0]:
+            continue
+        sides = [eid for eid, _ in walk]
+        if len(set(sides)) < len(walk):
             raise InputError(f"Seifert graph edge {Counter(sides).most_common(1)[0][0]} "
                              "is a bridge: not reduced")
-        corners = list(map(corner.__getitem__, walk))
+        corners = [g.edges[eid].v if a else g.edges[eid].u for eid, a in walk]
         if len(set(corners)) < len(walk):
             raise InputError(f"Seifert graph vertex {Counter(corners).most_common(1)[0][0]} "
                              "is a cut vertex: not prime")

@@ -29,7 +29,7 @@ from unittest import mock
 
 from kakimizu.complexes import SimplicialComplex, full_passes, label_text
 from kakimizu.errors import InputError, KakimizuError, SizeLimitError, StructureError
-from kakimizu.thetagraph import Edge, region_signatures
+from kakimizu.thetagraph import Edge, _edge_key, region_signatures
 
 from isomorphism import one_skeleton
 
@@ -279,7 +279,7 @@ def rewalking_add_zero_edges(g):
             eid = f"z{counter}"
         verts = g.walk_vertices(walk)
         u, v = verts[i], verts[j]
-        partner = g.parallel_families()[frozenset((u, v))][0]
+        partner = min(g.parallel_families()[frozenset((u, v))], key=_edge_key)
         pe = g.edges[partner]
         tail = pe.u if pe.direction == 1 else pe.v
         g.edges[eid] = Edge(u, v, 0, 1 if tail == u else -1)

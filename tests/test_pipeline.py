@@ -62,6 +62,32 @@ class TestRules:
         with pytest.raises(InputError):
             strip_fibred_summands(bad)
 
+    @pytest.mark.parametrize("count", ["1_000", "+1", "\u0661", " 1", "1 0", ""])
+    def test_summand_count_is_ascii_digits(self, count):
+        # int() reads all but the last two of these
+        with pytest.raises(InputError, match="^fibred_summands must be an integer$"):
+            strip_fibred_summands(f"base_unique=1;fibred_summands={count}")
+
+    def test_summand_count_in_ascii_digits_accepted(self):
+        for count in ("0", "7", "1000", "007"):
+            c = strip_fibred_summands(f"base_unique=1;fibred_summands={count}")
+            assert str(recognize(c)) == "point"
+
+    @pytest.mark.parametrize("params, key", [
+        ("A1=1;A1=0", "A1"), ("A1=0;A2=0;A1=0", "A1"), ("A2p=1; A2p=1", "A2p")])
+    def test_repeated_flag_refused(self, params, key):
+        # the last value used to win: A1=1;A1=0 gave the edge
+        with pytest.raises(InputError, match=f"field '{key}' given twice"):
+            plumbing_theorem_complex(params)
+
+    @pytest.mark.parametrize("params, key", [
+        ("base_unique=0;base_unique=1;fibred_summands=1", "base_unique"),
+        ("base_unique=1;fibred_summands=1;fibred_summands=2", "fibred_summands")])
+    def test_repeated_field_refused(self, params, key):
+        # the last value used to win: the first row passed the unique-base check
+        with pytest.raises(InputError, match=f"field '{key}' given twice"):
+            strip_fibred_summands(params)
+
 
 class TestDispatch:
     def test_fibred_point(self):

@@ -27,6 +27,8 @@ from setoracles import (MoveError, apply_region, both_routes, labelled_pass_comp
 
 FIXTURES = ("theta_11_94.txt", "theta_11_237.txt", "theta_11_340.txt")
 TESTS = Path(__file__).resolve().parent
+EMPTY = "theta graph is empty: the knot has a unique surface"
+UNREDUCED = "bigon between weight-positive edges was not reduced"
 
 # prints the edge order of build_theta on seeded random Seifert graphs
 EDGE_ORDER_DUMP = """
@@ -46,6 +48,21 @@ for _ in range(40):
         continue
     print(list(tg.edges), {v: tg.rotation[v] for v in tg.vertices})
 """
+
+
+def counted_build_theta(g, outcomes):
+    """build_theta(g), or None for a refusal with a known StructureError;
+    each outcome is counted by class in `outcomes`, so a graph that moves
+    between classes shows, and any other error is raised."""
+    try:
+        tg = build_theta(g)
+    except StructureError as exc:
+        if str(exc) not in (EMPTY, UNREDUCED, "graph is not connected"):
+            raise
+        outcomes[str(exc)] += 1
+        return None
+    outcomes["built"] += 1
+    return tg
 
 
 def parallel_edges(k, weights=None, dirs=None):
@@ -241,10 +258,34 @@ class TestParser:
         "vertex a\nvertex b\nedge 1 a b weight=1 dir=*\nrot a 1\nrot b 1\n",
         "vertex a\nvertex b\nedge 1 a b weight=1 dir=+\nrot a 1 1\nrot b 1\n",
         "vertex a\nedge 1 a a weight=1 dir=+\nrot a 1 1\n",
+        "vertex a\nvertex b\nedge 1 a b weight=1_0\nrot a 1\nrot b 1\n",
+        "vertex a\nvertex b\nedge 1 a b weight=+1\nrot a 1\nrot b 1\n",
+        "vertex a\nvertex b\nedge 1 a b weight=\u0663\nrot a 1\nrot b 1\n",
     ])
     def test_rejects(self, text):
         with pytest.raises((InputError, StructureError)):
             PlanarMultigraph.from_text(text)
+
+    @pytest.mark.parametrize("weight", ["1_0", "+1", "\u0663", "-\u0663", "\uff11"])
+    def test_weight_is_ascii_digits(self, weight):
+        # int() reads every one of these
+        text = f"vertex a\nvertex b\nedge 1 a b weight={weight}\nrot a 1\nrot b 1\n"
+        with pytest.raises(InputError, match="^bad edge attributes on 1$"):
+            PlanarMultigraph.from_text(text)
+
+    def test_weights_and_their_refusals(self):
+        # weights in ASCII digits read as before, and so do the refusals
+        # of a negative weight and of a weight int() does not read
+        for weight, read in (("0", 0), ("10", 10), ("007", 7)):
+            g = PlanarMultigraph.from_text(
+                f"vertex a\nvertex b\nedge 1 a b weight={weight}\nrot a 1\nrot b 1\n")
+            assert g.edges["1"].weight == read
+        for weight, error, message in (("-1", StructureError, "^edge 1 has negative weight$"),
+                                       ("x", InputError, "^line 3: cannot parse"),
+                                       ("", InputError, "^line 3: cannot parse")):
+            with pytest.raises(error, match=message):
+                PlanarMultigraph.from_text(
+                    f"vertex a\nvertex b\nedge 1 a b weight={weight}\nrot a 1\nrot b 1\n")
 
     def test_loop_refused(self):
         # an end is its edge id, so both ends of a loop read alike; the
@@ -303,6 +344,28 @@ class TestReduceBigons:
                     g = route_graph(rng, r, w, bundle)
                     expected = sequential_reduce_bigons(g, rng=random.Random(rng.random()))
                     assert embedding(reduce_bigons(g)) == embedding(expected)
+
+    def test_kept_faces_match_a_fresh_walk(self):
+        # the result keeps the input's faces with merged edges substituted,
+        # bigons of two edges gone; a copy walks its rotation again
+        rng = random.Random(15)
+        graphs = [parallel_edges(k) for k in range(1, 5)]
+        graphs += [separable_graph(rng, rng.randint(1, 8)) for _ in range(60)]
+        graphs += [route_graph(rng, rng.randint(1, 5), rng.randint(1, 4), rng.randint(1, 4))
+                   for _ in range(60)]
+        graphs += [PlanarMultigraph.from_text(necklace_text(
+            [rng.randint(1, 4) for _ in range(rng.randint(1, 5))])) for _ in range(30)]
+        for _ in range(300):
+            g = random_sphere_graph(rng, ops=rng.randint(1, 16))
+            for e in g.edges.values():
+                e.weight = 1
+            graphs.append(g)
+        merged = 0
+        for g in graphs:
+            reduced = reduce_bigons(g)
+            assert reduced.faces() == reduced.copy().faces()
+            merged += len(reduced.edges) < len(g.edges)
+        assert merged >= 200
 
     def test_edge_count_strictly_decreases(self):
         g = parallel_edges(4)
@@ -416,6 +479,46 @@ class TestAddZeroEdges:
             PlanarMultigraph(reduced.vertices, reduced.edges, reduced.rotation)
             augmented = add_zero_edges(reduced)
             PlanarMultigraph(augmented.vertices, augmented.edges, augmented.rotation)
+
+
+class TestInputLeftAlone:
+    """Bigon reduction builds its result from the surviving edges instead
+    of a copy of its input; the build must still leave its input as it
+    was, and share no Edge with the theta graph."""
+
+    @staticmethod
+    def snapshot(g):
+        return (list(g.vertices),
+                [(eid, e.u, e.v, e.weight, e.direction) for eid, e in g.edges.items()],
+                {v: list(r) for v, r in g.rotation.items()}, g.faces())
+
+    def test_build_theta(self, data_dir):
+        rng = random.Random(14)
+        graphs = [PlanarMultigraph.from_text((data_dir / name).read_text()) for name in FIXTURES]
+        graphs += [route_graph(rng, r, w, bundle) for r in range(2, 6) for w in range(1, 4)
+                   for bundle in (1, 3)]
+        graphs += [PlanarMultigraph.from_text((TESTS / name).read_text(encoding="utf-8"))
+                   for name in ("route_r5_w5.txt", "route_bundles.txt")]
+        for _ in range(200):
+            g = random_sphere_graph(rng, ops=rng.randint(2, 12))
+            for e in g.edges.values():
+                e.weight = 1
+            graphs.append(g)
+        built = 0
+        for g in graphs:
+            before = self.snapshot(g)
+            try:
+                tg = build_theta(g)
+            except StructureError:
+                assert self.snapshot(g) == before
+                continue
+            built += 1
+            assert self.snapshot(g) == before
+            assert not {id(e) for e in g.edges.values()} & {id(e) for e in tg.edges.values()}
+            for e in tg.edges.values():
+                e.weight += 5
+            assert self.snapshot(g) == before
+        assert built >= 60
 
 
 class TestThetaSubgraph:
@@ -671,8 +774,6 @@ class TestBuildComplex:
         # random sphere graphs as weight-1 Seifert graphs; the outcomes are
         # counted by class, so a graph that moves between classes shows,
         # and any other error fails the test
-        empty = "theta graph is empty: the knot has a unique surface"
-        unreduced = "bigon between weight-positive edges was not reduced"
         rng = random.Random(9)
         outcomes = Counter()
         for _ in range(50):
@@ -683,7 +784,7 @@ class TestBuildComplex:
                 tg = build_theta(g)
                 c = build_complex(tg, tg.weights())
             except StructureError as exc:
-                if str(exc) not in (empty, unreduced):
+                if str(exc) not in (EMPTY, UNREDUCED):
                     raise
                 outcomes[str(exc)] += 1
                 continue
@@ -692,7 +793,7 @@ class TestBuildComplex:
             outcomes["built"] += 1
         # the unreduced bigons are the refusal that
         # TestPrimeReducedInput::test_unreduced_bigon_fixture_builds marks
-        assert outcomes == {"built": 12, empty: 35, unreduced: 3}
+        assert outcomes == {"built": 12, EMPTY: 35, UNREDUCED: 3}
 
     def test_incoherent_directions_rejected(self):
         g = parallel_edges(2, weights=[1, 0], dirs=[1, -1])
@@ -852,14 +953,12 @@ class TestLeastStartPruning:
         # coherently oriented graphs with 0/1 weights without it
         rng = random.Random(4)
         seifert = weighted = 0
+        outcomes = Counter()
         for _ in range(300):
             g = random_sphere_graph(rng, ops=rng.randint(2, 10))
             for e in g.edges.values():
                 e.weight = 1
-            try:
-                tg = build_theta(g)
-            except KakimizuError:
-                tg = None
+            tg = counted_build_theta(g, outcomes)
             if tg is not None and self.assert_union_kept(
                     lambda: build_complex(tg, tg.weights(), max_vertices=100)) is not None:
                 seifert += 1
@@ -871,6 +970,9 @@ class TestLeastStartPruning:
                     lambda: build_complex(g, g.weights(), max_vertices=100)) is not None:
                 weighted += 1
         assert seifert >= 30 and weighted >= 30
+        # graph 48 is connected and not bipartite, and its theta subgraph
+        # falls into two components
+        assert outcomes == {"built": 102, EMPTY: 158, UNREDUCED: 39, "graph is not connected": 1}
 
 
 class TestIndexAssembly:
@@ -892,6 +994,7 @@ class TestIndexAssembly:
         # coherently oriented graphs with 0/1 weights without it
         rng = random.Random(6)
         built = 0
+        outcomes = Counter()
 
         def check(build):
             found = both_routes(thetagraph, build)
@@ -904,10 +1007,7 @@ class TestIndexAssembly:
             g = random_sphere_graph(rng, ops=rng.randint(2, 10))
             for e in g.edges.values():
                 e.weight = 1
-            try:
-                tg = build_theta(g)
-            except KakimizuError:
-                tg = None
+            tg = counted_build_theta(g, outcomes)
             if tg is not None:
                 built += check(lambda: build_complex(tg, tg.weights(), max_vertices=100))
             if orient_coherently(g):
@@ -915,6 +1015,7 @@ class TestIndexAssembly:
                     e.weight = rng.randint(0, 1)
                 built += check(lambda: build_complex(g, g.weights(), max_vertices=100))
         assert built >= 30
+        assert outcomes == {"built": 23, EMPTY: 61, UNREDUCED: 16}
 
 
 def packed_matches_tuples(tg, w0, max_vertices=DEFAULT_MAX_VERTICES):
