@@ -175,17 +175,17 @@ def read_text(path, what: str) -> str:
         raise InputError(f"cannot read {what} {path}: {exc}") from exc
 
 
-def load_theta_file(path) -> thetagraph.ThetaGraph:
+def load_theta_file(path) -> thetagraph.PlanarMultigraph:
     """Load a graph file; weight-1 graphs run the full theta construction.
 
     A file whose weights are all 1 is a raw Seifert graph and passes through
     bigon reduction, zero-edge insertion and theta restriction.  Any other
-    file must already be a valid theta graph.
+    file must already be a valid theta graph (:func:`thetagraph.check_theta`).
     """
     g = thetagraph.PlanarMultigraph.from_text(read_text(path, "graph file"))
     if all(e.weight == 1 for e in g.edges.values()):
         return thetagraph.build_theta(g)
-    return thetagraph.ThetaGraph(g.vertices, g.edges, g.rotation)
+    return thetagraph.check_theta(g)
 
 
 def load_table(path) -> list:

@@ -8,11 +8,12 @@ edges where a parallel twist site could be created without a bigon, and keep
 the subgraph of edges lying in parallel families.  The result is the theta
 graph of the surface; its faces are the regions.
 
-The construction does each piece of work once per graph.  Validation
-walks the faces on the successor map it builds as it checks the rotation,
-and keeps the walks for the prime and reduced check (:func:`build_theta`),
-bigon reduction, the theta-graph check and the region signs; bigon
-reduction derives its output's faces from them.
+The construction does each piece of work once per graph.  A graph is
+validated once, by its constructor, which keeps the face walks of the
+successor map it builds as it checks the rotation; each stage derives its
+output's faces from its input's.  The kept walks serve the prime and
+reduced check (:func:`build_theta`), every stage, :func:`check_theta` and
+the region signs.
 
 Each face traversal gives every boundary edge a sign, opposite in the two
 faces an edge borders.  Applying a region shifts each boundary weight by its
@@ -83,27 +84,17 @@ class PlanarMultigraph:
     """A connected multigraph embedded in the sphere.
 
     The embedding is a rotation system: for every vertex, the cyclic order of
-    incident edge ends.  Validation refuses a loop with InputError, and
-    checks that each end appears exactly once at the right vertex, that the
-    graph is connected, and that the face count satisfies Euler's formula
-    V - E + F = 2.
+    incident edge ends.  The constructor validates the graph, once: it
+    refuses a loop with InputError, and checks that each end appears
+    exactly once at the right vertex, that the graph is connected, and that
+    the face count satisfies Euler's formula V - E + F = 2; it keeps the
+    face walks of that check.
     """
 
     def __init__(self, vertices, edges, rotation):
         self.vertices = list(vertices)
         self.edges = dict(edges)
         self.rotation = {v: list(r) for v, r in rotation.items()}
-        self.validate()
-
-    def copy(self) -> "PlanarMultigraph":
-        edges = {e: Edge(d.u, d.v, d.weight, d.direction) for e, d in self.edges.items()}
-        return _stage(self, edges, {v: list(r) for v, r in self.rotation.items()})
-
-    def end_vertex(self, eid: str, end: int) -> str:
-        return self.edges[eid].v if end else self.edges[eid].u
-
-    def validate(self) -> None:
-        self._faces = None
         if not self.vertices:
             raise StructureError("graph has no vertices")
         for eid, e in self.edges.items():
@@ -171,16 +162,10 @@ class PlanarMultigraph:
         face order deterministic.  No side lies on two walks, so sorting
         by first sides alone gives the order of the whole walks.
 
-        A validated graph keeps the walks its Euler check made, and the
-        output of :func:`reduce_bigons` those it derives, and returns a new
-        list of them on every call.  Any other graph (a ``copy()``, the
-        output of :func:`add_zero_edges`) builds the successor map as
-        validation does, and walks it on every call.
+        Every graph keeps its faces, the walks of its Euler check or those
+        of the stage that made it, and returns a new list of them.
         """
-        return list(self._faces) if self._faces is not None else _walk_faces(self._successors()[0])
-
-    def walk_vertices(self, walk) -> list:
-        return [self.end_vertex(eid, a) for eid, a in walk]
+        return list(self._faces)
 
     def parallel_families(self) -> dict:
         """Edge ids by endpoint pair, each family in the graph's edge order."""
@@ -256,9 +241,9 @@ class PlanarMultigraph:
         return cls(vertices, edges, rotation)
 
 
-def _stage(g: PlanarMultigraph, edges: dict, rotation: dict, faces=None) -> PlanarMultigraph:
-    # an unvalidated graph on g's vertices: a copy, or a stage's output
-    out = object.__new__(type(g))
+def _stage(g: PlanarMultigraph, edges: dict, rotation: dict, faces: list) -> PlanarMultigraph:
+    # a stage's output on g's vertices, with the faces the stage derived
+    out = object.__new__(PlanarMultigraph)
     out.vertices, out.edges, out.rotation, out._faces = list(g.vertices), edges, rotation, faces
     return out
 
@@ -286,17 +271,16 @@ def _rotate_min(walk: list) -> tuple:
     return tuple(walk[k:] + walk[:k])
 
 
-class ThetaGraph(PlanarMultigraph):
-    """A reduced weighted graph whose every edge lies in a parallel family."""
-
-    def validate(self) -> None:
-        super().validate()
-        for fam in self.parallel_families().values():
-            if len(fam) < 2:
-                raise StructureError(f"theta edge family {sorted(fam)} is a single edge")
-        for walk in self.faces():
-            if len(walk) == 2 and min(self.edges[eid].weight for eid, _ in walk) > 0:
-                raise StructureError("bigon between weight-positive edges was not reduced")
+def check_theta(g: PlanarMultigraph) -> PlanarMultigraph:
+    """Return g if it is a theta graph: every edge lies in a parallel
+    family of two or more, and no bigon joins two weight-positive edges."""
+    for fam in g.parallel_families().values():
+        if len(fam) < 2:
+            raise StructureError(f"theta edge family {sorted(fam)} is a single edge")
+    for walk in g.faces():
+        if len(walk) == 2 and min(g.edges[eid].weight for eid, _ in walk) > 0:
+            raise StructureError("bigon between weight-positive edges was not reduced")
+    return g
 
 
 def reduce_bigons(g: PlanarMultigraph) -> PlanarMultigraph:
@@ -376,7 +360,7 @@ def add_zero_edges(g: PlanarMultigraph) -> PlanarMultigraph:
     would.  The new ends go into each rotation that gains any in one pass.
     A new edge is oriented like the least edge of its family, whose tail
     vertex later insertions leave as it is.  The result shares the input's
-    Edge objects and keeps no faces.
+    Edge objects and keeps the faces the heap gives up, sorted again.
     """
     faces = g.faces()   # sorted, so already a heap
     edges = dict(g.edges)
@@ -388,12 +372,13 @@ def add_zero_edges(g: PlanarMultigraph) -> PlanarMultigraph:
         e = edges[min(fam, key=_edge_key)]
         tails[pair] = e.u if e.direction == 1 else e.v
     before: dict = {}   # an edge end -> the new ends placed just before it
-    touched, counter = set(), 0
+    touched, counter, done = set(), 0, []
     while faces:
         walk = heapq.heappop(faces)
         verts = [edges[eid].v if a else edges[eid].u for eid, a in walk]
         insertion = _find_zero_insertion(verts, nbrs)
         if insertion is None:
+            done.append(walk)
             continue
         i, j = insertion
         counter += 1
@@ -411,8 +396,9 @@ def add_zero_edges(g: PlanarMultigraph) -> PlanarMultigraph:
         touched.update((u, v))
         heapq.heappush(faces, _rotate_min(walk[:i] + ((eid, 0),) + walk[j:]))
         heapq.heappush(faces, _rotate_min(walk[i:j] + ((eid, 1),)))
+    done.sort(key=itemgetter(0))   # a new side may sort before earlier faces' sides
     return _stage(g, edges, {x: _place_ends(rot, before) if x in touched else list(rot)
-                             for x, rot in g.rotation.items()})
+                             for x, rot in g.rotation.items()}, done)
 
 
 def _place_ends(rot: list, before: dict) -> list:
@@ -458,15 +444,28 @@ def _find_zero_insertion(verts: list, nbrs: dict):
     return None
 
 
-def theta_subgraph(g: PlanarMultigraph) -> ThetaGraph:
-    """Restrict to edges whose endpoint pair carries at least two edges, as they are."""
-    pairs = [(pair, fam) for pair, fam in g.parallel_families().items() if len(fam) >= 2]
+def theta_subgraph(g: PlanarMultigraph) -> PlanarMultigraph:
+    """Restrict to edges whose endpoint pair carries at least two edges, as
+    they are; the result must be in one piece and pass :func:`check_theta`."""
+    pairs = {pair for pair, fam in g.parallel_families().items() if len(fam) >= 2}
     if not pairs:
         raise StructureError("theta graph is empty: the knot has a unique surface")
-    keep = {eid for _, fam in pairs for eid in fam}
-    edges = {eid: e for eid, e in g.edges.items() if eid in keep}
-    verts = sorted({v for pair, _ in pairs for v in pair})
-    return ThetaGraph(verts, edges, {v: _darts_on(g.rotation[v], edges) for v in verts})
+    nbrs: dict = {}   # a theta vertex -> its family neighbours and itself
+    for pair in pairs:
+        for x in pair:
+            nbrs.setdefault(x, set()).update(pair)
+    verts = sorted(nbrs)
+    seen, stack = {verts[0]}, [verts[0]]
+    while stack:
+        near = nbrs[stack.pop()] - seen
+        stack += near
+        seen |= near
+    if len(seen) < len(verts):
+        raise StructureError("theta graph falls into pieces: "
+                             "its parallel families do not join every theta vertex")
+    edges = {eid: e for eid, e in g.edges.items() if frozenset((e.u, e.v)) in pairs}
+    return check_theta(PlanarMultigraph(verts, edges,
+                                        {v: _darts_on(g.rotation[v], edges) for v in verts}))
 
 
 def _darts_on(rot: list, edges: dict) -> list:
@@ -474,7 +473,7 @@ def _darts_on(rot: list, edges: dict) -> list:
     return list(compress(rot, map(edges.__contains__, map(itemgetter(0), rot))))
 
 
-def build_theta(g: PlanarMultigraph) -> ThetaGraph:
+def build_theta(g: PlanarMultigraph) -> PlanarMultigraph:
     """Full pipeline from a weight-1 Seifert graph to its theta graph.
 
     A special diagram's Seifert graph is one of its checkerboard graphs, so
@@ -532,7 +531,7 @@ def region_signatures(tg: PlanarMultigraph) -> tuple:
     return tuple(regions)
 
 
-def build_complex(tg: ThetaGraph, w0: dict,
+def build_complex(tg: PlanarMultigraph, w0: dict,
                   max_vertices: int = DEFAULT_MAX_VERTICES) -> SimplicialComplex:
     """The Kakimizu complex reachable from the starting weight vector.
 

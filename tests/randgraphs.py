@@ -7,12 +7,25 @@ the constructor's Euler check confirms it.  Route graphs are seeded Seifert
 graphs with a known complex, and separable graphs join two random graphs at
 a cut vertex or by a bridge, :func:`add_loop` draws a loop inside a face
 (which the constructor refuses), and :func:`add_pendant_bridge` hangs a new
-vertex on a bridge.  The text helpers write graph files.
+vertex on a bridge.  :func:`fresh` validates a deep copy of a graph, which
+walks its faces again, and the text helpers write graph files.
 """
 
 import random
 
 from kakimizu.thetagraph import Edge, PlanarMultigraph
+
+
+def fresh(g: PlanarMultigraph) -> PlanarMultigraph:
+    """A validated deep copy of g: new Edges and rotations, and faces
+    walked afresh rather than kept from g."""
+    edges = {eid: Edge(e.u, e.v, e.weight, e.direction) for eid, e in g.edges.items()}
+    return PlanarMultigraph(g.vertices, edges, g.rotation)
+
+
+def walk_vertices(g: PlanarMultigraph, walk) -> list:
+    """The vertex each side of a face walk leaves."""
+    return [g.edges[eid].v if a else g.edges[eid].u for eid, a in walk]
 
 
 def random_sphere_graph(rng: random.Random, ops: int = 8) -> PlanarMultigraph:
@@ -58,7 +71,7 @@ def random_sphere_graph(rng: random.Random, ops: int = 8) -> PlanarMultigraph:
             g = PlanarMultigraph(vertices, edges, rotation)
             walks = g.faces()
             walk = walks[rng.randrange(len(walks))]
-            verts = g.walk_vertices(walk)
+            verts = walk_vertices(g, walk)
             spots = [(i, j) for i in range(len(walk)) for j in range(len(walk))
                      if i < j and verts[i] != verts[j]]
             if not spots:
@@ -140,14 +153,14 @@ def add_loop(rng: random.Random, g: PlanarMultigraph) -> PlanarMultigraph:
     that meet at the vertex; otherwise both go into one corner of a random
     face."""
     faces = g.faces()
-    apart = [(walk, i, j) for walk in faces for verts in [g.walk_vertices(walk)]
+    apart = [(walk, i, j) for walk in faces for verts in [walk_vertices(g, walk)]
              for i in range(len(walk)) for j in range(i + 1, len(walk)) if verts[i] == verts[j]]
     if apart and rng.random() < 0.5:
         walk, i, j = rng.choice(apart)
     else:
         walk = rng.choice(faces)
         i = j = rng.randrange(len(walk))
-    v = g.walk_vertices(walk)[i]
+    v = walk_vertices(g, walk)[i]
     loop = f"L{len(g.edges)}"
     edges = {eid: Edge(e.u, e.v, e.weight, e.direction) for eid, e in g.edges.items()}
     edges[loop] = Edge(v, v, 1, 1)

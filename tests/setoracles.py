@@ -32,6 +32,7 @@ from kakimizu.errors import InputError, KakimizuError, SizeLimitError, Structure
 from kakimizu.thetagraph import Edge, _edge_key, region_signatures
 
 from isomorphism import one_skeleton
+from randgraphs import fresh, walk_vertices
 
 
 class MoveError(Exception):
@@ -265,9 +266,9 @@ def rewalking_add_zero_edges(g):
     """Insert weight-0 edges at the first qualifying position of the sorted
     faces, walking the graph afresh each round, until none qualifies; each
     new edge is oriented like the least edge of its family at the time."""
-    g = g.copy()
     counter = 0
     while True:
+        g = fresh(g)   # a new walk of the graph as the last round left it
         insertion = _first_zero_insertion(g)
         if insertion is None:
             return g
@@ -277,7 +278,7 @@ def rewalking_add_zero_edges(g):
         while eid in g.edges:
             counter += 1
             eid = f"z{counter}"
-        verts = g.walk_vertices(walk)
+        verts = walk_vertices(g, walk)
         u, v = verts[i], verts[j]
         partner = min(g.parallel_families()[frozenset((u, v))], key=_edge_key)
         pe = g.edges[partner]
@@ -294,7 +295,7 @@ def _first_zero_insertion(g):
     pairs = set(g.parallel_families())
     for walk in g.faces():
         length = len(walk)
-        verts = g.walk_vertices(walk)
+        verts = walk_vertices(g, walk)
         for i in range(length):
             for j in range(i + 1, length):
                 u, v = verts[i], verts[j]

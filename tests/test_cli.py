@@ -15,8 +15,8 @@ from hypothesis import strategies as st
 from kakimizu import cli, fibred
 from kakimizu.cli import MAX_EXPAND_ENTRIES, main
 from kakimizu.errors import InputError
-from kakimizu.pipeline import load_table, run_batch
-from kakimizu.thetagraph import Edge, PlanarMultigraph, ThetaGraph
+from kakimizu.pipeline import load_table, load_theta_file, run_batch
+from kakimizu.thetagraph import Edge, PlanarMultigraph
 from kakimizu.twobridge import DEFAULT_MAX_BANDS
 
 from randgraphs import cycle_text, necklace_text
@@ -192,9 +192,12 @@ class TestTheta:
         text = "vertex u\nvertex v\nedge 1 u v\nedge 2 u v\nedge l u u\nrot u 1 l l 2\nrot v 2 1\n"
         edges = {"1": Edge("u", "v", 1, 1), "2": Edge("u", "v", 1, 1), "l": Edge("u", "u", 1, 1)}
         rotation = {"u": [("1", 0), ("l", 0), ("l", 1), ("2", 0)], "v": [("2", 1), ("1", 1)]}
+        # a file with a weight other than 1 is read as a theta graph
+        weighted = tmp_path / "weighted.txt"
+        weighted.write_text(text.replace("edge 2 u v", "edge 2 u v weight=0"), encoding="utf-8")
         for build in (lambda: PlanarMultigraph.from_text(text),
                       lambda: PlanarMultigraph(["u", "v"], edges, rotation),
-                      lambda: ThetaGraph(["u", "v"], edges, rotation)):
+                      lambda: load_theta_file(weighted)):
             with pytest.raises(InputError) as err:
                 build()
             assert str(err.value) == message

@@ -4,9 +4,9 @@ import time
 
 import pytest
 
-from kakimizu import complexes, pipeline
+from kakimizu import complexes, pipeline, thetagraph
 from kakimizu.complexes import ComplexShape, recognize
-from kakimizu.errors import InputError
+from kakimizu.errors import InputError, StructureError
 from kakimizu.pipeline import (KnotRecord, classify_and_compute,
                                load_table, load_theta_file, plumbing_theorem_complex,
                                report_payload, run_batch, strip_fibred_summands,
@@ -131,6 +131,32 @@ class TestThetaFileLoading:
             "rot u 1 2\nrot v 2 1\n")
         tg = load_theta_file(path)
         assert tg.weights() == {"1": 1, "2": 0}
+
+    def test_weighted_file_walked_once(self, tmp_path, monkeypatch):
+        # reading validates the graph; the theta checks reuse its faces
+        path = tmp_path / "ready.txt"
+        path.write_text("vertex u\nvertex v\nedge 1 u v weight=1\nedge 2 u v weight=0\n"
+                        "edge 3 u v weight=0\nrot u 1 2 3\nrot v 3 2 1\n", encoding="utf-8")
+        walks = []
+        walk_faces = thetagraph._walk_faces
+        monkeypatch.setattr(thetagraph, "_walk_faces", lambda succ: walks.append(1) or walk_faces(succ))
+        tg = load_theta_file(path)
+        assert len(walks) == 1
+        assert tg.weights() == {"1": 1, "2": 0, "3": 0} and len(tg.faces()) == 3
+
+    @pytest.mark.parametrize("text, message", [
+        # edge 3 alone joins v and w
+        ("vertex u\nvertex v\nvertex w\n"
+         "edge 1 u v weight=1\nedge 2 u v weight=0\nedge 3 v w weight=0\n"
+         "rot u 1 2\nrot v 2 1 3\nrot w 3\n", r"^theta edge family \['3'\] is a single edge$"),
+        ("vertex u\nvertex v\nedge 1 u v weight=1\nedge 2 u v weight=2\nrot u 1 2\nrot v 2 1\n",
+         "^bigon between weight-positive edges was not reduced$"),
+    ])
+    def test_weighted_file_refusals(self, tmp_path, text, message):
+        path = tmp_path / "ready.txt"
+        path.write_text(text, encoding="utf-8")
+        with pytest.raises(StructureError, match=message):
+            load_theta_file(path)
 
     def test_missing_file(self):
         with pytest.raises(InputError):

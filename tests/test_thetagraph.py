@@ -15,12 +15,12 @@ from kakimizu.errors import InputError, KakimizuError, SizeLimitError, Structure
 from kakimizu.fibred import ReductionGraph, reduction_certificate, replay_certificate
 from kakimizu.pipeline import load_theta_file
 from kakimizu.thetagraph import (DEFAULT_MAX_VERTICES, MAX_REGIONS, Edge, PlanarMultigraph,
-                                 ThetaGraph, _edge_key, add_zero_edges, build_complex,
-                                 build_theta, reduce_bigons, region_signatures, theta_subgraph)
+                                 _edge_key, add_zero_edges, build_complex, build_theta,
+                                 check_theta, reduce_bigons, region_signatures, theta_subgraph)
 
 from euler import euler_characteristic
-from randgraphs import (add_loop, add_pendant_bridge, cycle_text, graph_text, necklace_text,
-                        random_sphere_graph, route_graph, separable_graph)
+from randgraphs import (add_loop, add_pendant_bridge, cycle_text, fresh, graph_text,
+                        necklace_text, random_sphere_graph, route_graph, separable_graph)
 from setoracles import (MoveError, apply_region, both_routes, labelled_pass_complex,
                         pass_unions, rewalking_add_zero_edges, set_is_connected, set_is_flag,
                         tuple_reachability)
@@ -29,6 +29,8 @@ FIXTURES = ("theta_11_94.txt", "theta_11_237.txt", "theta_11_340.txt")
 TESTS = Path(__file__).resolve().parent
 EMPTY = "theta graph is empty: the knot has a unique surface"
 UNREDUCED = "bigon between weight-positive edges was not reduced"
+SPLIT = ("theta graph falls into pieces: "
+         "its parallel families do not join every theta vertex")
 
 # prints the edge order of build_theta on seeded random Seifert graphs
 EDGE_ORDER_DUMP = """
@@ -57,7 +59,7 @@ def counted_build_theta(g, outcomes):
     try:
         tg = build_theta(g)
     except StructureError as exc:
-        if str(exc) not in (EMPTY, UNREDUCED, "graph is not connected"):
+        if str(exc) not in (EMPTY, UNREDUCED, SPLIT):
             raise
         outcomes[str(exc)] += 1
         return None
@@ -98,8 +100,8 @@ def sequential_reduce_bigons(g, rng=None):
     them, the first in sorted order or, with `rng`, a random one; the
     survivor keeps the smaller id and carries the weight sum.
     """
-    g = g.copy()
     while True:
+        g = fresh(g)   # a new walk of the graph as the last round left it
         bigons = []
         for walk in g.faces():
             if len(walk) != 2:
@@ -181,7 +183,7 @@ def orient_coherently(g):
     while stack:
         v = stack.pop()
         for eid, end in g.rotation[v]:
-            w = g.end_vertex(eid, 1 - end)
+            w = g.edges[eid].u if end else g.edges[eid].v
             if w not in colour:
                 colour[w] = 1 - colour[v]
                 stack.append(w)
@@ -232,18 +234,18 @@ class TestFaces:
                 {"a": [("1", 0)], "b": [("1", 1)], "c": [("2", 0)], "d": [("2", 1)]})
 
     def test_kept_faces_match_a_fresh_walk(self, data_dir):
-        # a validated graph returns the walks of its Euler check; a copy,
-        # which keeps none, walks its rotation again
+        # a validated graph returns the walks of its Euler check, as a
+        # fresh copy walks them again, and a new list on every call
         rng = random.Random(6)
         graphs = [PlanarMultigraph.from_text((data_dir / name).read_text()) for name in FIXTURES]
         graphs += [random_sphere_graph(rng, ops=rng.randint(2, 12)) for _ in range(100)]
         graphs += [build_theta(route_graph(rng, r, 2, bundle=2)) for r in range(2, 6)]
         for g in graphs:
             faces = g.faces()
-            assert faces == g.copy().faces()
+            assert faces == fresh(g).faces()
             faces[0] = ()
             faces.append(())
-            assert g.faces() == g.copy().faces() != faces
+            assert g.faces() == fresh(g).faces() != faces
 
 
 class TestParser:
@@ -347,7 +349,10 @@ class TestReduceBigons:
 
     def test_kept_faces_match_a_fresh_walk(self):
         # the result keeps the input's faces with merged edges substituted,
-        # bigons of two edges gone; a copy walks its rotation again
+        # bigons of two edges gone, zero-edge insertion the faces its heap
+        # gives up, and the theta graph the walks of its own validation;
+        # each must equal a fresh walk.  Copies with every id prefixed zz,
+        # which sorts after the generated z<k>, give up faces out of order
         rng = random.Random(15)
         graphs = [parallel_edges(k) for k in range(1, 5)]
         graphs += [separable_graph(rng, rng.randint(1, 8)) for _ in range(60)]
@@ -360,12 +365,25 @@ class TestReduceBigons:
             for e in g.edges.values():
                 e.weight = 1
             graphs.append(g)
-        merged = 0
+        for g in graphs[:]:
+            edges = {"zz" + eid: e for eid, e in g.edges.items()}
+            rotation = {v: [("zz" + eid, end) for eid, end in darts]
+                        for v, darts in g.rotation.items()}
+            graphs.append(PlanarMultigraph(g.vertices, edges, rotation))
+        merged = built = 0
         for g in graphs:
             reduced = reduce_bigons(g)
-            assert reduced.faces() == reduced.copy().faces()
+            assert reduced.faces() == fresh(reduced).faces()
             merged += len(reduced.edges) < len(g.edges)
-        assert merged >= 200
+            augmented = add_zero_edges(reduced)
+            assert augmented.faces() == fresh(augmented).faces()
+            try:
+                tg = theta_subgraph(augmented)
+            except StructureError:
+                continue
+            assert tg.faces() == fresh(tg).faces()
+            built += 1
+        assert merged >= 800 and built >= 350
 
     def test_edge_count_strictly_decreases(self):
         g = parallel_edges(4)
@@ -526,7 +544,7 @@ class TestThetaSubgraph:
         g = parallel_edges(3, weights=[1, 0, 0])
         tg = theta_subgraph(g)
         assert set(tg.edges) == set(g.edges)
-        assert isinstance(tg, ThetaGraph)
+        assert check_theta(tg) is tg
 
     def test_tree_yields_empty(self):
         g = PlanarMultigraph(
@@ -576,10 +594,30 @@ class TestThetaSubgraph:
             "5", "9" * 5000, longer, "z1"]
 
     def test_unreduced_bigon_rejected(self):
-        with pytest.raises(StructureError):
-            ThetaGraph(["u", "v"],
-                       {"1": Edge("u", "v", 1, 1), "2": Edge("u", "v", 2, 1)},
-                       {"u": [("1", 0), ("2", 0)], "v": [("2", 1), ("1", 1)]})
+        g = PlanarMultigraph(["u", "v"],
+                             {"1": Edge("u", "v", 1, 1), "2": Edge("u", "v", 2, 1)},
+                             {"u": [("1", 0), ("2", 0)], "v": [("2", 1), ("1", 1)]})
+        with pytest.raises(StructureError, match=f"^{UNREDUCED}$"):
+            check_theta(g)
+
+    def test_split_theta_subgraph_refused_by_name(self):
+        # graph 48 of the seed-4 draw in TestLeastStartPruning: connected,
+        # not bipartite, with no cut vertex or bridge, but its families
+        # {v0, v1} and {v2, v3} share no vertex once the paths between
+        # them, single edges, are dropped
+        text = ("vertex v0\nvertex v1\nvertex v2\nvertex v3\nvertex v4\nvertex v5\n"
+                "edge 2 v0 v1 dir=-\nedge 3 v0 v2 dir=-\nedge 5 v2 v3 dir=-\n"
+                "edge 6 v3 v1 dir=-\nedge 8 v2 v4 dir=-\nedge 9 v4 v3 dir=-\n"
+                "edge 10 v0 v5\nedge 11 v5 v1 dir=-\n"
+                "rot v0 2 3 10\nrot v1 2 11 6\nrot v2 3 5 8\nrot v3 9 5 6\n"
+                "rot v4 8 9\nrot v5 10 11\n")
+        augmented = add_zero_edges(reduce_bigons(PlanarMultigraph.from_text(text)))
+        assert sorted(map(sorted, (p for p, fam in augmented.parallel_families().items()
+                                   if len(fam) >= 2))) == [["v0", "v1"], ["v2", "v3"]]
+        with pytest.raises(StructureError) as err:
+            build_theta(PlanarMultigraph.from_text(text))
+        assert str(err.value) == SPLIT
+        assert "bigon" not in SPLIT and "unique surface" not in SPLIT
 
     def test_single_twist_region_has_no_theta(self):
         # all crossings in one twist region: reduction leaves a lone edge,
@@ -971,8 +1009,8 @@ class TestLeastStartPruning:
                 weighted += 1
         assert seifert >= 30 and weighted >= 30
         # graph 48 is connected and not bipartite, and its theta subgraph
-        # falls into two components
-        assert outcomes == {"built": 102, EMPTY: 158, UNREDUCED: 39, "graph is not connected": 1}
+        # falls into two pieces (TestThetaSubgraph)
+        assert outcomes == {"built": 102, EMPTY: 158, UNREDUCED: 39, SPLIT: 1}
 
 
 class TestIndexAssembly:
