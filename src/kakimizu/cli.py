@@ -32,7 +32,7 @@ def _cap(text: str) -> int:
     # a cap below 1 is a usage error: a chain has at least one band, and a
     # theta search at least one surface
     try:
-        value = int(text)
+        value = rational.parse_int(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
     if value < 1:
@@ -104,7 +104,7 @@ def main(argv=None) -> int:
             if args.weights is not None:
                 order = tg.edge_order()
                 try:
-                    values = [int(tok) for tok in args.weights.split(",")]
+                    values = [rational.parse_int(tok.strip()) for tok in args.weights.split(",")]
                 except ValueError:
                     raise InputError(f"bad weight list {args.weights!r}")
                 if len(values) != len(order):

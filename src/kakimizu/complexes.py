@@ -40,6 +40,7 @@ from itertools import combinations
 from json.encoder import encode_basestring_ascii as _quote
 
 from .errors import InputError, StructureError
+from .rational import parse_int
 
 Label = object
 
@@ -400,7 +401,7 @@ class ComplexShape:
         for name, ctor in (("path", cls.path), ("simplex", cls.simplex)):
             if text.startswith(name + "(") and text.endswith(")"):
                 try:
-                    size = int(text[len(name) + 1:-1])
+                    size = parse_int(text[len(name) + 1:-1].strip())
                 except ValueError as exc:
                     raise InputError(f"bad shape literal {text!r}") from exc
                 # path(n) has n vertices, simplex(d) has d + 1

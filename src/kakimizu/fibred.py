@@ -65,8 +65,9 @@ from heapq import heapify, heappop, heappush
 
 from .errors import InputError
 
-_GRAPH_RE = re.compile(r"^\s*v\s*=\s*(\d+)\s*;\s*edges\s*=\s*((?:\(\s*\d+\s*,\s*\d+\s*\))*)\s*$")
-_PAIR_RE = re.compile(r"\(\s*(\d+)\s*,\s*(\d+)\s*\)")
+_GRAPH_RE = re.compile(
+    r"^\s*v\s*=\s*([0-9]+)\s*;\s*edges\s*=\s*((?:\(\s*[0-9]+\s*,\s*[0-9]+\s*\))*)\s*$")
+_PAIR_RE = re.compile(r"\(\s*([0-9]+)\s*,\s*([0-9]+)\s*\)")
 
 
 @dataclass(frozen=True)

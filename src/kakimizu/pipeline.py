@@ -44,6 +44,7 @@ from pathlib import Path
 from . import thetagraph, twobridge
 from .complexes import ComplexShape, SimplicialComplex, recognize, rendered
 from .errors import InputError, KakimizuError
+from .rational import parse_int
 from .twobridge import DEFAULT_MAX_BANDS
 
 KNOT_CLASSES = ("fibred", "two_bridge", "special_alternating", "unique_base_plus_fibred",
@@ -104,14 +105,13 @@ def strip_fibred_summands(params: str) -> SimplicialComplex:
     fields = _rule_params(params, ("base_unique", "fibred_summands"))
     if fields["base_unique"] not in ("0", "1"):
         raise InputError("base_unique must be 0 or 1")
-    count = fields["fibred_summands"] or ""
-    # ASCII digits after at most a minus sign, as graph-file weights:
-    # int() would also read "1_000", "+1" and other scripts' digits
-    if not (count.isascii() and count.removeprefix("-").isdecimal()):
-        raise InputError("fibred_summands must be an integer")
+    try:
+        count = parse_int(fields["fibred_summands"] or "")
+    except ValueError:
+        raise InputError("fibred_summands must be an integer") from None
     if fields["base_unique"] == "0":
         raise InputError("base must span a unique surface")
-    if int(count) < 0:
+    if count < 0:
         raise InputError("summand count cannot be negative")
     return ComplexShape.point().as_complex()
 
@@ -196,7 +196,13 @@ def load_table(path) -> list:
     # csv splits the rows itself: a quoted field may hold a line break, and
     # str.splitlines() would also split at U+2028, U+0085 and form feeds
     reader = csv.reader(io.StringIO(read_text(path, "table"), newline=""))
-    for row in reader:
+    while True:
+        try:
+            row = next(reader, None)
+        except csv.Error as exc:   # a field over csv.field_size_limit(), for one
+            raise InputError(f"{path}:{reader.line_num}: {exc}") from exc
+        if row is None:
+            break
         lineno = reader.line_num
         if not row or (row[0].startswith("#")):
             continue

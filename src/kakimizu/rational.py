@@ -21,7 +21,20 @@ from fractions import Fraction
 
 from .errors import InputError, SizeLimitError, StructureError
 
-_FRACTION_RE = re.compile(r"^(-?\d+)/(\d+)$")
+_FRACTION_RE = re.compile(r"^(-?[0-9]+)/([0-9]+)$")
+
+
+def parse_int(text: str) -> int:
+    """The integer written `text`: ASCII digits after at most a minus sign.
+
+    Every reader of numbers in the package calls this, or matches ``[0-9]``
+    in a regex.  ValueError is raised for anything else that int() would
+    read too, such as ``+1``, ``1_0``, surrounding spaces and other
+    scripts' digits, and for more digits than int() converts.
+    """
+    if not (text.isascii() and text.removeprefix("-").isdecimal()):
+        raise ValueError(f"not an integer in ASCII digits: {text!r}")
+    return int(text)
 
 
 def parse_fraction(text: str) -> Fraction:
@@ -141,7 +154,7 @@ def parse_cfe(text: str) -> tuple[int, ...]:
     if not body:
         raise InputError("empty bracket list")
     try:
-        entries = tuple(int(tok.strip()) for tok in body.split(","))
+        entries = tuple(parse_int(tok.strip()) for tok in body.split(","))
     except ValueError as exc:
         raise InputError(f"bad bracket list {text!r}") from exc
     for e in entries:

@@ -45,6 +45,7 @@ from operator import itemgetter
 
 from .complexes import SimplicialComplex, pass_complex
 from .errors import InputError, SizeLimitError, StructureError
+from .rational import parse_int
 
 # route graphs with R = 4 regions and W parallel edges, the slower of the
 # two measured ladders, built 17 296 vertices (W = 45) in 4.4 s and 23 426
@@ -207,9 +208,13 @@ class PlanarMultigraph:
                         else:
                             bad = True
                     weight = "1" if weight is None else weight
-                    number = int(weight)   # which also reads "+1", "1_0" and other digits
-                    if bad or dirtext not in (None, "+", "-") or not (
-                            weight.isascii() and weight.removeprefix("-").isdecimal()):
+                    try:
+                        number = parse_int(weight)
+                    except ValueError:
+                        # what int() reads, such as "+1" or "1_0", is a bad
+                        # attribute; anything else fails the line
+                        number, bad = int(weight), True
+                    if bad or dirtext not in (None, "+", "-"):
                         raise InputError(f"bad edge attributes on {eid}")
                     edges[eid] = Edge(u, v, number, -1 if dirtext == "-" else 1)
                 elif kind == "vertex":

@@ -5,21 +5,21 @@ surfaces built from n twisted bands B_{e_1}, ..., B_{e_n} plumbed in a row
 along n-1 disks.  Each plumbing disk is either inner (0) or outer (1), so a
 surface is a 0/1 tuple of length n-1.  A band with |e| = 2 is a Hopf band;
 moves at Hopf bands identify tuples that name isotopic surfaces, and the
-identification classes are the vertices of the Kakimizu complex.
+identification classes, which :func:`hopf_orbits` maps from their least
+tuples to their member sets, are the vertices of the Kakimizu complex.
 
 Applying a component band B_k flips the plumbing bits of the disks next to
 it; an interior band applies only when its two flanking bits agree.  The
 one band move, :func:`apply_band`, returns the next surface or None where
 the band does not apply, which is the step both the Hopf orbits and the
 full passes take.  A full pass that applies every band exactly once
-returns to the starting surface, and the set of vertices such a pass
-visits spans a maximal simplex.
+returns to the starting surface, and the set of orbits such a pass visits
+spans a maximal simplex; the passes read each tuple's orbit from one dict.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import partial
 from itertools import product
 
@@ -56,33 +56,19 @@ class BandChain:
     def disks(self) -> int:
         return len(self.bands) - 1
 
-    def is_hopf(self, k: int) -> bool:
-        """Band k (1-indexed) is a Hopf band exactly when |e_k| = 2."""
-        return abs(self.bands[k - 1]) == 2
-
-    def hopf_positions(self) -> tuple:
-        return tuple(k for k in range(1, self.n + 1) if self.is_hopf(k))
-
-    @classmethod
-    def from_fraction(cls, f: Fraction, max_bands: int | None = None) -> "BandChain":
-        """Chain of a 2-bridge index, raw (shifted first) or already shifted.
-
-        With `max_bands` set, an expansion longer than it is refused before
-        it is finished.
-        """
-        return cls(rational.expand_index(f, max_bands))
-
     @classmethod
     def parse(cls, text: str, max_bands: int | None = None) -> "BandChain":
         """Accept either a fraction ``p/q`` or a band list ``[e1,e2,...]``.
 
-        `max_bands` caps the expansion of a fraction (see
-        :meth:`from_fraction`); a band list is checked by the build.
+        A fraction is a 2-bridge index, raw (shifted first) or already
+        shifted, and :func:`rational.expand_index` refuses an expansion
+        longer than `max_bands` before it is finished; a band list is
+        checked by the build.
         """
         text = text.strip()
         if text.startswith("["):
             return cls(rational.parse_cfe(text))
-        return cls.from_fraction(rational.parse_fraction(text), max_bands)
+        return cls(rational.expand_index(rational.parse_fraction(text), max_bands))
 
 
 def flanking_disks(chain: BandChain, k: int) -> tuple:
@@ -120,38 +106,21 @@ def apply_band(chain: BandChain, t, k: int) -> SurfaceTuple | None:
     return tuple(bits)
 
 
-def all_surface_tuples(chain: BandChain):
-    return product((0, 1), repeat=chain.disks)
+def hopf_orbits(chain: BandChain) -> dict:
+    """The isotopy orbits of the surface tuples: each orbit's label, its
+    least member, mapped to its member set, in label order.
 
-
-@dataclass(frozen=True)
-class IsotopyOrbit:
-    """A class of surface tuples identified by Hopf-band moves."""
-
-    label: tuple
-    members: frozenset
-
-    def __post_init__(self) -> None:
-        if self.label not in self.members:
-            raise InputError("orbit label must be a member")
-        if self.label != min(self.members):
-            raise InputError("orbit label must be the lexicographic minimum")
-
-
-def hopf_orbits(chain: BandChain) -> tuple:
-    """Partition all surface tuples into isotopy orbits, sorted by label.
-
-    Only moves at Hopf bands identify surfaces; an interior Hopf move
-    applies only where its flanking bits are equal, and :func:`apply_band`
-    returns None where it does not.  A Hopf move undoes itself, so an orbit
-    is the set a search of Hopf moves reaches from any member.  The search
-    starts from each tuple not yet met, in lexicographic order, so each
-    start is its orbit's minimum, which is the label.
+    Only moves at Hopf bands (|e| = 2) identify surfaces; an interior Hopf
+    move applies only where its flanking bits are equal, and
+    :func:`apply_band` returns None where it does not.  A Hopf move undoes
+    itself, so an orbit is the set a search of Hopf moves reaches from any
+    member.  The search starts from each tuple not yet met, in lexicographic
+    order, so each start is its orbit's least member.
     """
-    hopf = chain.hopf_positions()
+    hopf = [k for k, e in enumerate(chain.bands, 1) if abs(e) == 2]
     seen: set = set()
-    orbits = []
-    for label in all_surface_tuples(chain):
+    orbits = {}
+    for label in product((0, 1), repeat=chain.disks):
         if label in seen:
             continue
         members, stack = {label}, [label]
@@ -163,22 +132,22 @@ def hopf_orbits(chain: BandChain) -> tuple:
                     members.add(u)
                     stack.append(u)
         seen |= members
-        orbits.append(IsotopyOrbit(label, frozenset(members)))
-    return tuple(orbits)
+        orbits[label] = members
+    return orbits
 
 
 def build_complex(chain: BandChain, max_bands: int = DEFAULT_MAX_BANDS) -> SimplicialComplex:
     """The Kakimizu complex of the chain.
 
-    Vertices are the Hopf orbits, labelled by their minimal member; maximal
+    Vertices are the Hopf orbits, labelled by their least member; maximal
     simplices are the inclusion-maximal visited-orbit sets over all starting
     surfaces and all fully applicable orderings.  The passes step on surface
-    tuples with :func:`apply_band` and label each by the index of its orbit.
+    tuples with :func:`apply_band`, start from every tuple and label each by
+    the number of its orbit, which one index of tuple to orbit number holds.
     """
     if chain.n > max_bands:
         raise SizeLimitError(f"chain has {chain.n} bands, limit is {max_bands}")
     orbits = hopf_orbits(chain)
-    index = {t: i for i, o in enumerate(orbits) for t in o.members}
-    return pass_complex(all_surface_tuples(chain), range(1, chain.n + 1),
-                        partial(apply_band, chain), index.__getitem__,
-                        [o.label for o in orbits])
+    index = {t: i for i, members in enumerate(orbits.values()) for t in members}
+    return pass_complex(index, range(1, chain.n + 1), partial(apply_band, chain),
+                        index.__getitem__, list(orbits))

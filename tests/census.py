@@ -26,6 +26,7 @@ from fractions import Fraction
 from math import gcd
 
 from kakimizu.complexes import recognize
+from kakimizu.rational import expand_index
 from kakimizu.twobridge import DEFAULT_MAX_BANDS, BandChain, build_complex
 
 from euler import euler_characteristic
@@ -72,11 +73,11 @@ def check(c: int, max_bands: int = DEFAULT_MAX_BANDS) -> list:
     for p, qs in found:
         first = None
         for q in qs:
-            chain = BandChain.from_fraction(Fraction(q, p), max_bands)
+            chain = BandChain(expand_index(Fraction(q, p), max_bands))
             complex_ = build_complex(chain, max_bands=max_bands)
             name = f"{q}/{p}, chain {chain.bands}"
             assert euler_characteristic(complex_) == 1, name
-            if len(chain.hopf_positions()) == chain.n:
+            if all(abs(e) == 2 for e in chain.bands):
                 assert str(recognize(complex_)) == "point", name
             if first is None:
                 first = complex_

@@ -372,6 +372,18 @@ class TestBatch:
         # the summary line carries the whole message, reason included
         assert "'simplex(100000000)' has more than 1000 vertices" in proc.stdout
 
+    def test_field_over_csv_limit_exits_two(self, tmp_path):
+        # csv refuses a field over 131 072 characters, a band list of about
+        # 65 000 entries; the limit is process-wide, so it stays as it is
+        table = tmp_path / "t.csv"
+        table.write_text(f'name,class,params,expected\nk,two_bridge,"{"2" * 200_000}",point\n')
+        proc = subprocess.run([sys.executable, "-m", "kakimizu", "batch", str(table)],
+                              env=dict(os.environ, PYTHONPATH=str(SRC)),
+                              capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 2
+        assert "Traceback" not in proc.stderr
+        assert proc.stderr.startswith(f"error: {table}:2: field larger than field limit")
+
     def test_malformed_table_exits_two(self, capsys, tmp_path):
         table = tmp_path / "t.csv"
         table.write_text("name,class,params,expected\nk,fibred,-\n")
@@ -454,6 +466,25 @@ def test_cap_below_one_is_a_usage_error(capsys, data_dir, option, value):
         main([option, value, "theta", str(data_dir / "theta_11_94.txt")])
     assert exc.value.code == 2
     assert f"argument {option}: must be at least 1, got {value}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("value", ["1_0", "+1", "\u0661", "\uff11"])
+def test_option_numbers_are_ascii_digits(capsys, data_dir, value):
+    # int() reads every one of these
+    fixture = str(data_dir / "theta_11_94.txt")
+    for option in ("--max-bands", "--max-vertices"):
+        with pytest.raises(SystemExit) as exc:
+            main([option, value, "theta", fixture])
+        assert exc.value.code == 2
+        assert f"argument {option}: invalid int value: {value!r}" in capsys.readouterr().err
+    code, _, err = run(capsys, "theta", fixture, "--weights", f"{value},0")
+    assert (code, err) == (2, f"error: bad weight list '{value},0'\n")
+
+
+def test_weight_entries_keep_their_spaces_stripped(capsys, data_dir):
+    fixture = str(data_dir / "theta_11_237.txt")
+    plain = run(capsys, "theta", fixture, "--weights", "0,1,0", "--json")
+    assert run(capsys, "theta", fixture, "--weights", " 0 ,1, 0", "--json") == plain
 
 
 def test_module_entry_point_subprocess():

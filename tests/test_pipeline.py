@@ -68,6 +68,12 @@ class TestRules:
         with pytest.raises(InputError, match="^fibred_summands must be an integer$"):
             strip_fibred_summands(f"base_unique=1;fibred_summands={count}")
 
+    def test_summand_count_too_long_to_read(self):
+        # int() refuses more than 4 300 digits with a ValueError, which a
+        # batch row used to pass on as a traceback
+        with pytest.raises(InputError, match="^fibred_summands must be an integer$"):
+            strip_fibred_summands("base_unique=1;fibred_summands=" + "1" * 5000)
+
     def test_summand_count_in_ascii_digits_accepted(self):
         for count in ("0", "7", "1000", "007"):
             c = strip_fibred_summands(f"base_unique=1;fibred_summands={count}")

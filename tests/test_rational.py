@@ -5,9 +5,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from kakimizu.complexes import ComplexShape
 from kakimizu.errors import InputError, SizeLimitError
+from kakimizu.fibred import ReductionGraph
 from kakimizu.rational import (evaluate_cfe, even_cfe, expand_index, format_fraction,
-                               normalize_two_bridge, parse_cfe, parse_fraction)
+                               normalize_two_bridge, parse_cfe, parse_fraction, parse_int)
 
 from catalog import ROWS
 
@@ -29,6 +31,42 @@ class TestParsing:
             parse_cfe("[1,2]")
         with pytest.raises(InputError):
             parse_cfe("[]")
+
+
+class TestNumberRule:
+    """Every reader of numbers takes ASCII digits after at most a minus
+    sign; int() also reads "+1", "1_0", surrounding spaces and other
+    scripts' digits."""
+
+    @pytest.mark.parametrize("text, value", [("0", 0), ("007", 7), ("-12", -12), ("-0", 0)])
+    def test_reads(self, text, value):
+        assert parse_int(text) == value
+
+    @pytest.mark.parametrize("text", ["1_0", "+1", "\u0661", "\uff11", "-\u0661", " 1", "1 ",
+                                      "", "-", "--1", "1.0", "1" * 5000])
+    def test_refuses(self, text):
+        with pytest.raises(ValueError):
+            parse_int(text)
+
+    @pytest.mark.parametrize("read, text, message", [
+        (parse_cfe, "[2_0,4]", "^bad bracket list"),
+        (parse_cfe, "[\u0662,4]", "^bad bracket list"),
+        (parse_fraction, "\u0662\u0668/\u0666\u0661", "^expected a fraction like"),
+        (parse_fraction, "28/6\uff11", "^expected a fraction like"),
+        (ComplexShape.parse, "path(3_0)", "^bad shape literal"),
+        (ComplexShape.parse, "simplex(+2)", "^bad shape literal"),
+        (ReductionGraph.from_text, "v=\u0662; edges=(0,1)", "^cannot parse graph literal"),
+        (ReductionGraph.from_text, "v=2; edges=(0,\u0661)", "^cannot parse graph literal"),
+    ])
+    def test_text_formats_refuse(self, read, text, message):
+        with pytest.raises(InputError, match=message):
+            read(text)
+
+    def test_text_formats_read_ascii_digits_as_before(self):
+        assert parse_cfe("[ -2 , 4 ]") == (-2, 4)
+        assert parse_fraction("28/61") == Fraction(28, 61)
+        assert ComplexShape.parse("path( 3 )") == ComplexShape.path(3)
+        assert ReductionGraph.from_text("v=2; edges=(0, 1)").edges == ((0, 1),)
 
 
 class TestNormalize:

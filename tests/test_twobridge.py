@@ -1,5 +1,4 @@
 import random
-from fractions import Fraction
 from itertools import combinations, product
 from math import factorial, prod
 
@@ -67,10 +66,15 @@ def closed_form_counts(bands):
     return {m}, prod(g + 1 for g in gaps), factorial(m) * prod(gaps)
 
 
+def orbit_labels(chain):
+    """Each surface tuple's orbit label, read off :func:`hopf_orbits`."""
+    return {t: label for label, members in hopf_orbits(chain).items() for t in members}
+
+
 def band_passes(chain, start):
     """Orbit-label sets visited by every full pass from `start`: the
     unpruned pass walk driven by the public band moves."""
-    label_of = {t: o.label for o in hopf_orbits(chain) for t in o.members}
+    label_of = orbit_labels(chain)
     return all_full_passes(start, range(1, chain.n + 1),
                            lambda t, k: apply_band(chain, t, k), label_of.__getitem__)
 
@@ -96,12 +100,13 @@ def walk_cycles(chain, start, label_of):
 
 class TestBandChain:
     def test_from_cfe(self):
+        # Hopf bands 1, 3 and 4 join all 8 surfaces into one orbit
         chain = BandChain((2, -6, -2, 2))
         assert chain.n == 4 and chain.disks == 3
-        assert chain.hopf_positions() == (1, 3, 4)
+        assert hopf_orbits(chain) == {(0, 0, 0): set(product((0, 1), repeat=3))}
 
     def test_no_hopf(self):
-        assert BandChain((-8, -4)).hopf_positions() == ()
+        assert hopf_orbits(BandChain((-8, -4))) == {(0,): {(0,)}, (1,): {(1,)}}
 
     def test_single_band(self):
         chain = BandChain((2,))
@@ -112,8 +117,8 @@ class TestBandChain:
         with pytest.raises(InputError):
             BandChain(bad)
 
-    def test_from_fraction_normalises(self):
-        assert BandChain.from_fraction(Fraction(33, 73)).bands == (-2, -6, -4, -2)
+    def test_parse_fraction_normalises(self):
+        assert BandChain.parse("33/73").bands == (-2, -6, -4, -2)
 
 
 class TestMoves:
@@ -170,19 +175,30 @@ class TestHopfOrbits:
         # 32 tuples split into 5 orbits; the free end bit doubles the sizes
         # of the 6,4,4,1,1 partition of the interior 4-bit cube
         orbits = hopf_orbits(BandChain((-4, -2, -2, -2, -4, -2)))
-        assert sorted(len(o.members) for o in orbits) == [2, 2, 8, 8, 12]
+        assert sorted(map(len, orbits.values())) == [2, 2, 8, 8, 12]
 
     def test_partition(self):
         chain = BandChain((4, 2, -4, 2))
         orbits = hopf_orbits(chain)
         everything = set(product((0, 1), repeat=chain.disks))
         union = set()
-        for o in orbits:
-            assert o.members, "orbits are nonempty"
-            assert not (union & o.members), "orbits are disjoint"
-            union |= o.members
-            assert o.label == min(o.members)
+        for label, members in orbits.items():
+            assert members, "orbits are nonempty"
+            assert not (union & members), "orbits are disjoint"
+            union |= members
+            assert label == min(members)
         assert union == everything
+        assert list(orbits) == sorted(orbits)
+
+    def test_keys_are_the_complex_labels_exhaustive(self):
+        # every chain with at most 5 bands of twist 2 or 4: the orbits come
+        # in the order of the complex's labels, each keyed by its least member
+        for n in range(1, 6):
+            for bands in product((-4, -2, 2, 4), repeat=n):
+                chain = BandChain(bands)
+                orbits = hopf_orbits(chain)
+                assert list(orbits) == list(build_complex(chain).labels), bands
+                assert all(label == min(members) for label, members in orbits.items()), bands
 
     def test_no_hopf_identity_partition(self):
         chain = BandChain((4, -6, 4))
@@ -211,15 +227,12 @@ class TestMaximalCycles:
 
     def test_unique_surface_single_orbit(self):
         chain = BandChain((2, -6, -2, 2))
-        (orbit,) = hopf_orbits(chain)
-        assert band_passes(chain, (0, 0, 0)) == frozenset({frozenset({orbit.label})})
+        (label,) = hopf_orbits(chain)
+        assert band_passes(chain, (0, 0, 0)) == frozenset({frozenset({label})})
 
     def test_no_three_orbit_cycle(self):
         chain = BandChain((4, 2, -4, 2))
-        label_of = {}
-        for o in hopf_orbits(chain):
-            for t in o.members:
-                label_of[t] = o.label
+        label_of = orbit_labels(chain)
         cycles = band_passes(chain, (1, 0, 0))
         assert frozenset({label_of[(1, 0, 0)], label_of[(0, 0, 0)]}) in cycles
         assert all(len(c) <= 2 for c in cycles)
@@ -230,7 +243,7 @@ class TestMaximalCycles:
         for n in range(1, 5):
             for bands in product((-4, -2, 2, 4), repeat=n):
                 chain = BandChain(bands)
-                label_of = {t: o.label for o in hopf_orbits(chain) for t in o.members}
+                label_of = orbit_labels(chain)
                 for start in product((0, 1), repeat=chain.disks):
                     assert band_passes(chain, start) == walk_cycles(chain, start, label_of)
                     pairs += 1
@@ -336,12 +349,11 @@ def test_single_move_adjacency_matches_cycles_diagnostic(capsys):
     diverging = []
     for row in ROWS:
         chain = BandChain(row.cfe)
-        orbits = hopf_orbits(chain)
-        label_of = {t: o.label for o in orbits for t in o.members}
+        label_of = orbit_labels(chain)
         move_edges = set()
         for t in product((0, 1), repeat=chain.disks):
             for k in range(1, chain.n + 1):
-                u = None if chain.is_hopf(k) else apply_band(chain, t, k)
+                u = None if abs(chain.bands[k - 1]) == 2 else apply_band(chain, t, k)
                 if u is not None and label_of[t] != label_of[u]:
                     move_edges.add(frozenset((label_of[t], label_of[u])))
         c = build_complex(chain)
@@ -365,7 +377,7 @@ def test_randomised_start_order_independence():
         for start in starts:
             simplices |= band_passes(chain, start)
         rebuilt = SimplicialComplex.from_maximal(
-            simplices | {frozenset([o.label]) for o in hopf_orbits(chain)})
+            simplices | {frozenset([label]) for label in hopf_orbits(chain)})
         assert rebuilt == reference
 
 
