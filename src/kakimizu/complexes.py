@@ -15,16 +15,18 @@ pair ``(low, mask >> low)``, where low is its least index, so a key is as
 wide as its simplex's span of indices, not as the vertex count; a
 singleton {i} is ``(i, 1)``.
 
-Two entry points end in the assembler.  :meth:`SimplicialComplex.from_maximal`
-indexes labelled candidates once and keys them.  Both move calculi build
-their complexes through :func:`pass_complex`: :func:`full_passes` finds the
-index masks of the sets that the full passes from one state visit, walking
-each pass only from the least state on its cycle, and :func:`pass_complex`
-keys the masks of the passes from every start for the assembler.
+Three routes end in the assembler.  :meth:`SimplicialComplex.from_maximal`
+indexes labelled candidates once and keys them.  2-bridge complexes are
+built through :func:`pass_complex`: :func:`full_passes` finds the index
+masks of the sets that the full passes from one state visit, walking each
+pass only from the least state on its cycle, and :func:`pass_complex` keys
+the masks of the passes from every start for the assembler.  Theta builds
+key their own passes (:func:`kakimizu.thetagraph.build_complex`).
 
 The assembler runs on integer bitmasks too: each vertex's neighbourhood is
 one int, connectivity is a breadth-first search over those masks, and
-Bron-Kerbosch with Tomita's pivot enumerates the maximal cliques over them.
+Bron-Kerbosch with Tomita's pivot, run from each vertex, enumerates the
+maximal cliques over them.
 The finished complex holds the label table and the index tuples; its
 ``vertices`` and ``simplices`` are read-only label views, whose length is
 known without making a label set.  Labels become text only in the exports,
@@ -107,10 +109,10 @@ class SimplicialComplex:
     simplex as a frozenset of labels) are read-only views of them, and
     complexes compare and hash by those views.
 
-    Every complex is made by :func:`_assemble`, through :meth:`from_maximal`
-    or :func:`pass_complex`, and it checks both properties, so every complex
-    has them; the class takes no constructor arguments and its attributes
-    cannot be set.
+    Every complex is made by :func:`_assemble`, through :meth:`from_maximal`,
+    :func:`pass_complex` or the theta build, and it checks both properties,
+    so every complex has them; the class takes no constructor arguments and
+    its attributes cannot be set.
     """
 
     __slots__ = ("labels", "maximal", "vertices", "simplices")
@@ -224,15 +226,17 @@ def _maximal_cliques(adj: list):
     as the tuple of its vertices and their mask.
 
     Bron-Kerbosch with Tomita's pivot (Tomita, Tanaka, Takahashi, TCS 363,
-    2006): a branch (R, P, X) tries only the vertices of P outside the
-    neighbourhood of the lowest vertex of P | X with most neighbours in P.
-    No vertex has more than |P| neighbours in P, and none of P more than
-    |P| - 1, so the scan for the pivot stops at the first vertex that
-    reaches the bound, which a full scan would pick too.  Vertex i is bit i
-    of the masks P and X, and a clique R is kept both as the tuple of its
-    vertices and as their mask.  Open branches wait on an explicit stack as
-    [R, R's mask, P, X, vertices left to try], one per vertex of R, and
-    each child is made when its turn comes.
+    2006), run from each vertex v as in Eppstein, Löffler and Strash
+    (ISAAC 2010) on R = {v}, P its later neighbours and X its earlier ones,
+    finds the maximal cliques whose least vertex is v.  A branch (R, P, X)
+    tries only the vertices of P outside the neighbourhood of the lowest
+    vertex of P | X with most neighbours in P.  No vertex has more than |P|
+    neighbours in P, and none of P more than |P| - 1, so the scan for the
+    pivot stops at the first vertex that reaches the bound, which a full
+    scan would pick too.  Vertex i is bit i of the masks P and X, and a
+    clique R is kept both as the tuple of its vertices and as their mask.
+    Open branches wait on an explicit stack as [R, R's mask, P, X,
+    vertices left to try], and each child is made when its turn comes.
     """
     def branch(r, rmask, p, x):
         if not p:
@@ -252,19 +256,21 @@ def _maximal_cliques(adj: list):
                     break
         return [r, rmask, p, x, p & ~adj[pivot]]
 
-    stack = [branch((), 0, (1 << len(adj)) - 1, 0)]
-    while stack:
-        frame = stack[-1]
-        r, rmask, p, x, todo = frame
-        if not todo:
-            stack.pop()
-            if not p and not x:
-                yield r, rmask
-            continue
-        bit = todo & -todo
-        v = bit.bit_length() - 1
-        frame[2:] = p ^ bit, x | bit, todo ^ bit
-        stack.append(branch(r + (v,), rmask | bit, p & adj[v], x & adj[v]))
+    for v, near in enumerate(adj):
+        later = near >> v << v
+        stack = [branch((v,), 1 << v, later, near ^ later)]
+        while stack:
+            frame = stack[-1]
+            r, rmask, p, x, todo = frame
+            if not todo:
+                stack.pop()
+                if not p and not x:
+                    yield r, rmask
+                continue
+            bit = todo & -todo
+            u = bit.bit_length() - 1
+            frame[2:] = p ^ bit, x | bit, todo ^ bit
+            stack.append(branch(r + (u,), rmask | bit, p & adj[u], x & adj[u]))
 
 
 def full_passes(start, moves, step, label) -> set:
@@ -272,7 +278,7 @@ def full_passes(start, moves, step, label) -> set:
     `start` that visit no state below it: ``label(state)`` is the index of
     the state's vertex, and a visited set is the int with bit
     ``label(state)`` for each state it holds.  States need a total order
-    ``<`` (surface tuples for 2-bridge, interned indices for theta).
+    ``<``, such as the surface tuples of 2-bridge chains.
 
     A full pass applies every move once, each applicable when its turn
     comes: ``step(state, move)`` is the next state, or None where the move
@@ -500,8 +506,10 @@ def to_dot(c: SimplicialComplex) -> str:
     of each maximal simplex, without repeats, sorted and then written as
     texts.  Maximal simplices of dimension two or more are annotated as
     comments so that filled cliques survive the drop to the 1-skeleton.
+    A DOT quoted string escapes ``\\`` and ``"`` with a backslash.
     """
     texts, simplices = _ranked(c)
+    texts = [v.replace("\\", "\\\\").replace('"', '\\"') for v in texts]
     edges = {pair for s in simplices for pair in combinations(s, 2)}
     lines = ["graph kakimizu {", "  node [shape=circle];"]
     lines += [f'  "{v}";' for v in texts]

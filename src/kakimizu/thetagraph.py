@@ -43,7 +43,8 @@ from dataclasses import dataclass
 from itertools import compress, repeat
 from operator import itemgetter
 
-from .complexes import SimplicialComplex, pass_complex
+from . import complexes
+from .complexes import SimplicialComplex, _key
 from .errors import InputError, SizeLimitError, StructureError
 from .rational import parse_int
 
@@ -542,9 +543,9 @@ def build_complex(tg: PlanarMultigraph, w0: dict,
 
     Vertices are the weight tuples, in ``tg.edge_order()``, reachable by
     applicable regions.  From every vertex, each full pass (every region
-    once, no weight below zero; see :func:`~kakimizu.complexes.full_passes`)
-    visits a simplex.  Inclusion-maximal visited sets are the maximal
-    simplices; the result must come out connected and flag.
+    once, no weight below zero) visits a simplex.  Inclusion-maximal
+    visited sets are the maximal simplices; the result must come out
+    connected and flag.
 
     The reachability search packs each weight vector into one int, with
     one field per edge in ``tg.edge_order()``, ``total.bit_length() + 1``
@@ -560,13 +561,11 @@ def build_complex(tg: PlanarMultigraph, w0: dict,
     exactly when ``((w | guard) - sub) & guard == guard``, and its result
     is that difference with the guards cleared, plus ``add``.
 
-    The search interns the packed vectors breadth first as indices and
-    records, per index and region, the index the region leads to.  The
-    passes run on indices, stepping by table lookup and ordered by index;
-    interning is a bijection, so the pass engine's checks hold on the
-    indices exactly when they hold on the weight vectors.  The complex is
-    assembled on the visited index sets too, and the packed vectors are
-    decoded to weight tuples once, to label its vertices.
+    The search interns the packed vectors breadth first as indices.  The
+    passes are walked on those indices by :func:`_kept_passes`, and the
+    complex is assembled on every index as a singleton and every visited
+    index set, keyed for :func:`~kakimizu.complexes._assemble`; the packed
+    vectors are decoded to weight tuples once, to label its vertices.
     """
     regions = region_signatures(tg)
     if len(regions) > MAX_REGIONS:
@@ -594,29 +593,76 @@ def build_complex(tg: PlanarMultigraph, w0: dict,
                       sum(-d << offset[eid] for eid, d in shift.items() if d < 0)))
 
     # intern the reachable packed vectors breadth first: states[i] is the
-    # vector of index i, succ[i][r] the index region r leads to, or None
+    # vector of index i
     states = [sum(w0[eid] << k for eid, k in offset.items())]
     index = {states[0]: 0}
-    succ = []
     for w in states:
-        row = []
         w |= guard
         for add, sub in moves:
             w2 = w - sub
-            if w2 & guard != guard:
-                row.append(None)
-                continue
-            w2 = (w2 ^ guard) + add
-            j = index.get(w2)
-            if j is None:
-                if len(states) >= max_vertices:
-                    raise SizeLimitError(f"more than {max_vertices} reachable surfaces")
-                j = index[w2] = len(states)
-                states.append(w2)
-            row.append(j)
-        succ.append(row)
+            if w2 & guard == guard:
+                w2 = (w2 ^ guard) + add
+                if w2 not in index:
+                    if len(states) >= max_vertices:
+                        raise SizeLimitError(f"more than {max_vertices} reachable surfaces")
+                    index[w2] = len(states)
+                    states.append(w2)
 
+    keys = {(i, 1) for i in range(len(states))}
+    for masks in _kept_passes(states, index, moves, guard, width):
+        keys.update(map(_key, masks))
     field = (1 << width - 1) - 1
     labels = [tuple(w >> k & field for k in offset.values()) for w in states]
-    return pass_complex(range(len(states)), range(len(moves)),
-                        lambda i, r: succ[i][r], int, labels)   # an index is its own label
+    return complexes._assemble(keys, labels)
+
+
+def _kept_passes(states: list, index: dict, moves: list, guard: int, width: int):
+    """Yield, for each packed vector w of `states`, the index masks
+    (`index` maps a vector to its index) of the sets visited by the full
+    passes from w that visit nothing below w in packed order; `moves`,
+    `guard` and `width` are those of :func:`build_complex`.
+
+    A region shifts a weight by -1, 0 or 1, and each edge has one sign of
+    each kind over all regions (:func:`region_signatures`).  So a set M of
+    regions takes w to ``w + D(M)`` packed, D(M) the sum of ``add - sub``
+    over M, whatever w is, and only a weight of 0 can drop below zero:
+    an ordering is a pass from w exactly when it is one from the zero
+    pattern ``z = min(w, 1)``, and it visits nothing below w exactly when
+    ``D(M) > 0`` for each proper non-empty prefix M.  So the kept prefixes
+    are walked once per pattern, from z, as a tree: level k holds, per
+    prefix of k regions, its parent's position in level k - 1 and its D.
+    The last region always applies and returns to the start, so the
+    leaves lack one region.  Each w with the pattern translates the tree:
+    a node's visited set is its parent's with the bit ``index[w + D]``.
+    The regions meet along edges, so ``D(M) = 0`` for no proper non-empty
+    M: the states on a pass's cycle differ, and the rotation of each cycle
+    from its packed-least state is the one kept.
+    """
+    ones = guard >> width - 1
+    patterns: dict = {}   # a zero pattern -> the vectors with it
+    for w in states:
+        patterns.setdefault((((w | guard) - ones) & guard) >> width - 1, []).append(w)
+    steps = [(1 << r, add, sub) for r, (add, sub) in enumerate(moves)]
+    get = index.__getitem__
+    for z, members in patterns.items():
+        levels = []
+        frontier = [(z, 0)]   # per node: its state and its set of regions
+        for _ in range(len(moves) - 1):
+            level, grown = [], []
+            for at, (state, used) in enumerate(frontier):
+                state |= guard
+                for bit, add, sub in steps:
+                    after = state - sub
+                    if used & bit or after & guard != guard:
+                        continue
+                    after = (after ^ guard) + add
+                    if after > z:
+                        level.append((at, after - z))
+                        grown.append((after, used | bit))
+            levels.append(level)
+            frontier = grown
+        for w in members:
+            masks = [1 << get(w)]
+            for level in levels:
+                masks = [masks[at] | 1 << get(w + d) for at, d in level]
+            yield masks

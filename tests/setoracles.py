@@ -11,7 +11,7 @@ maps each visited index set to labels for
 :meth:`~kakimizu.complexes.SimplicialComplex.from_maximal`, which the keyed
 masks of :func:`kakimizu.complexes.pass_complex` replaced,
 :func:`apply_region` the region move on weight dicts that the theta build's
-interned table replaced, :func:`tuple_reachability` the breadth-first
+packed step replaced, :func:`tuple_reachability` the breadth-first
 search on weight tuples that the packed ints of
 :func:`kakimizu.thetagraph.build_complex` replaced, and
 :func:`rewalking_add_zero_edges` the zero-edge
@@ -20,13 +20,17 @@ every position pair of a face, which the local face splits of
 :func:`kakimizu.thetagraph.add_zero_edges` replaced.
 :func:`skeleton_to_dot` is the DOT export that maps each edge of the
 1-skeleton to label texts, which :func:`kakimizu.complexes.to_dot`,
-sorting the ranks of the texts, replaced.
+sorting the ranks of the texts, replaced.  :func:`theta_walk` hands the
+tests what a theta build's pass walker saw and yielded, so that
+:func:`all_full_passes` and :func:`labelled_pass_complex` can walk the
+same packed states.
 """
 
 from functools import cache
 from itertools import combinations
 from unittest import mock
 
+from kakimizu import thetagraph
 from kakimizu.complexes import SimplicialComplex, full_passes, label_text
 from kakimizu.errors import InputError, KakimizuError, SizeLimitError, StructureError
 from kakimizu.thetagraph import Edge, _edge_key, region_signatures
@@ -203,6 +207,37 @@ def both_routes(module, build):
         else:
             found.append((frozenset(c.vertices), frozenset(c.simplices)))
     return found
+
+
+def theta_walk(build):
+    """Run `build()` of a theta complex, with its call of
+    ``thetagraph._kept_passes`` recorded: the packed vectors, in index
+    order, the packed region step of ``thetagraph.build_complex``, the
+    number of regions, the list of visited index masks the walker yields
+    for each vector, and the build's outcome, its complex or the type and
+    text of its refusal.  None when the build refuses its input before the
+    walk."""
+    calls = []
+    walk = thetagraph._kept_passes
+
+    def spy(states, index, moves, guard, width):
+        masks = list(walk(states, index, moves, guard, width))
+        calls.append((states, moves, guard, masks))
+        return masks
+    with mock.patch.object(thetagraph, "_kept_passes", spy):
+        try:
+            outcome = build()
+        except KakimizuError as exc:
+            outcome = (type(exc), str(exc))
+    if not calls:
+        return None
+    ((states, moves, guard, masks),) = calls
+
+    def step(w, r):
+        add, sub = moves[r]
+        after = (w | guard) - sub
+        return None if after & guard != guard else (after ^ guard) + add
+    return states, step, len(moves), masks, outcome
 
 
 def skeleton_to_dot(c: SimplicialComplex) -> str:

@@ -497,6 +497,16 @@ class TestExports:
             "  // filled simplex: T1 T2 T3\n"
             "}\n")
 
+    def test_dot_escapes_quotes_and_backslashes(self):
+        c = SimplicialComplex.from_maximal([['a"b', "c\\"]])
+        assert to_dot(c) == (
+            "graph kakimizu {\n"
+            "  node [shape=circle];\n"
+            '  "a\\"b";\n'
+            '  "c\\\\";\n'
+            '  "a\\"b" -- "c\\\\";\n'
+            "}\n")
+
     def test_exports_deterministic(self):
         c = SimplicialComplex.from_maximal([["b", "a"], ["c", "b"]])
         assert to_json(c) == to_json(SimplicialComplex.from_maximal([["a", "b"], ["b", "c"]]))

@@ -9,7 +9,6 @@ from pathlib import Path
 
 import pytest
 
-from kakimizu import thetagraph
 from kakimizu.complexes import SimplicialComplex, recognize
 from kakimizu.errors import InputError, KakimizuError, SizeLimitError, StructureError
 from kakimizu.fibred import ReductionGraph, reduction_certificate, replay_certificate
@@ -21,8 +20,8 @@ from kakimizu.thetagraph import (DEFAULT_MAX_VERTICES, MAX_REGIONS, Edge, Planar
 from euler import euler_characteristic
 from randgraphs import (add_loop, add_pendant_bridge, cycle_text, fresh, graph_text,
                         necklace_text, random_sphere_graph, route_graph, separable_graph)
-from setoracles import (MoveError, apply_region, both_routes, labelled_pass_complex,
-                        pass_unions, rewalking_add_zero_edges, set_is_connected, set_is_flag,
+from setoracles import (MoveError, all_full_passes, apply_region, labelled_pass_complex,
+                        rewalking_add_zero_edges, set_is_connected, set_is_flag, theta_walk,
                         tuple_reachability)
 
 FIXTURES = ("theta_11_94.txt", "theta_11_237.txt", "theta_11_340.txt")
@@ -964,18 +963,31 @@ class TestFibredDual:
         assert reduced >= 200
 
 
+def oracle_passes(walked):
+    """The index masks of the sets visited by every full pass from every
+    vector the build reached (setoracles.all_full_passes under the packed
+    step), and the number of passes, start by start."""
+    states, step, regions, _, _ = walked
+    index = {w: i for i, w in enumerate(states)}
+    passes = [all_full_passes(w, range(regions), step, index.__getitem__) for w in states]
+    every = {sum(1 << i for i in s) for found in passes for s in found}
+    return every, sum(map(len, passes))
+
+
 class TestLeastStartPruning:
-    """The passes kept from their least states span what every pass from
-    every start does (see setoracles.all_full_passes)."""
+    """The passes thetagraph._kept_passes keeps, each from its packed-least
+    state, span what every pass from every state does under the packed
+    step (see setoracles.all_full_passes)."""
 
     def assert_union_kept(self, build):
         """The number of passes pruning dropped, or None for a refused build."""
-        found = pass_unions(thetagraph, build)
-        if found is None:
+        walked = theta_walk(build)
+        if walked is None:
             return None
-        (pruned, kept), (every, total) = found
-        assert pruned == every
-        return total - kept
+        kept = [m for masks in walked[3] for m in masks]
+        every, total = oracle_passes(walked)
+        assert set(kept) == every and len(set(kept)) == len(kept)
+        return total - len(kept)
 
     def test_route_graphs(self):
         rng = random.Random(8)
@@ -1013,19 +1025,80 @@ class TestLeastStartPruning:
         assert outcomes == {"built": 102, EMPTY: 158, UNREDUCED: 39, SPLIT: 1}
 
 
+class TestZeroPatternTranslation:
+    """The lemma _kept_passes rests on, checked on weight tuples without
+    it: the passes from a reachable w are those from its zero pattern
+    z = min(w, 1), each visited set translated by w - z."""
+
+    def assert_translates(self, tg, w0):
+        """The number of reachable vectors checked, or 0 when the search
+        refuses."""
+        try:
+            states, moves, step = tuple_reachability(tg, w0, max_vertices=200)
+        except SizeLimitError:
+            return 0
+        for w in states:
+            z = tuple(min(x, 1) for x in w)
+            shifted = {frozenset(tuple(a + b - c for a, b, c in zip(v, w, z)) for v in s)
+                       for s in all_full_passes(z, moves, step, tuple)}
+            assert all_full_passes(w, moves, step, tuple) == shifted
+        return len(states)
+
+    def test_route_graphs(self):
+        rng = random.Random(2)
+        for r in range(2, 6):
+            for w in range(1, 4):
+                tg = build_theta(route_graph(rng, r, w))
+                assert self.assert_translates(tg, tg.weights()) > 0, (r, w)
+
+    def test_random_sphere_graphs(self):
+        rng = random.Random(5)
+        compared = checked = 0
+        while compared < 100:
+            g = random_sphere_graph(rng, ops=rng.randint(2, 8))
+            if not orient_coherently(g) or len(region_signatures(g)) > MAX_REGIONS:
+                continue
+            for e in g.edges.values():
+                e.weight = rng.randint(0, 3)
+            checked += self.assert_translates(g, g.weights())
+            compared += 1
+        assert checked >= 2000
+
+
 class TestIndexAssembly:
-    """pass_complex assembles on keyed index masks; the labelled route
-    through from_maximal (setoracles.labelled_pass_complex) is the oracle."""
+    """build_complex assembles on keyed index masks; the labelled route
+    through from_maximal (setoracles.labelled_pass_complex), walking the
+    passes from every state by complexes.full_passes under the packed
+    step, is the oracle."""
+
+    def check(self, build):
+        """The build's outcome, compared with the oracle's: its maximal
+        simplices as index sets, or the type and text of its refusal; None
+        when the build refuses before the walk."""
+        walked = theta_walk(build)
+        if walked is None:
+            return None
+        states, step, regions, _, outcome = walked
+        index = {w: i for i, w in enumerate(states)}
+        try:
+            c = labelled_pass_complex(states, range(regions), step, index.__getitem__,
+                                      range(len(states)))
+        except KakimizuError as exc:
+            expected = (type(exc), str(exc))
+        else:
+            expected = frozenset(c.simplices)
+        if isinstance(outcome, SimplicialComplex):
+            outcome = frozenset(map(frozenset, outcome.maximal))
+        assert outcome == expected
+        return outcome
 
     def test_route_graphs(self):
         rng = random.Random(9)
         for r in range(2, 9):
             for w in range(1, 5):
                 tg = build_theta(route_graph(rng, r, w))
-                index, labelled = both_routes(thetagraph,
-                                              lambda: build_complex(tg, tg.weights()))
-                assert index == labelled, (r, w)
-                assert len(index[1]) == w ** (r - 1)
+                simplices = self.check(lambda: build_complex(tg, tg.weights()))
+                assert len(simplices) == w ** (r - 1), (r, w)
 
     def test_random_sphere_graphs(self):
         # weight-1 Seifert graphs through the theta construction, and
@@ -1033,25 +1106,19 @@ class TestIndexAssembly:
         rng = random.Random(6)
         built = 0
         outcomes = Counter()
-
-        def check(build):
-            found = both_routes(thetagraph, build)
-            if found is None:
-                return 0
-            index, labelled = found
-            assert index == labelled
-            return isinstance(index[0], frozenset)
         for _ in range(100):
             g = random_sphere_graph(rng, ops=rng.randint(2, 10))
             for e in g.edges.values():
                 e.weight = 1
             tg = counted_build_theta(g, outcomes)
             if tg is not None:
-                built += check(lambda: build_complex(tg, tg.weights(), max_vertices=100))
+                built += isinstance(self.check(
+                    lambda: build_complex(tg, tg.weights(), max_vertices=100)), frozenset)
             if orient_coherently(g):
                 for e in g.edges.values():
                     e.weight = rng.randint(0, 1)
-                built += check(lambda: build_complex(g, g.weights(), max_vertices=100))
+                built += isinstance(self.check(
+                    lambda: build_complex(g, g.weights(), max_vertices=100)), frozenset)
         assert built >= 30
         assert outcomes == {"built": 23, EMPTY: 61, UNREDUCED: 16}
 
