@@ -20,8 +20,8 @@ indexes labelled candidates once and keys them.  2-bridge complexes are
 built through :func:`pass_complex`: :func:`full_passes` finds the index
 masks of the sets that the full passes from one state visit, walking each
 pass only from the least state on its cycle, and :func:`pass_complex` keys
-the masks of the passes from every start for the assembler.  Theta builds
-key their own passes (:func:`kakimizu.thetagraph.build_complex`).
+the masks of the passes from the starts it is given for the assembler.
+Theta builds key their own passes (:func:`kakimizu.thetagraph.build_complex`).
 
 The assembler runs on integer bitmasks too: each vertex's neighbourhood is
 one int, connectivity is a breadth-first search over those masks, and
@@ -282,9 +282,9 @@ def full_passes(start, moves, step, label) -> set:
 
     A full pass applies every move once, each applicable when its turn
     comes: ``step(state, move)`` is the next state, or None where the move
-    does not apply.  Band moves flip bits and region moves add signs, so
-    the state after a set M of moves is ``start XOR flank(M)`` or
-    ``w0 + signs(M)`` whatever the order; only applicability depends on it.
+    does not apply.  Band moves flip bits, so the state after a set M of
+    moves is ``start XOR flank(M)`` whatever the order; only applicability
+    depends on it.
     The walk therefore runs over the 2^n subsets of moves, not the n!
     orderings.  Layer k maps each mask of k moves that an applicable
     ordering reaches to its state, and each such mask whose state is not
@@ -335,11 +335,12 @@ def full_passes(start, moves, step, label) -> set:
 
 
 def pass_complex(starts, moves, step, label, names) -> SimplicialComplex:
-    """The checked complex spanned by the full passes from every start.
+    """The checked complex spanned by the full passes from the starts.
 
     ``label(state)`` is the index of the state's vertex in `names`.  Each
     pass runs on these indices once, from the least state on its cycle (see
-    :func:`full_passes`), since `starts` holds every state a pass can visit.
+    :func:`full_passes`), so `starts` must hold the least state of every
+    pass cycle.
     The candidates handed to :func:`_assemble` are every vertex as a
     singleton, so vertices no pass visits stay in the complex, and each
     visited set, keyed as the passes from each start end; `names` is the

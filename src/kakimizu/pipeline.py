@@ -144,9 +144,11 @@ def classify_and_compute(rec: KnotRecord,
                          max_vertices: int = thetagraph.DEFAULT_MAX_VERTICES) -> SimplicialComplex:
     """Dispatch a record to its algorithm and return its complex.
 
-    Every complex is checked as it is made, by the assembler that
-    :func:`~kakimizu.complexes.pass_complex` and
-    :meth:`~kakimizu.complexes.SimplicialComplex.from_maximal` end in.
+    Every complex is checked as it is made, by the one assembler,
+    ``complexes._assemble``, that
+    :func:`~kakimizu.complexes.pass_complex`,
+    :meth:`~kakimizu.complexes.SimplicialComplex.from_maximal` and
+    :func:`~kakimizu.thetagraph.build_complex` end in.
     """
     if rec.klass == "two_bridge":
         chain = twobridge.BandChain.parse(rec.params, max_bands=max_bands)

@@ -29,9 +29,11 @@ from .errors import InputError, SizeLimitError
 
 SurfaceTuple = tuple  # of 0/1 ints, one per plumbing disk
 
-# the slowest ladder at 9 bands, (-4)^9, builds in about 1 s, and one more
-# band multiplies a ladder's time by 3 to 8: (-4)^10 took 8.1 to 8.4 s and
-# 151 MB (``perfbench/rungs.py``, Python 3.11 on one core of a shared VM)
+# the slowest ladder at 9 bands, (-4)^9, builds in 0.8 to 1.0 s, and one
+# more band multiplies a ladder's time by 3 to 8: (-4)^10 took 6.4 to 9.0 s
+# and 151 MB, and (-2)^10, the chain of T(2, 11), 0.6 to 0.9 s, nearly all
+# of it in the passes (``perfbench/rungs.py`` and single builds, three to
+# seven runs each, Python 3.11 on one core of a shared VM)
 DEFAULT_MAX_BANDS = 9
 
 
@@ -142,12 +144,28 @@ def build_complex(chain: BandChain, max_bands: int = DEFAULT_MAX_BANDS) -> Simpl
     Vertices are the Hopf orbits, labelled by their least member; maximal
     simplices are the inclusion-maximal visited-orbit sets over all starting
     surfaces and all fully applicable orderings.  The passes step on surface
-    tuples with :func:`apply_band`, start from every tuple and label each by
-    the number of its orbit, which one index of tuple to orbit number holds.
+    tuples with :func:`apply_band` and label each tuple by the number of its
+    orbit, which one index of every tuple to orbit number holds.
+
+    The passes start only from the tuples whose first two bits are 0, a
+    quarter of them; the rest keep nothing:
+
+    - band 1 flanks disk 1 alone and always applies, so every pass cycle
+      holds two neighbouring states that differ only in bit 1, one of them
+      with bit 1 equal to 0;
+    - with n >= 3, band 2 applies only where bits 1 and 2 are equal, and it
+      flips both, so the cycle holds a state with prefix 00, and the cycle's
+      least state has prefix 00;
+    - with n = 2 (one disk), the first point puts (0,) on every cycle, and
+      with n = 1 (no disk), () is the only state; the same rule picks these
+      single starts;
+    - :func:`~kakimizu.complexes.full_passes` keeps a set only from its
+      cycle's least state, so the skipped walks would keep no set.
     """
     if chain.n > max_bands:
         raise SizeLimitError(f"chain has {chain.n} bands, limit is {max_bands}")
     orbits = hopf_orbits(chain)
     index = {t: i for i, members in enumerate(orbits.values()) for t in members}
-    return pass_complex(index, range(1, chain.n + 1), partial(apply_band, chain),
+    starts = [t for t in index if not any(t[:2])]
+    return pass_complex(starts, range(1, chain.n + 1), partial(apply_band, chain),
                         index.__getitem__, list(orbits))

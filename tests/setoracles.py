@@ -23,14 +23,17 @@ every position pair of a face, which the local face splits of
 sorting the ranks of the texts, replaced.  :func:`theta_walk` hands the
 tests what a theta build's pass walker saw and yielded, so that
 :func:`all_full_passes` and :func:`labelled_pass_complex` can walk the
-same packed states.
+same packed states.  :func:`recorded_build` does the same for a 2-bridge
+build's call of :func:`kakimizu.complexes.pass_complex`, and
+:func:`pass_unions` and :func:`both_routes` walk its moves from every
+surface tuple, not only from the starts the build picked.
 """
 
 from functools import cache
-from itertools import combinations
+from itertools import combinations, product
 from unittest import mock
 
-from kakimizu import thetagraph
+from kakimizu import thetagraph, twobridge
 from kakimizu.complexes import SimplicialComplex, full_passes, label_text
 from kakimizu.errors import InputError, KakimizuError, SizeLimitError, StructureError
 from kakimizu.thetagraph import Edge, _edge_key, region_signatures
@@ -143,26 +146,40 @@ def labelled_full_passes(start, moves, step, label):
     return frozenset(frozenset(names[i] for i in positions(m)) for m in masks)
 
 
-def pass_unions(module, build):
-    """Run `build()` up to its call of ``module.pass_complex``, and return
-    the union over all its starts of the engine's passes and of the
-    oracle's, with the number of passes each found start by start; None
-    when the build refuses its input first.  The captured step is
-    memoised: both walks ask it the same questions."""
+def recorded_build(chain):
+    """Build the complex of `chain` with its call of
+    ``twobridge.pass_complex`` recorded and the call's step memoised: the
+    build's outcome, its complex or the type and text of its refusal, and
+    the call's starts, moves, step, label and names."""
     calls = []
+    real = twobridge.pass_complex
 
     def spy(starts, moves, step, label, names):
-        calls.append((list(starts), tuple(moves), step, label))
-    with mock.patch.object(module, "pass_complex", spy):
+        calls.append((list(starts), tuple(moves), cache(step), label, names))
+        return real(*calls[-1])
+    with mock.patch.object(twobridge, "pass_complex", spy):
         try:
-            build()
-        except KakimizuError:
-            return None
-    ((starts, moves, step, label),) = calls
-    step = cache(step)
+            outcome = twobridge.build_complex(chain)
+        except KakimizuError as exc:
+            outcome = (type(exc), str(exc))
+    (call,) = calls
+    return outcome, call
+
+
+def every_tuple(chain):
+    """Every surface tuple of `chain`, in lexicographic order."""
+    return list(product((0, 1), repeat=chain.disks))
+
+
+def pass_unions(chain):
+    """The union, over every surface tuple of `chain` as a start, of the
+    engine's passes and of the oracle's, with the number of passes each
+    found start by start, on the moves, step and labels that
+    ``twobridge.build_complex`` hands to ``pass_complex``."""
+    _, (_, moves, step, label, _) = recorded_build(chain)
     found = []
     for walk in (labelled_full_passes, all_full_passes):
-        passes = [walk(s, moves, step, label) for s in starts]
+        passes = [walk(s, moves, step, label) for s in every_tuple(chain)]
         found.append((set().union(*passes), sum(map(len, passes))))
     return found
 
@@ -184,29 +201,19 @@ def labelled_pass_complex(starts, moves, step, label, names):
     return SimplicialComplex.from_maximal(candidates)
 
 
-def both_routes(module, build):
-    """Run `build()` up to its call of ``module.pass_complex``, then that call
-    as it is and with :func:`labelled_pass_complex` in its place, both asking
-    one memoised step; for each, the vertices and maximal simplices of the
-    complex as frozensets, or the type and text of the refusal.  None when
-    the build refuses its input first."""
-    calls = []
-    with mock.patch.object(module, "pass_complex", lambda *args: calls.append(args)):
-        try:
-            build()
-        except KakimizuError:
-            return None
-    ((starts, moves, step, label, names),) = calls
-    starts, step = list(starts), cache(step)
-    found = []
-    for route in (module.pass_complex, labelled_pass_complex):
-        try:
-            c = route(starts, moves, step, label, names)
-        except KakimizuError as exc:
-            found.append((type(exc), str(exc)))
-        else:
-            found.append((frozenset(c.vertices), frozenset(c.simplices)))
-    return found
+def both_routes(chain):
+    """The complex ``twobridge.build_complex`` makes of `chain`, and the one
+    :func:`labelled_pass_complex` makes from every surface tuple as a start,
+    on the moves, step, labels and names of the build's call of
+    ``pass_complex``; for each, the vertices and maximal simplices of the
+    complex as frozensets, or the type and text of the refusal."""
+    built, (_, moves, step, label, names) = recorded_build(chain)
+    try:
+        walked = labelled_pass_complex(every_tuple(chain), moves, step, label, names)
+    except KakimizuError as exc:
+        walked = (type(exc), str(exc))
+    return [c if isinstance(c, tuple) else (frozenset(c.vertices), frozenset(c.simplices))
+            for c in (built, walked)]
 
 
 def theta_walk(build):

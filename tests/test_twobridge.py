@@ -1,13 +1,15 @@
 import random
 from itertools import combinations, product
 from math import factorial, prod
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from kakimizu import twobridge
-from kakimizu.complexes import ComplexShape, SimplicialComplex, recognize
+from kakimizu import complexes
+from kakimizu.complexes import (ComplexShape, SimplicialComplex, full_passes, pass_complex,
+                                recognize, to_json)
 from kakimizu.errors import InputError, SizeLimitError
 from kakimizu.twobridge import (BandChain, apply_band, build_complex,
                                 flanking_disks, hopf_orbits)
@@ -15,8 +17,8 @@ from kakimizu.twobridge import (BandChain, apply_band, build_complex,
 from catalog import ROWS
 from census import check as check_census
 from euler import euler_characteristic
-from setoracles import (all_full_passes, both_routes, pass_unions, set_is_connected,
-                        set_is_flag)
+from setoracles import (all_full_passes, both_routes, every_tuple, pass_unions,
+                        recorded_build, set_is_connected, set_is_flag)
 
 CHAIN_ENTRIES = [-6, -4, -2, 2, 4, 6]
 
@@ -258,31 +260,77 @@ class TestLeastStartPruning:
         for n in range(1, 6):
             for bands in product((-4, -2, 2, 4), repeat=n):
                 chain = BandChain(bands)
-                (pruned, kept), (every, total) = pass_unions(
-                    twobridge, lambda: build_complex(chain))
+                (pruned, kept), (every, total) = pass_unions(chain)
                 assert pruned == every, bands
                 dropped += total - kept
         assert dropped > 0
 
 
+class TestPrefixStarts:
+    """build_complex walks only from the surface tuples whose first two bits
+    are 0; every other start keeps no pass, and the complex is the one the
+    walks from every tuple span."""
+
+    @staticmethod
+    def kept_starts(chain):
+        """The starts whose walks keep a pass, after checking that the build
+        starts from the tuples with prefix 00 alone, that no other start
+        keeps a pass, and that the build's complex is the one
+        ``pass_complex`` assembles from every surface tuple."""
+        built, (starts, moves, step, label, names) = recorded_build(chain)
+        every = every_tuple(chain)
+        walks = {t: full_passes(t, moves, step, label) for t in every}
+        kept = [t for t in every if walks[t]]
+        assert set(starts) == {t for t in every if not any(t[:2])}, chain.bands
+        assert set(kept) <= set(starts), chain.bands
+        # the build from every start, its walks read back from `walks`
+        with mock.patch.object(complexes, "full_passes", lambda start, *_: walks[start]):
+            every_start = pass_complex(every, moves, step, label, names)
+        assert to_json(built) == to_json(every_start), chain.bands
+        return kept
+
+    def test_exhaustive_small_chains(self):
+        # all 5 460 chains with at most 6 bands of twist 2 or 4
+        chains = 0
+        for n in range(1, 7):
+            for bands in product((-4, -2, 2, 4), repeat=n):
+                self.kept_starts(BandChain(bands))
+                chains += 1
+        assert chains == 5460
+
+    def test_random_long_chains(self):
+        rng = random.Random(17)
+        for n in (7,) * 8 + (8,) * 4:
+            chain = BandChain(tuple(rng.choice(CHAIN_ENTRIES) for _ in range(n)))
+            self.kept_starts(chain)
+
+    def test_third_bit_is_no_filter(self):
+        # starts with prefix 001 keep passes, so a filter on three bits
+        # would lose them
+        kept = self.kept_starts(BandChain((-4,) * 7))
+        assert sum(t[:3] == (0, 0, 1) for t in kept) == 8 and len(kept) == 16
+
+
 class TestIndexAssembly:
-    """pass_complex assembles on keyed index masks; the labelled route
-    through from_maximal (setoracles.labelled_pass_complex) is the oracle."""
+    """build_complex assembles on keyed index masks from the starts it
+    picks; the labelled route through from_maximal
+    (setoracles.labelled_pass_complex), walked from every surface tuple, is
+    the oracle."""
 
     def test_exhaustive_small_chains(self):
         # all 1 364 chains with at most 5 bands of twist 2 or 4
         for n in range(1, 6):
             for bands in product((-4, -2, 2, 4), repeat=n):
                 chain = BandChain(bands)
-                index, labelled = both_routes(twobridge, lambda: build_complex(chain))
-                assert index == labelled, bands
+                built, labelled = both_routes(chain)
+                assert built == labelled, bands
 
     def test_random_long_chains(self):
         rng = random.Random(13)
         for n in (6,) * 12 + (7,) * 6:
             chain = BandChain(tuple(rng.choice(CHAIN_ENTRIES) for _ in range(n)))
-            index, labelled = both_routes(twobridge, lambda: build_complex(chain))
-            assert index == labelled, chain.bands
+            built, labelled = both_routes(chain)
+            assert built == labelled, chain.bands
 
 
 class TestBuildComplex:
