@@ -15,6 +15,8 @@ the band does not apply, which is the step both the Hopf orbits and the
 full passes take.  A full pass that applies every band exactly once
 returns to the starting surface, and the set of orbits such a pass visits
 spans a maximal simplex; the passes read each tuple's orbit from one dict.
+A chain with at most one non-Hopf band has a single orbit, so its complex
+is a point, which :func:`build_complex` returns without orbits or passes.
 """
 
 from __future__ import annotations
@@ -31,9 +33,10 @@ SurfaceTuple = tuple  # of 0/1 ints, one per plumbing disk
 
 # the slowest ladder at 9 bands, (-4)^9, builds in 0.8 to 1.0 s, and one
 # more band multiplies a ladder's time by 3 to 8: (-4)^10 took 6.4 to 9.0 s
-# and 151 MB, and (-2)^10, the chain of T(2, 11), 0.6 to 0.9 s, nearly all
-# of it in the passes (``perfbench/rungs.py`` and single builds, three to
-# seven runs each, Python 3.11 on one core of a shared VM)
+# and 151 MB; (-2)^10, the chain of T(2, 11), is a point built without
+# passes in 30 to 60 us with max_bands=10 (``perfbench/rungs.py`` and
+# single builds, three to seven runs each, Python 3.11 on one core of a
+# shared VM)
 DEFAULT_MAX_BANDS = 9
 
 
@@ -161,9 +164,23 @@ def build_complex(chain: BandChain, max_bands: int = DEFAULT_MAX_BANDS) -> Simpl
       single starts;
     - :func:`~kakimizu.complexes.full_passes` keeps a set only from its
       cycle's least state, so the skipped walks would keep no set.
+
+    A chain with at most one non-Hopf band is a point, built without orbits
+    or passes; its one vertex is the all-zero tuple, the least member of
+    the one orbit.  Let band j be the non-Hopf one, or any band if there is
+    none.  By induction on m, Hopf bands 1..m reach every pattern of disks
+    1..m: band 1 flips disk 1 alone, and with disks 1..m-1 free, setting
+    disk m-1 equal to disk m lets band m flip both.  Band n flips disk n-1
+    alone, so bands j+1..n reach every pattern of disks j..n-1 from the
+    right in the same way.  These two sets of moves touch disjoint disks,
+    so every tuple lies in one orbit, every pass visits only that orbit,
+    and the complex is a point.  The band cap is checked first, so a chain
+    over it is refused all the same.
     """
     if chain.n > max_bands:
         raise SizeLimitError(f"chain has {chain.n} bands, limit is {max_bands}")
+    if sum(abs(e) != 2 for e in chain.bands) <= 1:
+        return SimplicialComplex.from_maximal([[(0,) * chain.disks]])
     orbits = hopf_orbits(chain)
     index = {t: i for i, members in enumerate(orbits.values()) for t in members}
     starts = [t for t in index if not any(t[:2])]

@@ -15,9 +15,10 @@ numbers, so a knot with c crossings has p <= F(c + 1).
 and builds the complex of every fraction of every knot.  The fractions of a
 knot name the same surfaces, so their complexes must be isomorphic; each is
 contractible (Przytycki-Schultens), so its Euler characteristic is 1; and
-a chain of Hopf bands alone is a fibre surface, the unique minimal genus
-surface of its knot, so its complex is a point.  Run it from the
-repository root as::
+a chain with at most one non-Hopf band, which the build returns as a point
+without a search, has a single Hopf orbit, counted by
+:func:`~kakimizu.twobridge.hopf_orbits`.  Run it from the repository root
+as::
 
     PYTHONPATH=src:tests python -c "import census; print(len(census.check(11, max_bands=10)))"
 """
@@ -25,9 +26,8 @@ repository root as::
 from fractions import Fraction
 from math import gcd
 
-from kakimizu.complexes import recognize
 from kakimizu.rational import expand_index
-from kakimizu.twobridge import DEFAULT_MAX_BANDS, BandChain, build_complex
+from kakimizu.twobridge import DEFAULT_MAX_BANDS, BandChain, build_complex, hopf_orbits
 
 from euler import euler_characteristic
 from isomorphism import isomorphic
@@ -66,9 +66,9 @@ def knots(c: int) -> list:
 
 def check(c: int, max_bands: int = DEFAULT_MAX_BANDS) -> list:
     """The knots of :func:`knots`, each checked: the complexes of all its
-    fractions are isomorphic and have Euler characteristic 1, and an
-    all-Hopf chain gives a point.  A chain over `max_bands` bands raises
-    SizeLimitError."""
+    fractions are isomorphic and have Euler characteristic 1, and a chain
+    with at most one non-Hopf band has one Hopf orbit.  A chain over
+    `max_bands` bands raises SizeLimitError."""
     found = knots(c)
     for p, qs in found:
         first = None
@@ -77,8 +77,8 @@ def check(c: int, max_bands: int = DEFAULT_MAX_BANDS) -> list:
             complex_ = build_complex(chain, max_bands=max_bands)
             name = f"{q}/{p}, chain {chain.bands}"
             assert euler_characteristic(complex_) == 1, name
-            if all(abs(e) == 2 for e in chain.bands):
-                assert str(recognize(complex_)) == "point", name
+            if sum(abs(e) != 2 for e in chain.bands) <= 1:
+                assert len(hopf_orbits(chain)) == 1, name
             if first is None:
                 first = complex_
             else:

@@ -23,13 +23,14 @@ every position pair of a face, which the local face splits of
 sorting the ranks of the texts, replaced.  :func:`theta_walk` hands the
 tests what a theta build's pass walker saw and yielded, so that
 :func:`all_full_passes` and :func:`labelled_pass_complex` can walk the
-same packed states.  :func:`recorded_build` does the same for a 2-bridge
-build's call of :func:`kakimizu.complexes.pass_complex`, and
-:func:`pass_unions` and :func:`both_routes` walk its moves from every
-surface tuple, not only from the starts the build picked.
+same packed states.  :func:`recorded_build` hands the tests the starts a
+2-bridge build gave :func:`kakimizu.complexes.pass_complex`, if it made
+the call.  :func:`pass_unions` and :func:`both_routes` walk the band moves of
+:func:`walk_inputs`, made from the chain and not read from the build, from
+every surface tuple, not only from the starts the build picked.
 """
 
-from functools import cache
+from functools import cache, partial
 from itertools import combinations, product
 from unittest import mock
 
@@ -148,22 +149,24 @@ def labelled_full_passes(start, moves, step, label):
 
 def recorded_build(chain):
     """Build the complex of `chain` with its call of
-    ``twobridge.pass_complex`` recorded and the call's step memoised: the
-    build's outcome, its complex or the type and text of its refusal, and
-    the call's starts, moves, step, label and names."""
+    ``twobridge.pass_complex`` recorded: the build's outcome, its complex
+    or the type and text of its refusal, and the starts the call was
+    given, or None when the build made no call."""
     calls = []
     real = twobridge.pass_complex
 
-    def spy(starts, moves, step, label, names):
-        calls.append((list(starts), tuple(moves), cache(step), label, names))
-        return real(*calls[-1])
+    def spy(starts, *rest):
+        calls.append(list(starts))
+        return real(calls[-1], *rest)
     with mock.patch.object(twobridge, "pass_complex", spy):
         try:
             outcome = twobridge.build_complex(chain)
         except KakimizuError as exc:
             outcome = (type(exc), str(exc))
-    (call,) = calls
-    return outcome, call
+    if not calls:
+        return outcome, None
+    (starts,) = calls
+    return outcome, starts
 
 
 def every_tuple(chain):
@@ -171,12 +174,23 @@ def every_tuple(chain):
     return list(product((0, 1), repeat=chain.disks))
 
 
+def walk_inputs(chain):
+    """The moves, memoised step, label and names of the band calculus on
+    `chain`, made from the chain alone: the bands 1..n, the public move
+    :func:`kakimizu.twobridge.apply_band`, and each tuple's orbit number
+    and the orbit labels from :func:`kakimizu.twobridge.hopf_orbits`."""
+    orbits = twobridge.hopf_orbits(chain)
+    index = {t: i for i, members in enumerate(orbits.values()) for t in members}
+    return (range(1, chain.n + 1), cache(partial(twobridge.apply_band, chain)),
+            index.__getitem__, list(orbits))
+
+
 def pass_unions(chain):
     """The union, over every surface tuple of `chain` as a start, of the
     engine's passes and of the oracle's, with the number of passes each
-    found start by start, on the moves, step and labels that
-    ``twobridge.build_complex`` hands to ``pass_complex``."""
-    _, (_, moves, step, label, _) = recorded_build(chain)
+    found start by start, on the moves, step and labels of
+    :func:`walk_inputs`."""
+    moves, step, label, _ = walk_inputs(chain)
     found = []
     for walk in (labelled_full_passes, all_full_passes):
         passes = [walk(s, moves, step, label) for s in every_tuple(chain)]
@@ -204,12 +218,15 @@ def labelled_pass_complex(starts, moves, step, label, names):
 def both_routes(chain):
     """The complex ``twobridge.build_complex`` makes of `chain`, and the one
     :func:`labelled_pass_complex` makes from every surface tuple as a start,
-    on the moves, step, labels and names of the build's call of
-    ``pass_complex``; for each, the vertices and maximal simplices of the
-    complex as frozensets, or the type and text of the refusal."""
-    built, (_, moves, step, label, names) = recorded_build(chain)
+    on the moves, step, labels and names of :func:`walk_inputs`; for each,
+    the vertices and maximal simplices of the complex as frozensets, or the
+    type and text of the refusal."""
     try:
-        walked = labelled_pass_complex(every_tuple(chain), moves, step, label, names)
+        built = twobridge.build_complex(chain)
+    except KakimizuError as exc:
+        built = (type(exc), str(exc))
+    try:
+        walked = labelled_pass_complex(every_tuple(chain), *walk_inputs(chain))
     except KakimizuError as exc:
         walked = (type(exc), str(exc))
     return [c if isinstance(c, tuple) else (frozenset(c.vertices), frozenset(c.simplices))

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from kakimizu import complexes
+from kakimizu import complexes, twobridge
 from kakimizu.complexes import (ComplexShape, SimplicialComplex, full_passes, pass_complex,
                                 recognize, to_json)
 from kakimizu.errors import InputError, SizeLimitError
@@ -18,7 +18,7 @@ from catalog import ROWS
 from census import check as check_census
 from euler import euler_characteristic
 from setoracles import (all_full_passes, both_routes, every_tuple, pass_unions,
-                        recorded_build, set_is_connected, set_is_flag)
+                        recorded_build, set_is_connected, set_is_flag, walk_inputs)
 
 CHAIN_ENTRIES = [-6, -4, -2, 2, 4, 6]
 
@@ -66,6 +66,12 @@ def closed_form_counts(bands):
     gaps = [b - a for a, b in zip(positions, positions[1:])]
     m = len(gaps)
     return {m}, prod(g + 1 for g in gaps), factorial(m) * prod(gaps)
+
+
+def is_rule_chain(chain):
+    """At most one band of `chain` is not a Hopf band, so its complex is
+    the point that build_complex returns without orbits or passes."""
+    return sum(abs(e) != 2 for e in chain.bands) <= 1
 
 
 def orbit_labels(chain):
@@ -273,16 +279,21 @@ class TestPrefixStarts:
 
     @staticmethod
     def kept_starts(chain):
-        """The starts whose walks keep a pass, after checking that the build
-        starts from the tuples with prefix 00 alone, that no other start
-        keeps a pass, and that the build's complex is the one
-        ``pass_complex`` assembles from every surface tuple."""
-        built, (starts, moves, step, label, names) = recorded_build(chain)
+        """The starts whose walks keep a pass, after checking that no start
+        outside prefix 00 keeps a pass, that the build starts from the
+        tuples with prefix 00 alone or, for a chain with at most one
+        non-Hopf band, walks no pass at all, and that the build's complex
+        is the one ``pass_complex`` assembles from every surface tuple."""
+        built, starts = recorded_build(chain)
+        moves, step, label, names = walk_inputs(chain)
         every = every_tuple(chain)
         walks = {t: full_passes(t, moves, step, label) for t in every}
         kept = [t for t in every if walks[t]]
-        assert set(starts) == {t for t in every if not any(t[:2])}, chain.bands
-        assert set(kept) <= set(starts), chain.bands
+        prefix_00 = {t for t in every if not any(t[:2])}
+        assert set(kept) <= prefix_00, chain.bands
+        assert (starts is None) == is_rule_chain(chain), chain.bands
+        if starts is not None:
+            assert set(starts) == prefix_00, chain.bands
         # the build from every start, its walks read back from `walks`
         with mock.patch.object(complexes, "full_passes", lambda start, *_: walks[start]):
             every_start = pass_complex(every, moves, step, label, names)
@@ -331,6 +342,71 @@ class TestIndexAssembly:
             chain = BandChain(tuple(rng.choice(CHAIN_ENTRIES) for _ in range(n)))
             built, labelled = both_routes(chain)
             assert built == labelled, chain.bands
+
+
+def rule_chains(n, rng):
+    """Chains of n bands with at most one non-Hopf band: all Hopf, then the
+    non-Hopf band at each position with |e| = 4 and with |e| = 6, each band's
+    sign drawn from `rng`."""
+    def signed(twists):
+        return BandChain(tuple(e * rng.choice((-1, 1)) for e in twists))
+    yield signed([2] * n)
+    for j in range(n):
+        for twist in (4, 6):
+            yield signed([twist if k == j else 2 for k in range(n)])
+
+
+class TestOneOrbitRule:
+    """A chain with at most one non-Hopf band has one Hopf orbit, and
+    build_complex returns its point without calling hopf_orbits or
+    pass_complex."""
+
+    def test_point_without_orbits_or_passes(self):
+        rng = random.Random(23)
+        built = 0
+        for n in range(1, 11):
+            for chain in rule_chains(n, rng):
+                assert len(hopf_orbits(chain)) == 1, chain.bands
+                with mock.patch.object(twobridge, "hopf_orbits") as orbits, \
+                        mock.patch.object(twobridge, "pass_complex") as passes:
+                    c = build_complex(chain, max_bands=10)
+                assert not orbits.called and not passes.called, chain.bands
+                assert c.labels == ((0,) * (n - 1),) and c.maximal == ((0,),), chain.bands
+                built += 1
+        assert built == sum(2 * n + 1 for n in range(1, 11))
+
+    @staticmethod
+    def assert_every_tuple_complex(chain):
+        every_start = pass_complex(every_tuple(chain), *walk_inputs(chain))
+        assert to_json(build_complex(chain)) == to_json(every_start), chain.bands
+
+    def test_exhaustive_small_chains(self):
+        # every chain with at most 6 bands of twist +-2 and at most one of
+        # twist +-4 or +-6
+        chains = 0
+        for n in range(1, 7):
+            for bands in product((-6, -4, -2, 2, 4, 6), repeat=n):
+                chain = BandChain(bands)
+                if is_rule_chain(chain):
+                    self.assert_every_tuple_complex(chain)
+                    chains += 1
+        assert chains == sum(2 ** n + n * 4 * 2 ** (n - 1) for n in range(1, 7))
+
+    def test_random_long_chains(self):
+        rng = random.Random(29)
+        for n in (7, 8):
+            chains = list(rule_chains(n, rng))
+            for chain in rng.sample(chains, 6):
+                self.assert_every_tuple_complex(chain)
+
+    @pytest.mark.parametrize("bands", [(-4, -4), (-2, -4, -2, -4, -2)])
+    def test_two_non_hopf_bands_walk_passes(self, bands):
+        built, starts = recorded_build(BandChain(bands))
+        assert starts is not None and len(built.vertices) >= 2
+
+    def test_band_cap_comes_first(self):
+        with pytest.raises(SizeLimitError, match="^chain has 10 bands, limit is 9$"):
+            build_complex(BandChain((-2,) * 10))
 
 
 class TestBuildComplex:
@@ -436,3 +512,8 @@ class TestCensus:
                                                   (8, 12), (9, 24), (10, 45)])
     def test_every_knot_builds_and_checks(self, crossings, count):
         assert len(check_census(crossings)) == count
+
+    def test_eleven_crossings(self):
+        # the paper's crossing number; T(2, 11), whose chain is (-2)^10,
+        # needs a tenth band
+        assert len(check_census(11, max_bands=10)) == 91
