@@ -4,24 +4,22 @@ A complex here is a table of vertex labels together with the family of
 inclusion-maximal simplices, each the sorted tuple of its vertices' indices
 into the table.  Every Kakimizu complex is connected and flag (determined
 by its 1-skeleton), so a complex is checked as it is made: one assembler,
-:func:`_assemble`, takes the candidate simplices as keyed masks, finds the
+:func:`assemble`, takes the candidate simplices as index masks, finds the
 maximal simplices as the maximal cliques of the candidates' 1-skeleton and
 refuses a complex that is not connected or not flag.  The module also
 recognises the shapes that occur in knot tables (point, path, single
 simplex) and writes deterministic DOT and JSON exports.
 
-A set of vertex indices is an int with bit i for vertex i.  Its key is the
-pair ``(low, mask >> low)``, where low is its least index, so a key is as
-wide as its simplex's span of indices, not as the vertex count; a
-singleton {i} is ``(i, 1)``.
+A set of vertex indices is an int with bit i for vertex i.  The assembler
+keys each mask as the pair ``(low, mask >> low)``, where low is its least
+index, so a key is as wide as its simplex's span of indices, not as the
+vertex count; a singleton {i} is ``(i, 1)``.
 
-Three routes end in the assembler.  :meth:`SimplicialComplex.from_maximal`
-indexes labelled candidates once and keys them.  2-bridge complexes are
-built through :func:`pass_complex`: :func:`full_passes` finds the index
-masks of the sets that the full passes from one state visit, walking each
-pass only from the least state on its cycle, and :func:`pass_complex` keys
-the masks of the passes from the starts it is given for the assembler.
-Theta builds key their own passes (:func:`kakimizu.thetagraph.build_complex`).
+Every builder ends in the assembler.
+:meth:`SimplicialComplex.from_maximal` indexes labelled candidates once;
+the 2-bridge and theta builds (:func:`kakimizu.twobridge.build_complex`,
+:func:`kakimizu.thetagraph.build_complex`) walk their passes on vertex
+indices and hand over the visited index masks.
 
 The assembler runs on integer bitmasks too: each vertex's neighbourhood is
 one int, connectivity is a breadth-first search over those masks, and
@@ -109,8 +107,8 @@ class SimplicialComplex:
     simplex as a frozenset of labels) are read-only views of them, and
     complexes compare and hash by those views.
 
-    Every complex is made by :func:`_assemble`, through :meth:`from_maximal`,
-    :func:`pass_complex` or the theta build, and it checks both properties,
+    Every complex is made by :func:`assemble`, through :meth:`from_maximal`
+    or a 2-bridge or theta build, and it checks both properties,
     so every complex has them; the class takes no constructor arguments and
     its attributes cannot be set.
     """
@@ -137,22 +135,22 @@ class SimplicialComplex:
 
         Candidates may repeat or contain one another; an isolated vertex is
         passed as its own singleton.  The vertices are indexed once, in the
-        order they first appear, and each candidate is keyed by the mask of
-        its vertex indices for :func:`_assemble`, which raises
+        order they first appear, and each non-empty candidate becomes the
+        mask of its vertex indices for :func:`assemble`, which raises
         StructureError unless the 1-skeleton is connected and the complex
         is flag.
         """
         index: dict = {}
-        keys = set()
+        masks = set()
         for s in candidates:
             mask = 0
             for v in s:
                 mask |= 1 << index.setdefault(v, len(index))
-            if mask:
-                keys.add(_key(mask))
+            if mask:   # an empty candidate has no key: _key(0) shifts by -1
+                masks.add(mask)
         if not index:
             raise InputError("a simplicial complex needs at least one vertex")
-        return _assemble(keys, list(index))
+        return assemble(masks, list(index))
 
 
 def _key(mask: int) -> tuple:
@@ -162,14 +160,17 @@ def _key(mask: int) -> tuple:
     return low, mask >> low
 
 
-def _assemble(keys: set, labels) -> SimplicialComplex:
+def assemble(masks, labels) -> SimplicialComplex:
     """The checked complex with vertices `labels` whose candidate simplices
-    have the keys `keys` (see :func:`_key`), on indices into `labels`.
+    are every vertex as a singleton and the non-empty index masks `masks`,
+    on indices into `labels`.
 
-    Every index must lie in some candidate; an isolated vertex is its own
-    singleton.  StructureError is raised unless the 1-skeleton is connected
-    and the complex is flag.  Labels are only stored: the complex keeps the
-    label table and each maximal simplex as a sorted index tuple.
+    The masks are held by their keys (see :func:`_key`), so a repeated
+    mask is kept once; the singletons are not stored, since a vertex adds
+    no edge and a single vertex is always a candidate.  StructureError is
+    raised unless the 1-skeleton is connected and the complex is flag.  Labels are only
+    stored: the complex keeps the label table and each maximal simplex as
+    a sorted index tuple.
 
     Every candidate is a clique, so it lies in a maximal clique, and a
     maximal clique that lies in a candidate equals it.  So a maximal clique
@@ -179,6 +180,7 @@ def _assemble(keys: set, labels) -> SimplicialComplex:
     :func:`_maximal_cliques`) therefore yields the simplices and stops at
     the first clique whose key is not a candidate's.
     """
+    keys = set(map(_key, masks))
     adj = [0] * len(labels)
     for low, rest in keys:
         mask = rest << low
@@ -187,7 +189,7 @@ def _assemble(keys: set, labels) -> SimplicialComplex:
             adj[low + bit.bit_length() - 1] |= mask
             rest ^= bit
     for i in range(len(adj)):
-        adj[i] ^= 1 << i   # every vertex lies in a candidate, so bit i is set
+        adj[i] &= ~(1 << i)   # no vertex is its own neighbour
     seen = frontier = 1
     while frontier:
         reach = 0
@@ -200,7 +202,7 @@ def _assemble(keys: set, labels) -> SimplicialComplex:
 
     maximal = []
     for clique, mask in _maximal_cliques(adj):
-        if _key(mask) not in keys:
+        if len(clique) > 1 and _key(mask) not in keys:   # each vertex is a candidate
             raise StructureError("Kakimizu complex must be a flag complex")
         maximal.append(tuple(sorted(clique)))
     labels, maximal = tuple(labels), tuple(maximal)
@@ -271,86 +273,6 @@ def _maximal_cliques(adj: list):
             u = bit.bit_length() - 1
             frame[2:] = p ^ bit, x | bit, todo ^ bit
             stack.append(branch(r + (u,), rmask | bit, p & adj[u], x & adj[u]))
-
-
-def full_passes(start, moves, step, label) -> set:
-    """Index masks of the sets visited by the full passes of `moves` from
-    `start` that visit no state below it: ``label(state)`` is the index of
-    the state's vertex, and a visited set is the int with bit
-    ``label(state)`` for each state it holds.  States need a total order
-    ``<``, such as the surface tuples of 2-bridge chains.
-
-    A full pass applies every move once, each applicable when its turn
-    comes: ``step(state, move)`` is the next state, or None where the move
-    does not apply.  Band moves flip bits, so the state after a set M of
-    moves is ``start XOR flank(M)`` whatever the order; only applicability
-    depends on it.
-    The walk therefore runs over the 2^n subsets of moves, not the n!
-    orderings.  Layer k maps each mask of k moves that an applicable
-    ordering reaches to its state, and each such mask whose state is not
-    below `start` to the visited sets of those orderings.  A layer first
-    steps every kept mask by each move it lacks, taken from precomputed
-    ``(bit, move)`` pairs, recording each reached mask's state and the
-    visited sets of the masks that reach it; then each reached mask at or
-    above `start` gets its visited sets in one comprehension, which joins
-    its state's bit into every set that reaches it.  StructureError is
-    raised when two orderings reach one mask in different states, or when
-    the full mask does not return to `start`.  A mask whose state is below
-    `start` is kept for the order check only, and not stepped.
-
-    A full pass is a cycle of states.  Rotating its move order gives a full
-    pass from every state on the cycle (each move meets the state it met
-    before), and every rotation visits the same set.  The rotation from the
-    least state visits nothing below its start, so the walk from there
-    keeps it, order checks included: the union over all starts is unchanged.
-    """
-    steps = [(1 << i, move) for i, move in enumerate(moves)]
-    state_of = {0: start}
-    sets_of = {0: {1 << label(start)}}
-    for _ in steps:
-        reached: dict = {}
-        joined: dict = {}   # a reached mask -> the visited sets reaching it
-        for mask, seen in sets_of.items():
-            state = state_of[mask]
-            for bit, move in steps:
-                if mask & bit:
-                    continue
-                after = step(state, move)
-                if after is None:
-                    continue
-                target = mask | bit
-                if reached.setdefault(target, after) != after:
-                    raise StructureError("the state after a set of moves depends on their order")
-                joined.setdefault(target, []).append(seen)
-        state_of, sets_of = reached, {}
-        for target, parts in joined.items():
-            after = reached[target]
-            if not after < start:
-                here = 1 << label(after)
-                sets_of[target] = {v | here for seen in parts for v in seen}
-    full = (1 << len(steps)) - 1
-    if state_of.get(full, start) != start:
-        raise StructureError("a full pass must return to its start")
-    return sets_of.get(full, set())
-
-
-def pass_complex(starts, moves, step, label, names) -> SimplicialComplex:
-    """The checked complex spanned by the full passes from the starts.
-
-    ``label(state)`` is the index of the state's vertex in `names`.  Each
-    pass runs on these indices once, from the least state on its cycle (see
-    :func:`full_passes`), so `starts` must hold the least state of every
-    pass cycle.
-    The candidates handed to :func:`_assemble` are every vertex as a
-    singleton, so vertices no pass visits stay in the complex, and each
-    visited set, keyed as the passes from each start end; `names` is the
-    label table, and labels enter only the finished complex.
-    """
-    moves = tuple(moves)
-    keys = {(i, 1) for i in range(len(names))}
-    for start in starts:
-        keys.update(map(_key, full_passes(start, moves, step, label)))
-    return _assemble(keys, names)
 
 
 # the representative of a shape literal is built and checked like any

@@ -145,9 +145,9 @@ def classify_and_compute(rec: KnotRecord,
     """Dispatch a record to its algorithm and return its complex.
 
     Every complex is checked as it is made, by the one assembler,
-    ``complexes._assemble``, that
-    :func:`~kakimizu.complexes.pass_complex`,
-    :meth:`~kakimizu.complexes.SimplicialComplex.from_maximal` and
+    :func:`~kakimizu.complexes.assemble`, that
+    :meth:`~kakimizu.complexes.SimplicialComplex.from_maximal`,
+    :func:`~kakimizu.twobridge.build_complex` and
     :func:`~kakimizu.thetagraph.build_complex` end in.
     """
     if rec.klass == "two_bridge":

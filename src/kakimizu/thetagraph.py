@@ -40,11 +40,11 @@ import heapq
 from bisect import bisect_left
 from collections import Counter
 from dataclasses import dataclass
-from itertools import compress, repeat
+from itertools import chain, compress, repeat
 from operator import itemgetter
 
 from . import complexes
-from .complexes import SimplicialComplex, _key
+from .complexes import SimplicialComplex
 from .errors import InputError, SizeLimitError, StructureError
 from .rational import parse_int
 
@@ -563,9 +563,9 @@ def build_complex(tg: PlanarMultigraph, w0: dict,
 
     The search interns the packed vectors breadth first as indices.  The
     passes are walked on those indices by :func:`_kept_passes`, and the
-    complex is assembled on every index as a singleton and every visited
-    index set, keyed for :func:`~kakimizu.complexes._assemble`; the packed
-    vectors are decoded to weight tuples once, to label its vertices.
+    visited index masks go to :func:`~kakimizu.complexes.assemble`; the
+    packed vectors are decoded to weight tuples once, to label its
+    vertices.
     """
     regions = region_signatures(tg)
     if len(regions) > MAX_REGIONS:
@@ -608,12 +608,10 @@ def build_complex(tg: PlanarMultigraph, w0: dict,
                     index[w2] = len(states)
                     states.append(w2)
 
-    keys = {(i, 1) for i in range(len(states))}
-    for masks in _kept_passes(states, index, moves, guard, width):
-        keys.update(map(_key, masks))
     field = (1 << width - 1) - 1
     labels = [tuple(w >> k & field for k in offset.values()) for w in states]
-    return complexes._assemble(keys, labels)
+    return complexes.assemble(chain.from_iterable(
+        _kept_passes(states, index, moves, guard, width)), labels)
 
 
 def _kept_passes(states: list, index: dict, moves: list, guard: int, width: int):

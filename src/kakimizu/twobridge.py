@@ -14,7 +14,9 @@ one band move, :func:`apply_band`, returns the next surface or None where
 the band does not apply, which is the step both the Hopf orbits and the
 full passes take.  A full pass that applies every band exactly once
 returns to the starting surface, and the set of orbits such a pass visits
-spans a maximal simplex; the passes read each tuple's orbit from one dict.
+spans a maximal simplex; the passes read each tuple's orbit from one dict
+and hand the visited orbit sets, as index masks, to
+:func:`kakimizu.complexes.assemble`.
 A chain with at most one non-Hopf band has a single orbit, so its complex
 is a point, which :func:`build_complex` returns without orbits or passes.
 """
@@ -22,12 +24,11 @@ is a point, which :func:`build_complex` returns without orbits or passes.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import partial
 from itertools import product
 
-from . import rational
-from .complexes import SimplicialComplex, pass_complex
-from .errors import InputError, SizeLimitError
+from . import complexes, rational
+from .complexes import SimplicialComplex
+from .errors import InputError, SizeLimitError, StructureError
 
 SurfaceTuple = tuple  # of 0/1 ints, one per plumbing disk
 
@@ -162,8 +163,8 @@ def build_complex(chain: BandChain, max_bands: int = DEFAULT_MAX_BANDS) -> Simpl
     - with n = 2 (one disk), the first point puts (0,) on every cycle, and
       with n = 1 (no disk), () is the only state; the same rule picks these
       single starts;
-    - :func:`~kakimizu.complexes.full_passes` keeps a set only from its
-      cycle's least state, so the skipped walks would keep no set.
+    - :func:`_full_passes` keeps a set only from its cycle's least
+      state, so the skipped walks would keep no set.
 
     A chain with at most one non-Hopf band is a point, built without orbits
     or passes; its one vertex is the all-zero tuple, the least member of
@@ -183,6 +184,64 @@ def build_complex(chain: BandChain, max_bands: int = DEFAULT_MAX_BANDS) -> Simpl
         return SimplicialComplex.from_maximal([[(0,) * chain.disks]])
     orbits = hopf_orbits(chain)
     index = {t: i for i, members in enumerate(orbits.values()) for t in members}
-    starts = [t for t in index if not any(t[:2])]
-    return pass_complex(starts, range(1, chain.n + 1), partial(apply_band, chain),
-                        index.__getitem__, list(orbits))
+    return complexes.assemble((mask for t in index if not any(t[:2])
+                               for mask in _full_passes(chain, t, index)), list(orbits))
+
+
+def _full_passes(chain: BandChain, start, index: dict) -> set:
+    """Index masks of the sets visited by the full passes of the bands of
+    `chain` from the surface tuple `start` that visit no tuple below it:
+    `index` maps each tuple to its orbit's number, and a visited set is the
+    int with bit ``index[t]`` for each tuple t it holds.
+
+    A full pass applies every band once, each applicable when its turn
+    comes (:func:`apply_band`).  A band flips the bits of its flanking
+    disks, so the tuple after a set M of bands is ``start XOR flank(M)``
+    whatever the order; only applicability depends on it.
+    The walk therefore runs over the 2^n subsets of bands, not the n!
+    orderings.  Layer k maps each mask of k bands that an applicable
+    ordering reaches to its tuple, and each such mask whose tuple is not
+    below `start` to the visited sets of those orderings.  A layer first
+    steps every kept mask by each band it lacks, taken from precomputed
+    ``(bit, band)`` pairs, recording each reached mask's tuple and the
+    visited sets of the masks that reach it; then each reached mask at or
+    above `start` gets its visited sets in one comprehension, which joins
+    its tuple's bit into every set that reaches it.  StructureError is
+    raised when two orderings reach one mask in different tuples, or when
+    the full mask does not return to `start`.  A mask whose tuple is below
+    `start` is kept for the order check only, and not stepped.
+
+    A full pass is a cycle of tuples.  Rotating its band order gives a full
+    pass from every tuple on the cycle (each band meets the tuple it met
+    before), and every rotation visits the same set.  The rotation from the
+    least tuple visits nothing below its start, so the walk from there
+    keeps it, order checks included: the union over all starts is unchanged.
+    """
+    steps = [(1 << k - 1, k) for k in range(1, chain.n + 1)]
+    tuple_of = {0: start}
+    sets_of = {0: {1 << index[start]}}
+    for _ in steps:
+        reached: dict = {}
+        joined: dict = {}   # a reached mask -> the visited sets reaching it
+        for mask, seen in sets_of.items():
+            t = tuple_of[mask]
+            for bit, k in steps:
+                if mask & bit:
+                    continue
+                after = apply_band(chain, t, k)
+                if after is None:
+                    continue
+                target = mask | bit
+                if reached.setdefault(target, after) != after:
+                    raise StructureError("the surface after a set of bands depends on their order")
+                joined.setdefault(target, []).append(seen)
+        tuple_of, sets_of = reached, {}
+        for target, parts in joined.items():
+            after = reached[target]
+            if not after < start:
+                here = 1 << index[after]
+                sets_of[target] = {v | here for seen in parts for v in seen}
+    full = (1 << len(steps)) - 1
+    if tuple_of.get(full, start) != start:
+        raise StructureError("a full pass must return to its start")
+    return sets_of.get(full, set())

@@ -4,12 +4,13 @@ The set-based oracles for the complex a family of candidates spans compare
 sets pair by pair and search neighbour sets, with none of the bitmask
 machinery of :meth:`kakimizu.complexes.SimplicialComplex.from_maximal`.
 :func:`all_full_passes` is the pass walk on label sets, without the
-least-start pruning or the index masks of
-:func:`kakimizu.complexes.full_passes`, which :func:`labelled_full_passes`
-reads back as label sets.  :func:`labelled_pass_complex` is the route that
-maps each visited index set to labels for
-:meth:`~kakimizu.complexes.SimplicialComplex.from_maximal`, which the keyed
-masks of :func:`kakimizu.complexes.pass_complex` replaced,
+least-start pruning or the index masks of the 2-bridge walker
+``kakimizu.twobridge._full_passes``, which :func:`labelled_full_passes`
+reads back as sets of orbit numbers.  :func:`labelled_pass_complex` is the
+route that walks every pass from every start with :func:`all_full_passes`
+and hands the visited label sets to
+:meth:`~kakimizu.complexes.SimplicialComplex.from_maximal`, in place of
+the index masks the builds hand to :func:`kakimizu.complexes.assemble`;
 :func:`apply_region` the region move on weight dicts that the theta build's
 packed step replaced, :func:`tuple_reachability` the breadth-first
 search on weight tuples that the packed ints of
@@ -24,10 +25,11 @@ sorting the ranks of the texts, replaced.  :func:`theta_walk` hands the
 tests what a theta build's pass walker saw and yielded, so that
 :func:`all_full_passes` and :func:`labelled_pass_complex` can walk the
 same packed states.  :func:`recorded_build` hands the tests the starts a
-2-bridge build gave :func:`kakimizu.complexes.pass_complex`, if it made
-the call.  :func:`pass_unions` and :func:`both_routes` walk the band moves of
-:func:`walk_inputs`, made from the chain and not read from the build, from
-every surface tuple, not only from the starts the build picked.
+2-bridge build walked its passes from, if it walked any.
+:func:`pass_unions` and :func:`both_routes` walk from every surface tuple,
+not only from the starts the build picked, on the orbit index of
+:func:`walk_inputs` and the band moves of :func:`band_moves`, made from the
+chain and not read from the build.
 """
 
 from functools import cache, partial
@@ -35,7 +37,7 @@ from itertools import combinations, product
 from unittest import mock
 
 from kakimizu import thetagraph, twobridge
-from kakimizu.complexes import SimplicialComplex, full_passes, label_text
+from kakimizu.complexes import SimplicialComplex, label_text
 from kakimizu.errors import InputError, KakimizuError, SizeLimitError, StructureError
 from kakimizu.thetagraph import Edge, _edge_key, region_signatures
 
@@ -108,9 +110,9 @@ def set_is_connected(family):
 
 def all_full_passes(start, moves, step, label):
     """Label sets visited by every full pass of `moves` from `start`: the
-    subset walk of :func:`kakimizu.complexes.full_passes`, with the same
-    order and return checks, keeping the passes that visit states below
-    `start`."""
+    subset walk of the 2-bridge walker ``kakimizu.twobridge._full_passes``
+    on any step, label and totally ordered states, with the same order and
+    return checks, keeping the passes that visit states below `start`."""
     moves = tuple(moves)
     layer = {0: (start, {frozenset([label(start)])})}
     for _ in moves:
@@ -137,36 +139,30 @@ def positions(mask):
     return [i for i, bit in enumerate(reversed(bin(mask)[2:])) if bit == "1"]
 
 
-def labelled_full_passes(start, moves, step, label):
-    """:func:`kakimizu.complexes.full_passes` on any hashable labels: each
-    label is given the next bit position when the walk first asks for it,
-    and each visited mask is read back as the frozenset of its labels."""
-    bit: dict = {}
-    masks = full_passes(start, moves, step, lambda s: bit.setdefault(label(s), len(bit)))
-    names = list(bit)
-    return frozenset(frozenset(names[i] for i in positions(m)) for m in masks)
+def labelled_full_passes(chain, start, index):
+    """The 2-bridge walker's passes from `start` on `chain`, with the orbit
+    numbers `index`, each visited mask read back as the frozenset of its
+    orbit numbers."""
+    return frozenset(frozenset(positions(m))
+                     for m in twobridge._full_passes(chain, start, index))
 
 
 def recorded_build(chain):
-    """Build the complex of `chain` with its call of
-    ``twobridge.pass_complex`` recorded: the build's outcome, its complex
-    or the type and text of its refusal, and the starts the call was
-    given, or None when the build made no call."""
-    calls = []
-    real = twobridge.pass_complex
+    """Build the complex of `chain` with its walks recorded: the build's
+    outcome, its complex or the type and text of its refusal, and the
+    starts it walked the passes from, or None when it walked none."""
+    starts = []
+    real = twobridge._full_passes
 
-    def spy(starts, *rest):
-        calls.append(list(starts))
-        return real(calls[-1], *rest)
-    with mock.patch.object(twobridge, "pass_complex", spy):
+    def spy(chain, start, index):
+        starts.append(start)
+        return real(chain, start, index)
+    with mock.patch.object(twobridge, "_full_passes", spy):
         try:
             outcome = twobridge.build_complex(chain)
         except KakimizuError as exc:
             outcome = (type(exc), str(exc))
-    if not calls:
-        return outcome, None
-    (starts,) = calls
-    return outcome, starts
+    return outcome, starts or None
 
 
 def every_tuple(chain):
@@ -175,58 +171,66 @@ def every_tuple(chain):
 
 
 def walk_inputs(chain):
-    """The moves, memoised step, label and names of the band calculus on
-    `chain`, made from the chain alone: the bands 1..n, the public move
-    :func:`kakimizu.twobridge.apply_band`, and each tuple's orbit number
-    and the orbit labels from :func:`kakimizu.twobridge.hopf_orbits`."""
+    """The orbit index and names the 2-bridge walker reads, made from
+    `chain` alone: each tuple's orbit number and the orbit labels, from
+    :func:`kakimizu.twobridge.hopf_orbits`."""
     orbits = twobridge.hopf_orbits(chain)
-    index = {t: i for i, members in enumerate(orbits.values()) for t in members}
-    return (range(1, chain.n + 1), cache(partial(twobridge.apply_band, chain)),
-            index.__getitem__, list(orbits))
+    return ({t: i for i, members in enumerate(orbits.values()) for t in members},
+            list(orbits))
+
+
+def band_moves(chain):
+    """The moves and memoised step of the band calculus on `chain` for
+    :func:`all_full_passes`: the bands 1..n and the public move
+    :func:`kakimizu.twobridge.apply_band`."""
+    return range(1, chain.n + 1), cache(partial(twobridge.apply_band, chain))
 
 
 def pass_unions(chain):
     """The union, over every surface tuple of `chain` as a start, of the
-    engine's passes and of the oracle's, with the number of passes each
-    found start by start, on the moves, step and labels of
-    :func:`walk_inputs`."""
-    moves, step, label, _ = walk_inputs(chain)
+    walker's passes and of the oracle's, as sets of orbit numbers, with the
+    number of passes each found start by start."""
+    index, _ = walk_inputs(chain)
+    moves, step = band_moves(chain)
     found = []
-    for walk in (labelled_full_passes, all_full_passes):
-        passes = [walk(s, moves, step, label) for s in every_tuple(chain)]
+    for passes in ([labelled_full_passes(chain, s, index) for s in every_tuple(chain)],
+                   [all_full_passes(s, moves, step, index.__getitem__)
+                    for s in every_tuple(chain)]):
         found.append((set().union(*passes), sum(map(len, passes))))
     return found
 
 
 def labelled_pass_complex(starts, moves, step, label, names):
-    """The complex spanned by the full passes from every start, assembled
+    """The complex spanned by every full pass from every start, assembled
     on labels: every vertex as a singleton, first and in the order of
-    `names`, then each visited index mask of two or more vertices mapped
-    to `names`, all handed to ``SimplicialComplex.from_maximal``."""
+    `names`, then each set of two or more indices that
+    :func:`all_full_passes` visits, ``label(state)`` the index of the
+    state's vertex, mapped to `names`, all handed to
+    ``SimplicialComplex.from_maximal``."""
     moves = tuple(moves)
     visited: set = set()
     for start in starts:
-        visited |= full_passes(start, moves, step, label)
+        visited |= all_full_passes(start, moves, step, label)
     candidates = [[v] for v in names]
-    while visited:
-        s = positions(visited.pop())
-        if len(s) > 1:
-            candidates.append([names[i] for i in s])
+    candidates += [[names[i] for i in s] for s in visited if len(s) > 1]
     return SimplicialComplex.from_maximal(candidates)
 
 
 def both_routes(chain):
     """The complex ``twobridge.build_complex`` makes of `chain`, and the one
     :func:`labelled_pass_complex` makes from every surface tuple as a start,
-    on the moves, step, labels and names of :func:`walk_inputs`; for each,
-    the vertices and maximal simplices of the complex as frozensets, or the
-    type and text of the refusal."""
+    on the moves and step of :func:`band_moves` and the orbit numbers and
+    names of :func:`walk_inputs`; for each, the vertices and maximal
+    simplices of the complex as frozensets, or the type and text of the
+    refusal."""
     try:
         built = twobridge.build_complex(chain)
     except KakimizuError as exc:
         built = (type(exc), str(exc))
     try:
-        walked = labelled_pass_complex(every_tuple(chain), *walk_inputs(chain))
+        index, names = walk_inputs(chain)
+        walked = labelled_pass_complex(every_tuple(chain), *band_moves(chain),
+                                       index.__getitem__, names)
     except KakimizuError as exc:
         walked = (type(exc), str(exc))
     return [c if isinstance(c, tuple) else (frozenset(c.vertices), frozenset(c.simplices))

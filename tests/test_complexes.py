@@ -12,14 +12,13 @@ import pytest
 
 from kakimizu import complexes, thetagraph, twobridge
 from kakimizu.complexes import (MAX_SHAPE_VERTICES, ComplexShape, SimplicialComplex,
-                                full_passes, label_text, pass_complex, recognize, rendered,
-                                to_dot, to_json)
+                                assemble, label_text, recognize, rendered, to_dot, to_json)
 from kakimizu.errors import InputError, SizeLimitError, StructureError
 
 from isomorphism import isomorphic, one_skeleton
 from randgraphs import graph_text, route_graph
-from setoracles import (all_full_passes, labelled_full_passes, pairwise_maximal,
-                        set_flag_closure, set_is_connected, set_is_flag, skeleton_to_dot)
+from setoracles import (all_full_passes, pairwise_maximal, set_flag_closure, set_is_connected,
+                        set_is_flag, skeleton_to_dot)
 
 TESTS = Path(__file__).resolve().parent
 
@@ -216,19 +215,19 @@ class TestCheckComplex:
 
 
 class TestAssembler:
-    """The assembler that from_maximal and pass_complex both end in, on
-    index tuples and a label table."""
+    """The assembler every builder ends in, on index masks and a label
+    table."""
 
     def test_hollow_triangle_raises(self):
         with pytest.raises(StructureError, match="must be a flag complex"):
-            complexes._assemble(keyed(0b011, 0b110, 0b101), ["a", "b", "c"])
+            assemble([0b011, 0b110, 0b101], ["a", "b", "c"])
 
     def test_isolated_vertices_raise(self):
         with pytest.raises(StructureError, match="must be connected"):
-            complexes._assemble(keyed(0b01, 0b10), ["a", "b"])
+            assemble([0b01, 0b10], ["a", "b"])
 
     def test_labels_enter_only_the_result(self):
-        c = complexes._assemble(keyed(0b001, 0b010, 0b100, 0b011, 0b110), ["x", "y", "z"])
+        c = assemble([0b011, 0b110], ["x", "y", "z"])
         assert c.labels == ("x", "y", "z") and c.maximal == ((0, 1), (1, 2))
         assert c.vertices == {"x", "y", "z"}
         assert c.simplices == {frozenset("xy"), frozenset("yz")}
@@ -238,18 +237,14 @@ class TestAssembler:
         assert complexes._key(1 << 70) == (70, 1)
         assert complexes._key(0b1011 << 500) == (500, 0b1011)
 
-    def test_pass_complex_refuses_alike(self):
-        # with no moves each state is a pass of its own: two isolated vertices
+    def test_every_vertex_is_a_candidate(self):
+        # a vertex no mask holds is a singleton of its own
+        assert assemble([], ["a"]).maximal == ((0,),)
+        assert assemble(iter([0b11, 0b11]), ["a", "b"]).maximal == ((0, 1),)
         with pytest.raises(StructureError, match="must be connected"):
-            pass_complex(range(2), (), _add, _same, ["a", "b"])
-        # moves +1, -1 on states mod 3 visit {0, 1}, {0, 2} and {1, 2}
-        with pytest.raises(StructureError, match="must be a flag complex"):
-            pass_complex(range(3), (1, -1), lambda s, m: (s + m) % 3, _same, ["a", "b", "c"])
-
-
-def keyed(*masks):
-    """The assembler's keys of the given index masks."""
-    return set(map(complexes._key, masks))
+            assemble([], ["a", "b"])
+        with pytest.raises(StructureError, match="must be connected"):
+            assemble([0b011], ["a", "b", "c"])
 
 
 def _add(state, move):
@@ -269,94 +264,54 @@ def _sign(state):
 
 
 class TestFullPasses:
-    """The pass engine on a toy calculus: integer states, moves that add.
-
-    The engine keeps the passes that visit no state below their start;
-    the unpruned oracle keeps every pass.  The engine's index masks are
-    read back as label sets (setoracles.labelled_full_passes)."""
-
-    def test_visited_sets_are_index_masks(self):
-        # bit label(state) for each state a pass visits; the states below
-        # the start are never labelled
-        assert full_passes(0, (1, -1), _add, _same) == {0b11}
-        assert full_passes(0, (1, 1, 1), lambda s, m: (s + m) % 3, _same) == {0b111}
-        assert full_passes(2, (1, -1), _add, lambda s: 2 * s) == {1 << 4 | 1 << 6}
+    """The unpruned pass oracle, setoracles.all_full_passes, on a toy
+    calculus: integer states, moves that add.  It keeps every pass, also
+    those that visit states below their start; the 2-bridge walker's
+    pruning and checks are tested in test_twobridge."""
 
     def test_every_order_applies(self):
-        # +1 then -1 visits 1, -1 then +1 visits -1, which is below 0
-        assert labelled_full_passes(0, (1, -1), _add, _same) == {frozenset({0, 1})}
+        # +1 then -1 visits 1, -1 then +1 visits -1
         assert all_full_passes(0, (1, -1), _add, _same) == {
             frozenset({0, 1}), frozenset({0, -1})}
-        # the dropped pass, rotated to start at its least state
-        assert labelled_full_passes(-1, (1, -1), _add, _same) == {frozenset({0, -1})}
 
     def test_blocked_order_is_dropped(self):
-        assert labelled_full_passes(0, (1, -1), _add_nonnegative, _same) == {frozenset({0, 1})}
         assert all_full_passes(0, (1, -1), _add_nonnegative, _same) == {frozenset({0, 1})}
 
     def test_labels_merge_passes(self):
-        # 1, 1, -2 and its swap visit labels 0 and 1 only; the orders
-        # through -1 or -2 go below the start
-        assert labelled_full_passes(0, (1, 1, -2), _add, _sign) == {frozenset({0, 1})}
+        # 1, 1, -2 and its swap visit labels 0 and 1 only
         assert all_full_passes(0, (1, 1, -2), _add, _sign) == {
             frozenset({0, 1}), frozenset({0, 1, -1}), frozenset({0, -1})}
 
     def test_no_moves_visit_the_start(self):
-        assert labelled_full_passes(5, (), _add, _same) == {frozenset({5})}
         assert all_full_passes(5, (), _add, _same) == {frozenset({5})}
 
     def test_no_applicable_ordering_is_empty(self):
-        for walk in (labelled_full_passes, all_full_passes):
-            assert walk(0, (1, -1), lambda s, m: None, _same) == frozenset()
-            assert walk(0, (-1, -2, 1), _add_nonnegative, _same) == frozenset()
+        assert all_full_passes(0, (1, -1), lambda s, m: None, _same) == frozenset()
+        assert all_full_passes(0, (-1, -2, 1), _add_nonnegative, _same) == frozenset()
 
     def test_order_dependent_step_raises(self):
         # the state records the order the moves came in
-        for walk in (labelled_full_passes, all_full_passes):
-            with pytest.raises(StructureError, match="order"):
-                walk((), ("a", "b"), lambda s, m: s + (m,), len)
+        with pytest.raises(StructureError, match="order"):
+            all_full_passes((), ("a", "b"), lambda s, m: s + (m,), len)
 
     def test_order_is_checked_before_a_branch_is_dropped(self):
         # 0, 1, -12 and 0, 2, -21: both orders end below the start, in
         # different states
         def step(state, move):
             return move if state == 0 else -(10 * state + move)
-        for walk in (labelled_full_passes, all_full_passes):
-            with pytest.raises(StructureError, match="order"):
-                walk(0, (1, 2), step, _same)
+        with pytest.raises(StructureError, match="order"):
+            all_full_passes(0, (1, 2), step, _same)
 
     def test_pass_that_does_not_close_raises(self):
-        for walk in (labelled_full_passes, all_full_passes):
-            with pytest.raises(StructureError, match="return"):
-                walk(0, (1, 2), _add, _same)
+        with pytest.raises(StructureError, match="return"):
+            all_full_passes(0, (1, 2), _add, _same)
 
     def test_rotations_leave_the_union_unchanged(self):
         # three +1 moves on Z/3: each of the six orders from each start is
         # the one cycle 0, 1, 2
-        def step(state, move):
-            return (state + move) % 3
         for start in range(3):
-            assert all_full_passes(start, (1, 1, 1), step, _same) == {frozenset({0, 1, 2})}
-        assert labelled_full_passes(0, (1, 1, 1), step, _same) == {frozenset({0, 1, 2})}
-        assert labelled_full_passes(1, (1, 1, 1), step, _same) == frozenset()
-        assert labelled_full_passes(2, (1, 1, 1), step, _same) == frozenset()
-
-    def test_pass_complex_walks_each_pass_from_its_least_state(self):
-        # the walk from 0 takes 3 + 6 + 3 steps; from 1 it drops every mask
-        # of two moves (state 0), and from 2 every mask of one (state 0):
-        # 24 steps, where walking every pass from every start takes 36
-        calls = []
-
-        def step(state, move):
-            calls.append(state)
-            return (state + move) % 3
-        c = pass_complex(range(3), (1, 1, 1), step, _same, ["a", "b", "c"])
-        assert c.simplices == {frozenset("abc")}
-        assert len(calls) == 24
-        calls.clear()
-        for start in range(3):
-            all_full_passes(start, (1, 1, 1), step, _same)
-        assert len(calls) == 36
+            assert all_full_passes(start, (1, 1, 1), lambda s, m: (s + m) % 3,
+                                   _same) == {frozenset({0, 1, 2})}
 
 
 class TestIsomorphism:
@@ -587,8 +542,7 @@ class TestLabelViews:
 
     def test_len_makes_no_label_set(self):
         # unhashable labels: any label set would raise, len does not
-        c = pass_complex(range(3), (1, 1, 1), lambda s, m: (s + m) % 3, _same,
-                         [["a"], ["b"], ["c"]])
+        c = assemble([0b111], [["a"], ["b"], ["c"]])
         assert len(c.vertices) == 3 and len(c.simplices) == 1
         assert c.maximal == ((0, 1, 2),) and recognize(c) == ComplexShape.simplex(2)
         assert to_json(c).count("['a']") == 2

@@ -252,16 +252,16 @@ class TestRunBatch:
 
     def test_each_record_checked_once(self, data_dir, monkeypatch):
         # every complex is made and checked by the one assembler, which
-        # from_maximal and pass_complex both end in; every record makes
-        # exactly one, its result
+        # from_maximal and both builds end in; every record makes exactly
+        # one, its result
         calls = []
-        assemble = complexes._assemble
+        assemble = complexes.assemble
 
-        def counting(keys, labels):
-            calls.append(assemble(keys, labels))
+        def counting(masks, labels):
+            calls.append(assemble(masks, labels))
             return calls[-1]
 
-        monkeypatch.setattr(complexes, "_assemble", counting)
+        monkeypatch.setattr(complexes, "assemble", counting)
         records = load_table(data_dir / "knots11_mixed.csv")
         classes = set()
         for rec in records:

@@ -1066,10 +1066,10 @@ class TestZeroPatternTranslation:
 
 
 class TestIndexAssembly:
-    """build_complex assembles on keyed index masks; the labelled route
-    through from_maximal (setoracles.labelled_pass_complex), walking the
-    passes from every state by complexes.full_passes under the packed
-    step, is the oracle."""
+    """build_complex assembles on index masks; the labelled route through
+    from_maximal (setoracles.labelled_pass_complex), walking every pass
+    from every state by setoracles.all_full_passes under the packed step,
+    is the oracle."""
 
     def check(self, build):
         """The build's outcome, compared with the oracle's: its maximal
@@ -1125,7 +1125,7 @@ class TestIndexAssembly:
 
 def packed_matches_tuples(tg, w0, max_vertices=DEFAULT_MAX_VERTICES):
     """Build the complex of `tg` from `w0`, and by the tuple search of
-    setoracles with the pass complex on its tuple step; both must give the
+    setoracles with labelled_pass_complex on its tuple step; both must give the
     same complex, with the vertices in the oracle's breadth-first order,
     or refuse alike.  1 when they build, 0 when they refuse."""
     try:

@@ -1,4 +1,5 @@
 import random
+from functools import partial
 from itertools import combinations, product
 from math import factorial, prod
 from unittest import mock
@@ -8,16 +9,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from kakimizu import complexes, twobridge
-from kakimizu.complexes import (ComplexShape, SimplicialComplex, full_passes, pass_complex,
-                                recognize, to_json)
-from kakimizu.errors import InputError, SizeLimitError
+from kakimizu.complexes import ComplexShape, SimplicialComplex, recognize, to_json
+from kakimizu.errors import InputError, SizeLimitError, StructureError
 from kakimizu.twobridge import (BandChain, apply_band, build_complex,
                                 flanking_disks, hopf_orbits)
 
 from catalog import ROWS
 from census import check as check_census
 from euler import euler_characteristic
-from setoracles import (all_full_passes, both_routes, every_tuple, pass_unions,
+from setoracles import (all_full_passes, band_moves, both_routes, every_tuple, pass_unions,
                         recorded_build, set_is_connected, set_is_flag, walk_inputs)
 
 CHAIN_ENTRIES = [-6, -4, -2, 2, 4, 6]
@@ -271,6 +271,66 @@ class TestLeastStartPruning:
                 dropped += total - kept
         assert dropped > 0
 
+    def test_walk_steps_each_pass_from_its_least_tuple(self):
+        # from (0, 0) both walks take 3 + 6 + 3 band moves; from the other
+        # three tuples the walker does not step a mask whose tuple is below
+        # the start (6, 5 and 3 moves, against the oracle's 10, 10 and 12),
+        # and keeps no pass
+        chain = BandChain((4, 4, 4))
+        index, _ = walk_inputs(chain)
+        moves, _ = band_moves(chain)
+        calls = []
+
+        def step(chain, t, k):
+            calls.append(t)
+            return apply_band(chain, t, k)
+        with mock.patch.object(twobridge, "apply_band", step):
+            kept = [twobridge._full_passes(chain, t, index) for t in every_tuple(chain)]
+            pruned = len(calls)
+            calls.clear()
+            for t in every_tuple(chain):
+                all_full_passes(t, moves, partial(step, chain), index.__getitem__)
+        assert kept == [{0b1011, 0b1101}, set(), set(), set()]
+        assert (pruned, len(calls)) == (26, 44)
+
+
+class TestWalkerChecks:
+    """The 2-bridge walker's StructureErrors, reached by patching
+    twobridge.apply_band with a step that is not a band move.  The chains
+    have no Hopf band, so hopf_orbits applies no band and every tuple is
+    an orbit of its own."""
+
+    def test_order_dependent_step_raises(self):
+        # each band sets the surface to a tuple of its own, so the last of
+        # two bands decides where they end
+        def step(chain, t, k):
+            return ((0, 1), (1, 0), (1, 1))[k - 1]
+        with mock.patch.object(twobridge, "apply_band", step):
+            with pytest.raises(StructureError, match="^the surface after a set of bands "
+                                                     "depends on their order$"):
+                build_complex(BandChain((4, 4, 4)))
+
+    def test_order_is_checked_before_a_branch_is_dropped(self):
+        # from (1, 0) every band goes to (1, 1), and from there bands 1 and
+        # 2 go to (0, 0) and (0, 1): both orders of bands 1 and 2 end below
+        # the start, in different tuples
+        def step(chain, t, k):
+            return (1, 1) if t == (1, 0) else ((0, 0), (0, 1), (0, 0))[k - 1]
+        chain = BandChain((4, 4, 4))
+        index, _ = walk_inputs(chain)
+        with mock.patch.object(twobridge, "apply_band", step):
+            with pytest.raises(StructureError, match="order"):
+                twobridge._full_passes(chain, (1, 0), index)
+
+    def test_pass_that_does_not_close_raises(self):
+        # every band flips disk 1 alone: the steps commute, and three of
+        # them leave disk 1 flipped
+        def step(chain, t, k):
+            return (1 - t[0], t[1])
+        with mock.patch.object(twobridge, "apply_band", step):
+            with pytest.raises(StructureError, match="^a full pass must return to its start$"):
+                build_complex(BandChain((4, 4, 4)))
+
 
 class TestPrefixStarts:
     """build_complex walks only from the surface tuples whose first two bits
@@ -283,20 +343,18 @@ class TestPrefixStarts:
         outside prefix 00 keeps a pass, that the build starts from the
         tuples with prefix 00 alone or, for a chain with at most one
         non-Hopf band, walks no pass at all, and that the build's complex
-        is the one ``pass_complex`` assembles from every surface tuple."""
+        is the one the walks from every surface tuple span."""
         built, starts = recorded_build(chain)
-        moves, step, label, names = walk_inputs(chain)
+        index, names = walk_inputs(chain)
         every = every_tuple(chain)
-        walks = {t: full_passes(t, moves, step, label) for t in every}
+        walks = {t: twobridge._full_passes(chain, t, index) for t in every}
         kept = [t for t in every if walks[t]]
         prefix_00 = {t for t in every if not any(t[:2])}
         assert set(kept) <= prefix_00, chain.bands
         assert (starts is None) == is_rule_chain(chain), chain.bands
         if starts is not None:
             assert set(starts) == prefix_00, chain.bands
-        # the build from every start, its walks read back from `walks`
-        with mock.patch.object(complexes, "full_passes", lambda start, *_: walks[start]):
-            every_start = pass_complex(every, moves, step, label, names)
+        every_start = complexes.assemble((m for t in every for m in walks[t]), names)
         assert to_json(built) == to_json(every_start), chain.bands
         return kept
 
@@ -359,7 +417,7 @@ def rule_chains(n, rng):
 class TestOneOrbitRule:
     """A chain with at most one non-Hopf band has one Hopf orbit, and
     build_complex returns its point without calling hopf_orbits or
-    pass_complex."""
+    walking a pass."""
 
     def test_point_without_orbits_or_passes(self):
         rng = random.Random(23)
@@ -368,7 +426,7 @@ class TestOneOrbitRule:
             for chain in rule_chains(n, rng):
                 assert len(hopf_orbits(chain)) == 1, chain.bands
                 with mock.patch.object(twobridge, "hopf_orbits") as orbits, \
-                        mock.patch.object(twobridge, "pass_complex") as passes:
+                        mock.patch.object(twobridge, "_full_passes") as passes:
                     c = build_complex(chain, max_bands=10)
                 assert not orbits.called and not passes.called, chain.bands
                 assert c.labels == ((0,) * (n - 1),) and c.maximal == ((0,),), chain.bands
@@ -377,7 +435,10 @@ class TestOneOrbitRule:
 
     @staticmethod
     def assert_every_tuple_complex(chain):
-        every_start = pass_complex(every_tuple(chain), *walk_inputs(chain))
+        index, names = walk_inputs(chain)
+        every_start = complexes.assemble(
+            (m for t in every_tuple(chain) for m in twobridge._full_passes(chain, t, index)),
+            names)
         assert to_json(build_complex(chain)) == to_json(every_start), chain.bands
 
     def test_exhaustive_small_chains(self):
