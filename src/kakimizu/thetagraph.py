@@ -73,13 +73,13 @@ class Edge:
 def _edge_key(eid: str):
     # numeric ids sort numerically, generated ids (z1, z2, ...) after them;
     # a numeric id is compared as its digit string without leading zeros,
-    # by length and then by text, since int() refuses ids over 4 300 digits
+    # by length and then by text, since int() refuses ids over 4 300 digits,
+    # and equal numbers such as 0 and 00 by the id itself, not input order
     if not eid.isdecimal():
         return (1, 0, eid)
-    if not eid.isascii():
-        eid = "".join(str(int(c)) for c in eid)
-    digits = eid.lstrip("0")
-    return (0, len(digits), digits)
+    digits = eid if eid.isascii() else "".join(str(int(c)) for c in eid)
+    digits = digits.lstrip("0")
+    return (0, len(digits), digits, eid)
 
 
 class PlanarMultigraph:
@@ -325,7 +325,7 @@ def reduce_bigons(g: PlanarMultigraph) -> PlanarMultigraph:
                 classes[eid] = c1
     survivor = {}   # an edge on a bigon -> the edge its class keeps
     for c in {id(c): c for c in classes.values()}.values():
-        survivor.update(dict.fromkeys(c, min(sorted(c), key=_edge_key)))
+        survivor.update(dict.fromkeys(c, min(c, key=_edge_key)))
     weights = Counter(survivor.values())
     dropped = survivor.keys() - weights.keys()
     edges = {eid: Edge(e.u, e.v, weights.get(eid, 1), e.direction)

@@ -5,8 +5,7 @@ sets pair by pair and search neighbour sets, with none of the bitmask
 machinery of :meth:`kakimizu.complexes.SimplicialComplex.from_maximal`.
 :func:`all_full_passes` is the pass walk on label sets, without the
 least-start pruning or the index masks of the 2-bridge walker
-``kakimizu.twobridge._full_passes``, which :func:`labelled_full_passes`
-reads back as sets of orbit numbers.  :func:`labelled_pass_complex` is the
+``kakimizu.twobridge._full_passes``.  :func:`labelled_pass_complex` is the
 route that walks every pass from every start with :func:`all_full_passes`
 and hands the visited label sets to
 :meth:`~kakimizu.complexes.SimplicialComplex.from_maximal`, in place of
@@ -25,9 +24,8 @@ sorting the ranks of the texts, replaced.  :func:`theta_walk` hands the
 tests what a theta build's pass walker saw and yielded, so that
 :func:`all_full_passes` and :func:`labelled_pass_complex` can walk the
 same packed states.  :func:`recorded_build` hands the tests the starts a
-2-bridge build walked its passes from, if it walked any.
-:func:`pass_unions` and :func:`both_routes` walk from every surface tuple,
-not only from the starts the build picked, on the orbit index of
+2-bridge build walked its passes from, if it walked any, with what each
+walk kept.  The tests walk the other surface tuples on the orbit index of
 :func:`walk_inputs` and the band moves of :func:`band_moves`, made from the
 chain and not read from the build.
 """
@@ -134,35 +132,23 @@ def all_full_passes(start, moves, step, label):
     return frozenset(seen)
 
 
-def positions(mask):
-    """The positions of the set bits of `mask`, lowest first."""
-    return [i for i, bit in enumerate(reversed(bin(mask)[2:])) if bit == "1"]
-
-
-def labelled_full_passes(chain, start, index):
-    """The 2-bridge walker's passes from `start` on `chain`, with the orbit
-    numbers `index`, each visited mask read back as the frozenset of its
-    orbit numbers."""
-    return frozenset(frozenset(positions(m))
-                     for m in twobridge._full_passes(chain, start, index))
-
-
 def recorded_build(chain):
     """Build the complex of `chain` with its walks recorded: the build's
-    outcome, its complex or the type and text of its refusal, and the
-    starts it walked the passes from, or None when it walked none."""
-    starts = []
+    outcome, its complex or the type and text of its refusal, and each
+    start it walked the passes from mapped to the index masks that walk
+    kept, or None when it walked none."""
+    walks = {}
     real = twobridge._full_passes
 
     def spy(chain, start, index):
-        starts.append(start)
-        return real(chain, start, index)
+        walks[start] = real(chain, start, index)
+        return walks[start]
     with mock.patch.object(twobridge, "_full_passes", spy):
         try:
             outcome = twobridge.build_complex(chain)
         except KakimizuError as exc:
             outcome = (type(exc), str(exc))
-    return outcome, starts or None
+    return outcome, walks or None
 
 
 def every_tuple(chain):
@@ -186,20 +172,6 @@ def band_moves(chain):
     return range(1, chain.n + 1), cache(partial(twobridge.apply_band, chain))
 
 
-def pass_unions(chain):
-    """The union, over every surface tuple of `chain` as a start, of the
-    walker's passes and of the oracle's, as sets of orbit numbers, with the
-    number of passes each found start by start."""
-    index, _ = walk_inputs(chain)
-    moves, step = band_moves(chain)
-    found = []
-    for passes in ([labelled_full_passes(chain, s, index) for s in every_tuple(chain)],
-                   [all_full_passes(s, moves, step, index.__getitem__)
-                    for s in every_tuple(chain)]):
-        found.append((set().union(*passes), sum(map(len, passes))))
-    return found
-
-
 def labelled_pass_complex(starts, moves, step, label, names):
     """The complex spanned by every full pass from every start, assembled
     on labels: every vertex as a singleton, first and in the order of
@@ -214,27 +186,6 @@ def labelled_pass_complex(starts, moves, step, label, names):
     candidates = [[v] for v in names]
     candidates += [[names[i] for i in s] for s in visited if len(s) > 1]
     return SimplicialComplex.from_maximal(candidates)
-
-
-def both_routes(chain):
-    """The complex ``twobridge.build_complex`` makes of `chain`, and the one
-    :func:`labelled_pass_complex` makes from every surface tuple as a start,
-    on the moves and step of :func:`band_moves` and the orbit numbers and
-    names of :func:`walk_inputs`; for each, the vertices and maximal
-    simplices of the complex as frozensets, or the type and text of the
-    refusal."""
-    try:
-        built = twobridge.build_complex(chain)
-    except KakimizuError as exc:
-        built = (type(exc), str(exc))
-    try:
-        index, names = walk_inputs(chain)
-        walked = labelled_pass_complex(every_tuple(chain), *band_moves(chain),
-                                       index.__getitem__, names)
-    except KakimizuError as exc:
-        walked = (type(exc), str(exc))
-    return [c if isinstance(c, tuple) else (frozenset(c.vertices), frozenset(c.simplices))
-            for c in (built, walked)]
 
 
 def theta_walk(build):

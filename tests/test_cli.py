@@ -1,4 +1,5 @@
 import contextlib
+import hashlib
 import io
 import json
 import os
@@ -111,6 +112,15 @@ class TestTheta:
         assert code == 0
         payload = json.loads(out)
         assert payload["vertices"] == ["(0,0,1)", "(0,1,0)", "(1,0,0)"]
+
+    def test_weighted_file_from_its_own_weights_and_others(self, capsys, tmp_path):
+        # a file with a weight other than 1 is read as a theta graph
+        path = tmp_path / "theta.txt"
+        path.write_text("vertex u\nvertex v\nedge 1 u v weight=1\nedge 2 u v weight=0\n"
+                        "edge 3 u v weight=0\nrot u 1 2 3\nrot v 3 2 1\n", encoding="utf-8")
+        for weights, vertices in (([], 3), (["--weights", "0,2,0"], 6)):
+            code, out, _ = run(capsys, "theta", str(path), *weights, "--json")
+            assert (code, len(json.loads(out)["vertices"])) == (0, vertices)
 
     def test_non_ascii_digit_edge_id(self, tmp_path):
         # '²' passes str.isdigit() but int() rejects it
@@ -500,6 +510,29 @@ def test_package_runs_as_module():
                           capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[2,-6,-2,2]"
+
+
+def test_every_file_is_read_and_written_as_utf8(tmp_path, data_dir):
+    # an open() that falls back on the locale's encoding raises here: a
+    # table with graph files beside it, a graph file, and a reduction
+    # graph whose certificate, one move per loop, is printed in full
+    report = tmp_path / "report.json"
+    bouquet = tmp_path / "bouquet.txt"
+    bouquet.write_text("v=1; edges=" + "(0,0)" * 5000, encoding="utf-8")
+    outputs = []
+    for argv in (["batch", str(data_dir / "knots11_mixed.csv"), "--out", str(report)],
+                 ["theta", str(data_dir / "theta_11_94.txt"), "--json"],
+                 ["fibred", "--graph", str(bouquet), "--certificate"]):
+        proc = subprocess.run([sys.executable, "-X", "warn_default_encoding",
+                               "-W", "error::EncodingWarning", "-m", "kakimizu", *argv],
+                              env=dict(os.environ, PYTHONPATH=str(SRC)),
+                              capture_output=True, text=True, timeout=60)
+        assert (proc.returncode, proc.stderr) == (0, ""), argv
+        outputs.append(proc.stdout)
+    assert hashlib.sha256(report.read_bytes()).hexdigest() == (
+        "f67e27683230cdc1ed58c5137c181184d53a507354ab56374ed26fe02f6dc565")
+    assert json.loads(outputs[1])["maximal_simplices"]
+    assert outputs[2].startswith("fibred\n") and len(outputs[2].splitlines()) == 5001
 
 
 # ------------------------------------------------------------------ fuzz

@@ -408,6 +408,10 @@ class TestShape:
         with pytest.raises(InputError):
             ComplexShape.parse(bad)
 
+    def test_path_needs_a_vertex(self):
+        with pytest.raises(InputError, match="^path needs at least one vertex$"):
+            ComplexShape.parse("path(0)")
+
     def test_large_simplex_builds_fast(self):
         # every vertex of the one maximal clique reaches the pivot bound, so
         # each branch of the clique search scans a single vertex
@@ -571,6 +575,8 @@ class TestLabelViews:
         assert a.labels != b.labels
         assert a == b and hash(a) == hash(b) and len({a, b}) == 1
         assert a != SimplicialComplex.from_maximal([["p", "q"], ["p", "r"]])
+        # a complex is no other kind of value
+        assert (SimplicialComplex.from_maximal([["a"]]) == 1) is False
 
 
 def _digest(text):

@@ -216,6 +216,12 @@ class TestLoadTable:
         with pytest.raises(InputError):
             load_table(path)
 
+    def test_comment_and_blank_rows_skipped(self, tmp_path):
+        path = tmp_path / "t.csv"
+        path.write_text("name,class,params,expected\n# a note,x\n\nk,fibred,-,point\n",
+                        encoding="utf-8")
+        assert [r.name for r in load_table(path)] == ["k"]
+
     def test_empty_table(self, tmp_path):
         path = tmp_path / "t.csv"
         path.write_text("name,class,params,expected\n")

@@ -225,6 +225,15 @@ class TestFaces:
         with pytest.raises(StructureError):
             PlanarMultigraph(["u", "v"], edges, rotation)
 
+    def test_foreign_end_and_zero_direction_refused(self):
+        edges = {"1": Edge("u", "v", 1, 1), "2": Edge("u", "v", 1, 1)}
+        with pytest.raises(StructureError, match=r"^rotation at u lists foreign end \('2', 1\)$"):
+            PlanarMultigraph(["u", "v"], edges,
+                             {"u": [("1", 0), ("2", 1)], "v": [("2", 0), ("1", 1)]})
+        with pytest.raises(StructureError, match="^edge 2 has direction 0$"):
+            PlanarMultigraph(["u", "v"], {**edges, "2": Edge("u", "v", 1, 0)},
+                             {"u": [("1", 0), ("2", 0)], "v": [("2", 1), ("1", 1)]})
+
     def test_disconnected_rejected(self):
         with pytest.raises(StructureError):
             PlanarMultigraph(
@@ -266,6 +275,19 @@ class TestParser:
     def test_rejects(self, text):
         with pytest.raises((InputError, StructureError)):
             PlanarMultigraph.from_text(text)
+
+    @pytest.mark.parametrize("lines, message", [
+        ("edge 1 a b\nedge 1 a b\nrot a 1\nrot b 1", "duplicate edge 1"),
+        ("edge 1 a b color=red\nrot a 1\nrot b 1", "bad edge attributes on 1"),
+        ("edge 1 a b\nrot a 1\nrot a 1\nrot b 1", "duplicate rotation for a"),
+        ("edge 1 a b\nrot a 1\nrot b 1\nrot c 1", "rotation for unknown vertex c"),
+        ("edge 1 a b\nrot a 2\nrot b 1", "unknown edge '2' in rotation"),
+        ("vertex c\nedge 1 a b\nrot a 1\nrot b 1\nrot c 1", "edge 1 is not incident to c"),
+    ], ids=["duplicate_edge", "unknown_attribute", "duplicate_rotation", "unknown_vertex",
+            "unknown_edge", "not_incident"])
+    def test_refusal_messages(self, lines, message):
+        with pytest.raises(InputError, match=f"^{message}$"):
+            PlanarMultigraph.from_text(f"vertex a\nvertex b\n{lines}\n")
 
     @pytest.mark.parametrize("weight", ["1_0", "+1", "\u0663", "-\u0663", "\uff11"])
     def test_weight_is_ascii_digits(self, weight):
@@ -575,9 +597,9 @@ class TestThetaSubgraph:
         assert dump("1") == first
 
     def test_edge_key_keeps_integer_order(self):
-        # the order int() gives every id it converts, ties included
+        # the order int() gives every id it converts, ties broken by the id
         def int_key(eid):
-            return (0, int(eid), "") if eid.isdecimal() else (1, 0, eid)
+            return (0, int(eid), eid) if eid.isdecimal() else (1, 0, eid)
 
         rng = random.Random(8)
         digits = "0123456789\u0660\u0661\u0663\u0669\u0967"
@@ -591,6 +613,18 @@ class TestThetaSubgraph:
         longer = "1" + "0" * 5000
         assert sorted([longer, "9" * 5000, "z1", "5"], key=_edge_key) == [
             "5", "9" * 5000, longer, "z1"]
+
+    def test_equal_ids_ignore_line_order(self):
+        # 0 and 00 are one number; swapping their lines once changed the
+        # edge order and the complex
+        lines = ["edge 0 u v weight=1", "edge 00 u v weight=0"]
+        built = set()
+        for first, second in (lines, lines[::-1]):
+            tg = check_theta(PlanarMultigraph.from_text(
+                f"vertex u\nvertex v\nvertex w\n{first}\n{second}\nedge 1 w v weight=1\n"
+                "edge 2 w v weight=0\nrot u 0 00\nrot v 00 0 1 2\nrot w 2 1\n"))
+            built.add((tg.edge_order(), build_complex(tg, tg.weights())))
+        assert len(built) == 1
 
     def test_unreduced_bigon_rejected(self):
         g = PlanarMultigraph(["u", "v"],

@@ -1,5 +1,6 @@
 import random
-from functools import partial
+from collections import namedtuple
+from functools import cache, partial
 from itertools import combinations, product
 from math import factorial, prod
 from unittest import mock
@@ -17,7 +18,7 @@ from kakimizu.twobridge import (BandChain, apply_band, build_complex,
 from catalog import ROWS
 from census import check as check_census
 from euler import euler_characteristic
-from setoracles import (all_full_passes, band_moves, both_routes, every_tuple, pass_unions,
+from setoracles import (all_full_passes, band_moves, every_tuple, labelled_pass_complex,
                         recorded_build, set_is_connected, set_is_flag, walk_inputs)
 
 CHAIN_ENTRIES = [-6, -4, -2, 2, 4, 6]
@@ -128,6 +129,10 @@ class TestBandChain:
     def test_parse_fraction_normalises(self):
         assert BandChain.parse("33/73").bands == (-2, -6, -4, -2)
 
+    def test_parse_unclosed_list(self):
+        with pytest.raises(InputError, match=r"^expected a bracket list, got '\[2,4'$"):
+            BandChain.parse("[2,4")
+
 
 class TestMoves:
     def test_interior_needs_equal_flanks(self):
@@ -152,6 +157,12 @@ class TestMoves:
     def test_not_applicable_is_none(self):
         chain = BandChain((-4, -2, -2, -2, -4, -2))
         assert apply_band(chain, (1, 0, 1, 0, 0), 2) is None
+
+    @pytest.mark.parametrize("t", [(0,), (0, 0, 0), (0, 2)])
+    def test_malformed_tuple(self, t):
+        with pytest.raises(InputError) as err:
+            apply_band(BandChain((4, 4, 4)), t, 1)
+        assert str(err.value) == f"surface tuple must be 2 bits, got {t!r}"
 
     def test_index_out_of_range(self):
         chain = BandChain((-8, -4))
@@ -199,14 +210,9 @@ class TestHopfOrbits:
         assert list(orbits) == sorted(orbits)
 
     def test_keys_are_the_complex_labels_exhaustive(self):
-        # every chain with at most 5 bands of twist 2 or 4: the orbits come
-        # in the order of the complex's labels, each keyed by its least member
-        for n in range(1, 6):
-            for bands in product((-4, -2, 2, 4), repeat=n):
-                chain = BandChain(bands)
-                orbits = hopf_orbits(chain)
-                assert list(orbits) == list(build_complex(chain).labels), bands
-                assert all(label == min(members) for label, members in orbits.items()), bands
+        # every chain with at most 5 bands of twist 2 or 4
+        for w in oracle_sweep():
+            check_orbit_keys(w)
 
     def test_no_hopf_identity_partition(self):
         chain = BandChain((4, -6, 4))
@@ -261,15 +267,9 @@ class TestMaximalCycles:
 class TestLeastStartPruning:
     def test_union_matches_unpruned_oracle_exhaustive(self):
         # every chain with at most 5 bands of twist 2 or 4: the passes kept
-        # from their least states span what every pass from every start does
-        dropped = 0
-        for n in range(1, 6):
-            for bands in product((-4, -2, 2, 4), repeat=n):
-                chain = BandChain(bands)
-                (pruned, kept), (every, total) = pass_unions(chain)
-                assert pruned == every, bands
-                dropped += total - kept
-        assert dropped > 0
+        # from their least states span what every pass from every start
+        # does, and somewhere the oracle keeps a pass the walker drops
+        assert sum(passes_beyond_walker(w) for w in oracle_sweep()) > 0
 
     def test_walk_steps_each_pass_from_its_least_tuple(self):
         # from (0, 0) both walks take 3 + 6 + 3 band moves; from the other
@@ -332,51 +332,128 @@ class TestWalkerChecks:
                 build_complex(BandChain((4, 4, 4)))
 
 
+ChainWalks = namedtuple("ChainWalks", "chain built walked kept masks passes every_start_json "
+                                      "oracle_masks oracle_passes labelled orbits")
+
+
+def walk_chain(chain, oracle=False):
+    """Build `chain` once and walk every surface tuple the build did not
+    walk, all on one table of band steps.
+
+    The record holds the build; the set of starts it walked, or None when
+    it walked none; the starts whose walks keep a pass; the union and the
+    number of the masks every walk keeps; and the JSON of the complex
+    those walks span.  With `oracle` it also holds the union and number of
+    setoracles.all_full_passes from every tuple, labelled_pass_complex and
+    hopf_orbits; without, those four are None.
+    """
+    every = every_tuple(chain)
+    table = {(t, k): apply_band(chain, t, k) for t in every for k in range(1, chain.n + 1)}
+    with mock.patch.object(twobridge, "apply_band", lambda _, t, k: table[t, k]):
+        built, walked = recorded_build(chain)
+        index, names = walk_inputs(chain)
+        walks = {t: walked[t] if walked and t in walked
+                 else twobridge._full_passes(chain, t, index) for t in every}
+        record = ChainWalks(
+            chain, built, walked and frozenset(walked), [t for t in every if walks[t]],
+            set().union(*walks.values()), sum(map(len, walks.values())),
+            to_json(complexes.assemble((m for t in every for m in walks[t]), names)),
+            None, None, None, None)
+        if not oracle:
+            return record
+        moves, band = band_moves(chain)
+        found = [all_full_passes(t, moves, band, index.__getitem__) for t in every]
+        labelled = labelled_pass_complex(every, moves, band, index.__getitem__, names)
+    return record._replace(
+        oracle_masks={sum(1 << i for i in s) for passes in found for s in passes},
+        oracle_passes=sum(map(len, found)), labelled=labelled, orbits=hopf_orbits(chain))
+
+
+@cache
+def small_chain_sweep():
+    """walk_chain over all 5 460 chains with at most 6 bands of twist 2 or
+    4, with the oracle on the 1 364 with at most 5.  The five exhaustive
+    tests share it, so each chain is built and walked once per run."""
+    sweep = [walk_chain(BandChain(bands), oracle=n <= 5)
+             for n in range(1, 7) for bands in product((-4, -2, 2, 4), repeat=n)]
+    assert len(sweep) == 5460
+    return sweep
+
+
+def oracle_sweep():
+    """The records of small_chain_sweep that carry the oracle."""
+    walks = [w for w in small_chain_sweep() if w.labelled is not None]
+    assert len(walks) == 1364
+    return walks
+
+
+def check_prefix_starts(w):
+    """No start outside prefix 00 keeps a pass, the build walks exactly the
+    prefix-00 starts or, for a chain with at most one non-Hopf band, none,
+    and the build's complex is the one the walks from every tuple span."""
+    prefix_00 = {t for t in every_tuple(w.chain) if not any(t[:2])}
+    assert set(w.kept) <= prefix_00, w.chain.bands
+    assert (w.walked is None) == is_rule_chain(w.chain), w.chain.bands
+    if w.walked is not None:
+        assert w.walked == prefix_00, w.chain.bands
+    assert to_json(w.built) == w.every_start_json, w.chain.bands
+
+
+def passes_beyond_walker(w):
+    """Check that the union of the walker's passes equals the oracle's, and
+    return how many passes the oracle found beyond the walker's."""
+    assert w.masks == w.oracle_masks, w.chain.bands
+    return w.oracle_passes - w.passes
+
+
+def check_euler_and_counts(w):
+    """Kakimizu complexes are contractible, and their counts follow
+    closed_form_counts."""
+    assert euler_characteristic(w.built) == 1, w.chain.bands
+    assert ({len(s) - 1 for s in w.built.simplices}, len(w.built.vertices),
+            len(w.built.simplices)) == closed_form_counts(w.chain.bands), w.chain.bands
+
+
+def check_orbit_keys(w):
+    """The orbits come in the order of the complex's labels, each keyed by
+    its least member."""
+    assert list(w.orbits) == list(w.built.labels), w.chain.bands
+    assert all(label == min(members) for label, members in w.orbits.items()), w.chain.bands
+
+
+def check_chain(chain, oracle=False):
+    """walk_chain and every check above on one chain; with `oracle`, also
+    the build against labelled_pass_complex.  Returns the starts whose
+    walks keep a pass."""
+    w = walk_chain(chain, oracle)
+    check_prefix_starts(w)
+    if oracle:
+        passes_beyond_walker(w)
+        assert w.built == w.labelled, chain.bands
+        check_euler_and_counts(w)
+        check_orbit_keys(w)
+    return w.kept
+
+
 class TestPrefixStarts:
     """build_complex walks only from the surface tuples whose first two bits
     are 0; every other start keeps no pass, and the complex is the one the
-    walks from every tuple span."""
-
-    @staticmethod
-    def kept_starts(chain):
-        """The starts whose walks keep a pass, after checking that no start
-        outside prefix 00 keeps a pass, that the build starts from the
-        tuples with prefix 00 alone or, for a chain with at most one
-        non-Hopf band, walks no pass at all, and that the build's complex
-        is the one the walks from every surface tuple span."""
-        built, starts = recorded_build(chain)
-        index, names = walk_inputs(chain)
-        every = every_tuple(chain)
-        walks = {t: twobridge._full_passes(chain, t, index) for t in every}
-        kept = [t for t in every if walks[t]]
-        prefix_00 = {t for t in every if not any(t[:2])}
-        assert set(kept) <= prefix_00, chain.bands
-        assert (starts is None) == is_rule_chain(chain), chain.bands
-        if starts is not None:
-            assert set(starts) == prefix_00, chain.bands
-        every_start = complexes.assemble((m for t in every for m in walks[t]), names)
-        assert to_json(built) == to_json(every_start), chain.bands
-        return kept
+    walks from every tuple span (check_prefix_starts)."""
 
     def test_exhaustive_small_chains(self):
         # all 5 460 chains with at most 6 bands of twist 2 or 4
-        chains = 0
-        for n in range(1, 7):
-            for bands in product((-4, -2, 2, 4), repeat=n):
-                self.kept_starts(BandChain(bands))
-                chains += 1
-        assert chains == 5460
+        for w in small_chain_sweep():
+            check_prefix_starts(w)
 
     def test_random_long_chains(self):
         rng = random.Random(17)
         for n in (7,) * 8 + (8,) * 4:
-            chain = BandChain(tuple(rng.choice(CHAIN_ENTRIES) for _ in range(n)))
-            self.kept_starts(chain)
+            check_chain(BandChain(tuple(rng.choice(CHAIN_ENTRIES) for _ in range(n))))
 
     def test_third_bit_is_no_filter(self):
         # starts with prefix 001 keep passes, so a filter on three bits
         # would lose them
-        kept = self.kept_starts(BandChain((-4,) * 7))
+        kept = check_chain(BandChain((-4,) * 7))
         assert sum(t[:3] == (0, 0, 1) for t in kept) == 8 and len(kept) == 16
 
 
@@ -388,18 +465,14 @@ class TestIndexAssembly:
 
     def test_exhaustive_small_chains(self):
         # all 1 364 chains with at most 5 bands of twist 2 or 4
-        for n in range(1, 6):
-            for bands in product((-4, -2, 2, 4), repeat=n):
-                chain = BandChain(bands)
-                built, labelled = both_routes(chain)
-                assert built == labelled, bands
+        for w in oracle_sweep():
+            assert w.built == w.labelled, w.chain.bands
 
     def test_random_long_chains(self):
         rng = random.Random(13)
         for n in (6,) * 12 + (7,) * 6:
-            chain = BandChain(tuple(rng.choice(CHAIN_ENTRIES) for _ in range(n)))
-            built, labelled = both_routes(chain)
-            assert built == labelled, chain.bands
+            check_chain(BandChain(tuple(rng.choice(CHAIN_ENTRIES) for _ in range(n))),
+                        oracle=True)
 
 
 def rule_chains(n, rng):
@@ -506,18 +579,9 @@ class TestBuildComplex:
             assert str(recognize(c)) == str(ComplexShape.parse(row.shape)), row.name
 
     def test_euler_characteristic_is_one_exhaustive(self):
-        # Kakimizu complexes are contractible; every chain with at most 5
-        # bands of twist 2 or 4.  The same builds check the closed form of
-        # their counts (see closed_form_counts).
-        built = 0
-        for n in range(1, 6):
-            for bands in product((-4, -2, 2, 4), repeat=n):
-                c = build_complex(BandChain(bands))
-                assert euler_characteristic(c) == 1, bands
-                assert ({len(s) - 1 for s in c.simplices}, len(c.vertices),
-                        len(c.simplices)) == closed_form_counts(bands), bands
-                built += 1
-        assert built == 1364
+        # every chain with at most 5 bands of twist 2 or 4
+        for w in oracle_sweep():
+            check_euler_and_counts(w)
 
     @given(st.lists(st.sampled_from(CHAIN_ENTRIES), min_size=1, max_size=5))
     @settings(max_examples=150, deadline=None)
@@ -527,10 +591,9 @@ class TestBuildComplex:
         assert set_is_flag(c.simplices)
 
 
-def test_single_move_adjacency_matches_cycles_diagnostic(capsys):
-    """Diagnostic, not an invariant: orbit adjacency via one non-Hopf move
-    is compared with co-membership in some maximal cycle on the catalogued
-    chains, and divergences are reported."""
+def test_single_move_adjacency_matches_cycles_diagnostic():
+    """On every catalogued chain, two orbits are joined by one non-Hopf
+    band move exactly when some maximal simplex holds both."""
     diverging = []
     for row in ROWS:
         chain = BandChain(row.cfe)
@@ -547,8 +610,7 @@ def test_single_move_adjacency_matches_cycles_diagnostic(capsys):
             cycle_edges.update(frozenset(p) for p in combinations(s, 2))
         if move_edges != cycle_edges:
             diverging.append(row.name)
-    print(f"adjacency/cycle divergences: {diverging or 'none'}")
-    # recorded, not asserted; the comparison result is part of the test log
+    assert diverging == []
 
 
 def test_randomised_start_order_independence():
