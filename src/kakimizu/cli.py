@@ -5,7 +5,7 @@ Subcommands mirror the toolkit's entry points::
     kakimizu expand 28/61
     kakimizu two-bridge 28/61 --json
     kakimizu two-bridge '[-4,-2,-2,-2,-4,-2]' --dot
-    kakimizu theta graph.txt --weights 0,1,0 --json
+    kakimizu theta graph.txt --json
     kakimizu fibred --graph graph.txt
     kakimizu batch knots11.csv --out report.json
 
@@ -20,7 +20,7 @@ import sys
 
 from . import fibred, pipeline, rational, thetagraph, twobridge
 from .complexes import recognize, to_dot, to_json
-from .errors import InputError, KakimizuError, StructureError
+from .errors import KakimizuError, StructureError
 
 # the expansion of 1/q has q - 1 entries: `kakimizu expand` printed 10^4 /
 # 10^5 / 3*10^5 / 10^6 of them in 0.26 / 1.1 / 2.9 / 9.5 s (Python 3.11 on
@@ -59,7 +59,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("theta", help="Kakimizu complex of a special alternating knot")
     p.add_argument("file", help="Seifert graph or theta graph file")
-    p.add_argument("--weights", help="start weights, comma separated, in sorted edge order")
     _output_flags(p)
 
     p = sub.add_parser("fibred", help="fibredness of a special alternating piece")
@@ -100,19 +99,8 @@ def main(argv=None) -> int:
             _emit_complex(args, twobridge.build_complex(chain, max_bands=args.max_bands))
         elif args.command == "theta":
             tg = pipeline.load_theta_file(args.file)
-            weights = tg.weights()
-            if args.weights is not None:
-                order = tg.edge_order()
-                try:
-                    values = [rational.parse_int(tok.strip()) for tok in args.weights.split(",")]
-                except ValueError:
-                    raise InputError(f"bad weight list {args.weights!r}")
-                if len(values) != len(order):
-                    raise InputError(
-                        f"expected {len(order)} weights for edges {', '.join(order)}")
-                weights = dict(zip(order, values))
             _emit_complex(args, thetagraph.build_complex(
-                tg, weights, max_vertices=args.max_vertices))
+                tg, tg.weights(), max_vertices=args.max_vertices))
         elif args.command == "fibred":
             g = fibred.ReductionGraph.from_text(pipeline.read_text(args.graph, "graph file"))
             certificate = fibred.reduction_certificate(g)

@@ -547,6 +547,13 @@ def build_complex(tg: PlanarMultigraph, w0: dict,
     visited sets are the maximal simplices; the result must come out
     connected and flag.
 
+    Callers pass ``tg.weights()``.  A start at any vertex of that build
+    gives the same complex: :func:`~kakimizu.complexes.assemble` refuses
+    a disconnected complex, and every edge lies on a full pass, a cycle of
+    region moves, so each vertex reaches every other and the search
+    reaches the same vectors and walks the same passes.  A start that is
+    no vertex of it is no surface of this knot.
+
     The reachability search packs each weight vector into one int, with
     one field per edge in ``tg.edge_order()``, ``total.bit_length() + 1``
     bits wide for the start's total weight.  The top bit of a field is a

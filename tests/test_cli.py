@@ -13,7 +13,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from kakimizu import cli, fibred
+from kakimizu import fibred
 from kakimizu.cli import MAX_EXPAND_ENTRIES, main
 from kakimizu.errors import InputError
 from kakimizu.pipeline import load_table, load_theta_file, run_batch
@@ -107,20 +107,33 @@ class TestTheta:
         assert "simplex(1)" in out
 
     def test_explicit_weights(self, capsys, data_dir):
-        code, out, _ = run(capsys, "theta", str(data_dir / "theta_11_237.txt"),
-                           "--weights", "0,1,0", "--json")
+        # the build starts from the theta graph's own weights
+        code, out, _ = run(capsys, "theta", str(data_dir / "theta_11_237.txt"), "--json")
         assert code == 0
         payload = json.loads(out)
         assert payload["vertices"] == ["(0,0,1)", "(0,1,0)", "(1,0,0)"]
 
     def test_weighted_file_from_its_own_weights_and_others(self, capsys, tmp_path):
-        # a file with a weight other than 1 is read as a theta graph
-        path = tmp_path / "theta.txt"
-        path.write_text("vertex u\nvertex v\nedge 1 u v weight=1\nedge 2 u v weight=0\n"
-                        "edge 3 u v weight=0\nrot u 1 2 3\nrot v 3 2 1\n", encoding="utf-8")
-        for weights, vertices in (([], 3), (["--weights", "0,2,0"], 6)):
-            code, out, _ = run(capsys, "theta", str(path), *weights, "--json")
+        # a file with a weight other than 1 is read as a theta graph, and
+        # the build starts from the weights it holds
+        for weights, vertices in (((1, 0, 0), 3), ((0, 2, 0), 6)):
+            path = tmp_path / "theta.txt"
+            path.write_text("vertex u\nvertex v\n" + "".join(
+                f"edge {k} u v weight={w}\n" for k, w in enumerate(weights, start=1))
+                + "rot u 1 2 3\nrot v 3 2 1\n", encoding="utf-8")
+            code, out, _ = run(capsys, "theta", str(path), "--json")
             assert (code, len(json.loads(out)["vertices"])) == (0, vertices)
+
+    def test_start_weights_are_no_option(self, data_dir):
+        # a start that is no surface of the knot gives a wrong complex, so
+        # the build has no option to choose its start
+        proc = subprocess.run([sys.executable, "-m", "kakimizu", "theta",
+                               str(data_dir / "theta_11_94.txt"), "--weights", "0,0"],
+                              env=dict(os.environ, PYTHONPATH=str(SRC)),
+                              capture_output=True, text=True, timeout=60)
+        assert (proc.returncode, proc.stdout) == (2, "")
+        assert "error: unrecognized arguments: --weights 0,0" in proc.stderr
+        assert "Traceback" not in proc.stderr
 
     def test_non_ascii_digit_edge_id(self, tmp_path):
         # '²' passes str.isdigit() but int() rejects it
@@ -231,31 +244,6 @@ class TestTheta:
         code, _, err = run(capsys, "theta", str(path))
         assert code == 2
         assert "cut vertex" in err
-
-    def test_wrong_weight_count(self, capsys, data_dir):
-        code, _, err = run(capsys, "theta", str(data_dir / "theta_11_94.txt"),
-                           "--weights", "1,0,0")
-        assert code == 2
-        assert "expected 2 weights" in err
-
-    @pytest.mark.parametrize("weights, message", [
-        ("1,x", "error: bad weight list '1,x'\n"),
-        ("1,0,0", "error: expected 2 weights for edges 1, z1\n"),
-    ], ids=["not_integers", "wrong_count"])
-    def test_malformed_weights_are_input_errors(self, capsys, monkeypatch, data_dir,
-                                                weights, message):
-        # main prints the message inside its handler: record what it handles
-        handled = []
-        real_print = print
-
-        def recording_print(*args, **kwargs):
-            handled.append(sys.exc_info()[0])
-            real_print(*args, **kwargs)
-
-        monkeypatch.setattr(cli, "print", recording_print, raising=False)
-        code, _, err = run(capsys, "theta", str(data_dir / "theta_11_94.txt"),
-                           "--weights", weights)
-        assert (code, err, handled) == (2, message, [InputError])
 
 
 class TestFibred:
@@ -487,14 +475,6 @@ def test_option_numbers_are_ascii_digits(capsys, data_dir, value):
             main([option, value, "theta", fixture])
         assert exc.value.code == 2
         assert f"argument {option}: invalid int value: {value!r}" in capsys.readouterr().err
-    code, _, err = run(capsys, "theta", fixture, "--weights", f"{value},0")
-    assert (code, err) == (2, f"error: bad weight list '{value},0'\n")
-
-
-def test_weight_entries_keep_their_spaces_stripped(capsys, data_dir):
-    fixture = str(data_dir / "theta_11_237.txt")
-    plain = run(capsys, "theta", fixture, "--weights", "0,1,0", "--json")
-    assert run(capsys, "theta", fixture, "--weights", " 0 ,1, 0", "--json") == plain
 
 
 def test_module_entry_point_subprocess():
@@ -603,11 +583,6 @@ _invocation = st.one_of(
                                ["--max-vertices", "50", "theta", "--json"]]),
               st.one_of(_theta_file(), _short_text, _necklace_file)
               .map(lambda text: ("file", text))),
-    st.tuples(st.builds(lambda w: ["--max-vertices", "50", "theta", "--weights", w],
-                        st.lists(st.sampled_from("01"), min_size=2, max_size=3).map(",".join)
-                        | st.text(alphabet="012,-", max_size=7)),
-              st.sampled_from(["theta_11_94.txt", "theta_11_237.txt", "theta_11_340.txt"])
-              .map(lambda name: ("fixture", name))),
     st.tuples(st.just(["--max-bands", "4", "batch"]),
               _table.map(lambda text: ("file", text))),
     st.tuples(st.sampled_from([["fibred", "--graph"], ["theta"], ["batch"]]),
@@ -625,8 +600,6 @@ def test_cli_never_prints_a_traceback(invocation):
             if kind == "file":
                 arg = os.path.join(tmp, "input.txt")
                 Path(arg).write_text(text)
-            elif kind == "fixture":
-                arg = str(SRC / "kakimizu" / "data" / text)
             else:
                 arg = tmp
         out, err = io.StringIO(), io.StringIO()

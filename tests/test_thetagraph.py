@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from kakimizu.complexes import SimplicialComplex, recognize
+from kakimizu.complexes import SimplicialComplex, recognize, to_json
 from kakimizu.errors import InputError, KakimizuError, SizeLimitError, StructureError
 from kakimizu.fibred import ReductionGraph, reduction_certificate, replay_certificate
 from kakimizu.pipeline import load_theta_file
@@ -798,6 +798,19 @@ class TestBuildComplex:
         with pytest.raises(SizeLimitError, match=f"more than {DEFAULT_MAX_VERTICES} "):
             build_complex(tg, tg.weights())
         assert time.perf_counter() - began < 5
+
+    def test_same_complex_from_every_vertex(self, data_dir):
+        # the complex is connected and every edge lies on a pass, a cycle of
+        # region moves, so a build from any of its vertices is the same
+        paths = [data_dir / name for name in FIXTURES]
+        paths += [TESTS / name for name in ("route_r5_w5.txt", "route_bundles.txt")]
+        for path in paths:
+            tg = load_theta_file(path)
+            c = build_complex(tg, tg.weights())
+            expected = to_json(c)
+            for v in c.vertices:
+                w0 = dict(zip(tg.edge_order(), v))
+                assert to_json(build_complex(tg, w0)) == expected, (path.name, v)
 
     def test_bad_weights_rejected(self):
         tg = theta_subgraph(parallel_edges(2, weights=[1, 0]))

@@ -506,32 +506,24 @@ class TestOneOrbitRule:
                 built += 1
         assert built == sum(2 * n + 1 for n in range(1, 11))
 
-    @staticmethod
-    def assert_every_tuple_complex(chain):
-        index, names = walk_inputs(chain)
-        every_start = complexes.assemble(
-            (m for t in every_tuple(chain) for m in twobridge._full_passes(chain, t, index)),
-            names)
-        assert to_json(build_complex(chain)) == to_json(every_start), chain.bands
-
     def test_exhaustive_small_chains(self):
-        # every chain with at most 6 bands of twist +-2 and at most one of
-        # twist +-4 or +-6
+        # every chain with at most 6 bands, one of twist +-6 and the rest of
+        # twist +-2; small_chain_sweep covers those of twist +-2 and +-4
         chains = 0
         for n in range(1, 7):
-            for bands in product((-6, -4, -2, 2, 4, 6), repeat=n):
-                chain = BandChain(bands)
-                if is_rule_chain(chain):
-                    self.assert_every_tuple_complex(chain)
-                    chains += 1
-        assert chains == sum(2 ** n + n * 4 * 2 ** (n - 1) for n in range(1, 7))
+            for j in range(n):
+                for hopf in product((-2, 2), repeat=n - 1):
+                    for six in (-6, 6):
+                        check_chain(BandChain(hopf[:j] + (six,) + hopf[j:]))
+                        chains += 1
+        assert chains == 642
 
     def test_random_long_chains(self):
         rng = random.Random(29)
         for n in (7, 8):
             chains = list(rule_chains(n, rng))
             for chain in rng.sample(chains, 6):
-                self.assert_every_tuple_complex(chain)
+                check_chain(chain)
 
     @pytest.mark.parametrize("bands", [(-4, -4), (-2, -4, -2, -4, -2)])
     def test_two_non_hopf_bands_walk_passes(self, bands):
@@ -640,3 +632,7 @@ class TestCensus:
         # the paper's crossing number; T(2, 11), whose chain is (-2)^10,
         # needs a tenth band
         assert len(check_census(11, max_bands=10)) == 91
+
+    def test_twelve_crossings(self):
+        # the longest chain at 12 crossings has 10 bands
+        assert len(check_census(12, max_bands=10)) == 176
