@@ -53,12 +53,15 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("expand", help="all-even continued fraction of a 2-bridge index")
     p.add_argument("fraction")
 
+    # each builds the record a table row of its knot class would hold
     p = sub.add_parser("two-bridge", help="Kakimizu complex of a 2-bridge knot")
-    p.add_argument("chain", help="fraction p/q or literal band list [e1,e2,...]")
+    p.add_argument("params", metavar="chain", help="fraction p/q or literal band list [e1,e2,...]")
+    p.set_defaults(klass="two_bridge")
     _output_flags(p)
 
     p = sub.add_parser("theta", help="Kakimizu complex of a special alternating knot")
-    p.add_argument("file", help="Seifert graph or theta graph file")
+    p.add_argument("params", metavar="file", help="Seifert graph file")
+    p.set_defaults(klass="special_alternating")
     _output_flags(p)
 
     p = sub.add_parser("fibred", help="fibredness of a special alternating piece")
@@ -94,13 +97,10 @@ def main(argv=None) -> int:
         if args.command == "expand":
             cfe = rational.expand_index(rational.parse_fraction(args.fraction), MAX_EXPAND_ENTRIES)
             print("[" + ",".join(str(e) for e in cfe) + "]")
-        elif args.command == "two-bridge":
-            chain = twobridge.BandChain.parse(args.chain, max_bands=args.max_bands)
-            _emit_complex(args, twobridge.build_complex(chain, max_bands=args.max_bands))
-        elif args.command == "theta":
-            tg = pipeline.load_theta_file(args.file)
-            _emit_complex(args, thetagraph.build_complex(
-                tg, tg.weights(), max_vertices=args.max_vertices))
+        elif args.command in ("two-bridge", "theta"):
+            rec = pipeline.KnotRecord(args.params, args.klass, args.params)
+            _emit_complex(args, pipeline.classify_and_compute(
+                rec, max_bands=args.max_bands, max_vertices=args.max_vertices))
         elif args.command == "fibred":
             g = fibred.ReductionGraph.from_text(pipeline.read_text(args.graph, "graph file"))
             certificate = fibred.reduction_certificate(g)

@@ -10,8 +10,8 @@ needs:
     a fraction ``p/q`` or a literal band list ``[e1,e2,...]``; handled by
     the continued-fraction and band-chain machinery.
 ``special_alternating``
-    a graph file (resolved next to the table); handled by the theta-graph
-    machinery.
+    a Seifert graph file, every weight 1 (resolved next to the table);
+    handled by the theta-graph machinery.
 ``unique_base_plus_fibred``
     flags ``base_unique=<0|1>;fibred_summands=<k>``; deplumbing the fibred
     summands one at a time gives a bijection onto the surfaces of the base,
@@ -178,16 +178,10 @@ def read_text(path, what: str) -> str:
 
 
 def load_theta_file(path) -> thetagraph.PlanarMultigraph:
-    """Load a graph file; weight-1 graphs run the full theta construction.
-
-    A file whose weights are all 1 is a raw Seifert graph and passes through
-    bigon reduction, zero-edge insertion and theta restriction.  Any other
-    file must already be a valid theta graph (:func:`thetagraph.check_theta`).
-    """
-    g = thetagraph.PlanarMultigraph.from_text(read_text(path, "graph file"))
-    if all(e.weight == 1 for e in g.edges.values()):
-        return thetagraph.build_theta(g)
-    return thetagraph.check_theta(g)
+    """The theta graph of the Seifert graph in a graph file, whose weights
+    must all be 1 (:func:`thetagraph.build_theta`)."""
+    return thetagraph.build_theta(
+        thetagraph.PlanarMultigraph.from_text(read_text(path, "graph file")))
 
 
 def load_table(path) -> list:

@@ -12,8 +12,7 @@ The construction does each piece of work once per graph.  A graph is
 validated once, by its constructor, which keeps the face walks of the
 successor map it builds as it checks the rotation; each stage derives its
 output's faces from its input's.  The kept walks serve the prime and
-reduced check (:func:`build_theta`), every stage, :func:`check_theta` and
-the region signs.
+reduced check (:func:`build_theta`), every stage and the region signs.
 
 Each face traversal gives every boundary edge a sign, opposite in the two
 faces an edge borders.  Applying a region shifts each boundary weight by its
@@ -277,18 +276,6 @@ def _rotate_min(walk: list) -> tuple:
     return tuple(walk[k:] + walk[:k])
 
 
-def check_theta(g: PlanarMultigraph) -> PlanarMultigraph:
-    """Return g if it is a theta graph: every edge lies in a parallel
-    family of two or more, and no bigon joins two weight-positive edges."""
-    for fam in g.parallel_families().values():
-        if len(fam) < 2:
-            raise StructureError(f"theta edge family {sorted(fam)} is a single edge")
-    for walk in g.faces():
-        if len(walk) == 2 and min(g.edges[eid].weight for eid, _ in walk) > 0:
-            raise StructureError("bigon between weight-positive edges was not reduced")
-    return g
-
-
 def reduce_bigons(g: PlanarMultigraph) -> PlanarMultigraph:
     """Merge parallel edge pairs bounding bigons until none remain.
 
@@ -301,12 +288,11 @@ def reduce_bigons(g: PlanarMultigraph) -> PlanarMultigraph:
     order, and deletes every bigon of two edges.  The classes grow along
     the input's kept faces, the smaller of two joining the larger; the
     least id of each survives with the class's weight sum, and the faces
-    that stay, survivors substituted, are kept as the result's.  Requires
-    the all weight-1 Seifert graph, which is left as it is: the result has
-    new Edge objects, for the survivors only, and new rotations.
+    that stay, survivors substituted, are kept as the result's.  Takes
+    the all weight-1 Seifert graph (:func:`build_theta` checks the weights),
+    which is left as it is: the result has new Edge objects, for the
+    survivors only, and new rotations.
     """
-    if any(e.weight != 1 for e in g.edges.values()):
-        raise InputError("bigon reduction starts from the weight-1 Seifert graph")
     classes: dict = {}   # an edge on a bigon -> its class, a list its members share
     faces = []   # the faces that stay
     for walk in g.faces():
@@ -452,7 +438,8 @@ def _find_zero_insertion(verts: list, nbrs: dict):
 
 def theta_subgraph(g: PlanarMultigraph) -> PlanarMultigraph:
     """Restrict to edges whose endpoint pair carries at least two edges, as
-    they are; the result must be in one piece and pass :func:`check_theta`."""
+    they are; the result must be in one piece, and no bigon of it may join
+    two weight-positive edges."""
     pairs = {pair for pair, fam in g.parallel_families().items() if len(fam) >= 2}
     if not pairs:
         raise StructureError("theta graph is empty: the knot has a unique surface")
@@ -470,8 +457,11 @@ def theta_subgraph(g: PlanarMultigraph) -> PlanarMultigraph:
         raise StructureError("theta graph falls into pieces: "
                              "its parallel families do not join every theta vertex")
     edges = {eid: e for eid, e in g.edges.items() if frozenset((e.u, e.v)) in pairs}
-    return check_theta(PlanarMultigraph(verts, edges,
-                                        {v: _darts_on(g.rotation[v], edges) for v in verts}))
+    tg = PlanarMultigraph(verts, edges, {v: _darts_on(g.rotation[v], edges) for v in verts})
+    for walk in tg.faces():
+        if len(walk) == 2 and min(edges[eid].weight for eid, _ in walk) > 0:
+            raise StructureError("bigon between weight-positive edges was not reduced")
+    return tg
 
 
 def _darts_on(rot: list, edges: dict) -> list:
@@ -489,8 +479,13 @@ def build_theta(g: PlanarMultigraph) -> PlanarMultigraph:
     the Euler check kept decide the rest: an edge is a bridge exactly when
     one face meets both of its sides, and a vertex of a loopless graph is a
     cut vertex exactly when one face passes it twice.  Each is refused with
-    InputError.
+    InputError, and so is an edge whose weight is not 1: each edge of a
+    Seifert graph is one crossing.
     """
+    for eid, e in g.edges.items():
+        if e.weight != 1:
+            raise InputError(f"Seifert graph edge {eid} has weight {e.weight}: "
+                             "weights must be 1")
     _check_blocks(g)
     return theta_subgraph(add_zero_edges(reduce_bigons(g)))
 

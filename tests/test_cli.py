@@ -113,16 +113,26 @@ class TestTheta:
         payload = json.loads(out)
         assert payload["vertices"] == ["(0,0,1)", "(0,1,0)", "(1,0,0)"]
 
-    def test_weighted_file_from_its_own_weights_and_others(self, capsys, tmp_path):
-        # a file with a weight other than 1 is read as a theta graph, and
-        # the build starts from the weights it holds
-        for weights, vertices in (((1, 0, 0), 3), ((0, 2, 0), 6)):
-            path = tmp_path / "theta.txt"
+    def test_weighted_file_refused(self, capsys, tmp_path):
+        # a graph file is a Seifert graph, one edge per crossing; a file of
+        # weights 0,0 once passed as a theta graph and printed a point
+        for weights, eid in (((0, 0), 1), ((1, 0, 0), 2)):
+            ids = [str(k) for k in range(1, len(weights) + 1)]
+            path = tmp_path / "weighted.txt"
             path.write_text("vertex u\nvertex v\n" + "".join(
-                f"edge {k} u v weight={w}\n" for k, w in enumerate(weights, start=1))
-                + "rot u 1 2 3\nrot v 3 2 1\n", encoding="utf-8")
-            code, out, _ = run(capsys, "theta", str(path), "--json")
-            assert (code, len(json.loads(out)["vertices"])) == (0, vertices)
+                f"edge {k} u v weight={w}\n" for k, w in zip(ids, weights))
+                + f"rot u {' '.join(ids)}\nrot v {' '.join(reversed(ids))}\n", encoding="utf-8")
+            message = f"Seifert graph edge {eid} has weight 0: weights must be 1"
+            code, out, err = run(capsys, "theta", str(path))
+            assert (code, out, err) == (2, "", f"error: {message}\n")
+            table = tmp_path / "t.csv"
+            table.write_text("name,class,params,expected\n"
+                             "k1,fibred,,point\nk2,special_alternating,weighted.txt,point\n",
+                             encoding="utf-8")
+            code, out, _ = run(capsys, "batch", str(table))
+            rows = {line.split()[0]: line for line in out.splitlines()[1:]}
+            assert code == 1 and "yes" in rows["k1"]
+            assert "ERR" in rows["k2"] and message in rows["k2"]
 
     def test_start_weights_are_no_option(self, data_dir):
         # a start that is no surface of the knot gives a wrong complex, so
@@ -215,16 +225,13 @@ class TestTheta:
         text = "vertex u\nvertex v\nedge 1 u v\nedge 2 u v\nedge l u u\nrot u 1 l l 2\nrot v 2 1\n"
         edges = {"1": Edge("u", "v", 1, 1), "2": Edge("u", "v", 1, 1), "l": Edge("u", "u", 1, 1)}
         rotation = {"u": [("1", 0), ("l", 0), ("l", 1), ("2", 0)], "v": [("2", 1), ("1", 1)]}
-        # a file with a weight other than 1 is read as a theta graph
-        weighted = tmp_path / "weighted.txt"
-        weighted.write_text(text.replace("edge 2 u v", "edge 2 u v weight=0"), encoding="utf-8")
+        (tmp_path / "looped.txt").write_text(text, encoding="utf-8")
         for build in (lambda: PlanarMultigraph.from_text(text),
                       lambda: PlanarMultigraph(["u", "v"], edges, rotation),
-                      lambda: load_theta_file(weighted)):
+                      lambda: load_theta_file(tmp_path / "looped.txt")):
             with pytest.raises(InputError) as err:
                 build()
             assert str(err.value) == message
-        (tmp_path / "looped.txt").write_text(text, encoding="utf-8")
         for flags in ([], ["-O"]):
             proc = subprocess.run([sys.executable, *flags, "-m", "kakimizu", "theta",
                                    str(tmp_path / "looped.txt")],

@@ -1,12 +1,13 @@
 import hashlib
 import json
 import time
+from pathlib import Path
 
 import pytest
 
 from kakimizu import complexes, pipeline, thetagraph
 from kakimizu.complexes import ComplexShape, recognize
-from kakimizu.errors import InputError, StructureError
+from kakimizu.errors import InputError
 from kakimizu.pipeline import (KnotRecord, classify_and_compute,
                                load_table, load_theta_file, plumbing_theorem_complex,
                                report_payload, run_batch, strip_fibred_summands,
@@ -128,41 +129,18 @@ class TestDispatch:
 
 
 class TestThetaFileLoading:
-    def test_weighted_file_taken_as_theta(self, tmp_path):
-        path = tmp_path / "ready.txt"
-        path.write_text(
-            "vertex u\nvertex v\n"
-            "edge 1 u v weight=1 dir=+\n"
-            "edge 2 u v weight=0 dir=+\n"
-            "rot u 1 2\nrot v 2 1\n")
-        tg = load_theta_file(path)
-        assert tg.weights() == {"1": 1, "2": 0}
-
-    def test_weighted_file_walked_once(self, tmp_path, monkeypatch):
-        # reading validates the graph; the theta checks reuse its faces
-        path = tmp_path / "ready.txt"
-        path.write_text("vertex u\nvertex v\nedge 1 u v weight=1\nedge 2 u v weight=0\n"
-                        "edge 3 u v weight=0\nrot u 1 2 3\nrot v 3 2 1\n", encoding="utf-8")
+    def test_seifert_file_walked_twice(self, data_dir, monkeypatch):
+        # the faces are walked once as the file is read and once for the
+        # theta subgraph; the stages in between derive theirs
         walks = []
         walk_faces = thetagraph._walk_faces
         monkeypatch.setattr(thetagraph, "_walk_faces", lambda succ: walks.append(1) or walk_faces(succ))
-        tg = load_theta_file(path)
-        assert len(walks) == 1
-        assert tg.weights() == {"1": 1, "2": 0, "3": 0} and len(tg.faces()) == 3
-
-    @pytest.mark.parametrize("text, message", [
-        # edge 3 alone joins v and w
-        ("vertex u\nvertex v\nvertex w\n"
-         "edge 1 u v weight=1\nedge 2 u v weight=0\nedge 3 v w weight=0\n"
-         "rot u 1 2\nrot v 2 1 3\nrot w 3\n", r"^theta edge family \['3'\] is a single edge$"),
-        ("vertex u\nvertex v\nedge 1 u v weight=1\nedge 2 u v weight=2\nrot u 1 2\nrot v 2 1\n",
-         "^bigon between weight-positive edges was not reduced$"),
-    ])
-    def test_weighted_file_refusals(self, tmp_path, text, message):
-        path = tmp_path / "ready.txt"
-        path.write_text(text, encoding="utf-8")
-        with pytest.raises(StructureError, match=message):
+        for path in [data_dir / name for name in
+                     ("theta_11_94.txt", "theta_11_237.txt", "theta_11_340.txt")] + [
+                         Path(__file__).resolve().parent / "route_bundles.txt"]:
+            walks.clear()
             load_theta_file(path)
+            assert len(walks) == 2, path
 
     def test_missing_file(self):
         with pytest.raises(InputError):

@@ -2,7 +2,7 @@ import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from kakimizu.complexes import ComplexShape
@@ -168,8 +168,11 @@ class TestRoundtrip:
                 assert all(e % 2 == 0 and e != 0 for e in cfe)
                 assert evaluate_cfe(cfe) == f
 
+    # seeded: a draw near (q - 1)/q expands to about q entries, and one at
+    # q ~ 10^6 took seconds; the example keeps a 10^4-entry expansion covered
     @given(p=st.integers(1, 10**6), q=st.integers(2, 10**6))
-    @settings(max_examples=300, deadline=None)
+    @example(p=9998, q=9999)
+    @settings(max_examples=300, deadline=None, derandomize=True)
     def test_random_large(self, p, q):
         g = math.gcd(p, q)
         p, q = p // g, q // g

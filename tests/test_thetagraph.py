@@ -15,7 +15,7 @@ from kakimizu.fibred import ReductionGraph, reduction_certificate, replay_certif
 from kakimizu.pipeline import load_theta_file
 from kakimizu.thetagraph import (DEFAULT_MAX_VERTICES, MAX_REGIONS, Edge, PlanarMultigraph,
                                  _edge_key, add_zero_edges, build_complex, build_theta,
-                                 check_theta, reduce_bigons, region_signatures, theta_subgraph)
+                                 reduce_bigons, region_signatures, theta_subgraph)
 
 from euler import euler_characteristic
 from randgraphs import (add_loop, add_pendant_bridge, cycle_text, fresh, graph_text,
@@ -333,10 +333,6 @@ class TestReduceBigons:
         reduced = reduce_bigons(g)
         assert set(reduced.edges) == set(g.edges)
 
-    def test_requires_unit_weights(self):
-        with pytest.raises(InputError):
-            reduce_bigons(parallel_edges(2, weights=[2, 1]))
-
     def test_order_independent(self, data_dir):
         # the one-at-a-time oracle, in sorted and in 20 random merge orders
         for name in FIXTURES:
@@ -565,7 +561,7 @@ class TestThetaSubgraph:
         g = parallel_edges(3, weights=[1, 0, 0])
         tg = theta_subgraph(g)
         assert set(tg.edges) == set(g.edges)
-        assert check_theta(tg) is tg
+        assert set(theta_subgraph(tg).edges) == set(tg.edges)
 
     def test_tree_yields_empty(self):
         g = PlanarMultigraph(
@@ -620,7 +616,7 @@ class TestThetaSubgraph:
         lines = ["edge 0 u v weight=1", "edge 00 u v weight=0"]
         built = set()
         for first, second in (lines, lines[::-1]):
-            tg = check_theta(PlanarMultigraph.from_text(
+            tg = theta_subgraph(PlanarMultigraph.from_text(
                 f"vertex u\nvertex v\nvertex w\n{first}\n{second}\nedge 1 w v weight=1\n"
                 "edge 2 w v weight=0\nrot u 0 00\nrot v 00 0 1 2\nrot w 2 1\n"))
             built.add((tg.edge_order(), build_complex(tg, tg.weights())))
@@ -631,7 +627,7 @@ class TestThetaSubgraph:
                              {"1": Edge("u", "v", 1, 1), "2": Edge("u", "v", 2, 1)},
                              {"u": [("1", 0), ("2", 0)], "v": [("2", 1), ("1", 1)]})
         with pytest.raises(StructureError, match=f"^{UNREDUCED}$"):
-            check_theta(g)
+            theta_subgraph(g)
 
     def test_split_theta_subgraph_refused_by_name(self):
         # graph 48 of the seed-4 draw in TestLeastStartPruning: connected,
@@ -917,6 +913,11 @@ class TestPrimeReducedInput:
         g = PlanarMultigraph.from_text(necklace_text([2, 2, 2]))
         with pytest.raises(InputError, match="cut vertex"):
             build_theta(g)
+
+    def test_requires_unit_weights(self):
+        # each edge of a Seifert graph is one crossing
+        with pytest.raises(InputError, match="^Seifert graph edge 0 has weight 2: weights must be 1$"):
+            build_theta(parallel_edges(2, weights=[2, 1]))
 
     def test_single_crossing_is_a_bridge(self):
         g = PlanarMultigraph.from_text(necklace_text([1]))
