@@ -28,7 +28,8 @@ incident edge ends at every vertex.  Files use one line per item::
     rot <vertex> <end> <end> ...
 
 where an edge end is its edge id, and each optional edge attribute appears
-at most once (weight 1 and dir + when left out), a weight in ASCII digits.
+at most once (dir + when left out); a weight, if given, is 1, since each
+edge of a Seifert graph is one crossing.
 A crossing joins two different Seifert circles, so no Seifert graph, and
 no theta graph, has a loop: validation refuses one.
 """
@@ -45,7 +46,6 @@ from operator import itemgetter
 from . import complexes
 from .complexes import SimplicialComplex
 from .errors import InputError, SizeLimitError, StructureError
-from .rational import parse_int
 
 # route graphs with R = 4 regions and W parallel edges, the slower of the
 # two measured ladders, built 17 296 vertices (W = 45) in 4.4 s and 23 426
@@ -59,6 +59,7 @@ MAX_REGIONS = 8
 # itself and the far vertex; a foreign end has no vertex
 _VERTEX, _TWIN, _ITSELF, _FAR = map(itemgetter, range(4))
 _FOREIGN = (None,) * 4
+_WEIGHT_NOT_1 = "Seifert graph edge {} has weight {}: weights must be 1"
 
 
 @dataclass
@@ -70,14 +71,13 @@ class Edge:
 
 
 def _edge_key(eid: str):
-    # numeric ids sort numerically, generated ids (z1, z2, ...) after them;
-    # a numeric id is compared as its digit string without leading zeros,
-    # by length and then by text, since int() refuses ids over 4 300 digits,
-    # and equal numbers such as 0 and 00 by the id itself, not input order
-    if not eid.isdecimal():
+    # ids in ASCII digits sort numerically, any other id (z1, ...) as text
+    # after them; a numeric id is compared as its digits without leading
+    # zeros, by length and then by text, since int() refuses ids over 4 300
+    # digits, and equal numbers such as 0 and 00 by the id itself
+    if not (eid.isascii() and eid.isdigit()):
         return (1, 0, eid)
-    digits = eid if eid.isascii() else "".join(str(int(c)) for c in eid)
-    digits = digits.lstrip("0")
+    digits = eid.lstrip("0")
     return (0, len(digits), digits, eid)
 
 
@@ -196,27 +196,20 @@ class PlanarMultigraph:
                     eid, u, v = parts[1:4]
                     if eid in edges:
                         raise InputError(f"duplicate edge {eid}")
-                    # a repeated or unknown attribute is refused once all
-                    # parse; as in a dict, the last weight given is read
-                    weight, dirtext, bad = None, None, False
+                    # a weight, if given, is 1, and each attribute is given
+                    # at most once; the first fault met is refused
+                    weight = dirtext = None
                     for attr in parts[4:]:
                         key, value = attr.split("=", 1)
-                        if key == "weight":
-                            bad, weight = bad or weight is not None, value
-                        elif key == "dir":
-                            bad, dirtext = bad or dirtext is not None, value
+                        if key == "weight" and weight is None:
+                            if value != "1":
+                                raise InputError(_WEIGHT_NOT_1.format(eid, value))
+                            weight = value
+                        elif key == "dir" and dirtext is None and value in ("+", "-"):
+                            dirtext = value
                         else:
-                            bad = True
-                    weight = "1" if weight is None else weight
-                    try:
-                        number = parse_int(weight)
-                    except ValueError:
-                        # what int() reads, such as "+1" or "1_0", is a bad
-                        # attribute; anything else fails the line
-                        number, bad = int(weight), True
-                    if bad or dirtext not in (None, "+", "-"):
-                        raise InputError(f"bad edge attributes on {eid}")
-                    edges[eid] = Edge(u, v, number, -1 if dirtext == "-" else 1)
+                            raise InputError(f"bad edge attributes on {eid}")
+                    edges[eid] = Edge(u, v, 1, -1 if dirtext == "-" else 1)
                 elif kind == "vertex":
                     (vid,) = parts[1:]
                     if vid in vertices:
@@ -484,8 +477,7 @@ def build_theta(g: PlanarMultigraph) -> PlanarMultigraph:
     """
     for eid, e in g.edges.items():
         if e.weight != 1:
-            raise InputError(f"Seifert graph edge {eid} has weight {e.weight}: "
-                             "weights must be 1")
+            raise InputError(_WEIGHT_NOT_1.format(eid, e.weight))
     _check_blocks(g)
     return theta_subgraph(add_zero_edges(reduce_bigons(g)))
 

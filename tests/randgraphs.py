@@ -216,7 +216,8 @@ def cycle_text(n: int) -> str:
 
 
 def graph_text(g: PlanarMultigraph) -> str:
-    """The graph file :meth:`PlanarMultigraph.from_text` reads back as `g`."""
+    """The graph file of `g`; :meth:`PlanarMultigraph.from_text` reads it
+    back as `g` when every weight is 1, and refuses any other weight."""
     lines = [f"vertex {v}" for v in g.vertices]
     lines += [f"edge {eid} {e.u} {e.v} weight={e.weight} dir={'+' if e.direction == 1 else '-'}"
               for eid, e in g.edges.items()]

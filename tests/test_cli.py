@@ -134,6 +134,27 @@ class TestTheta:
             assert code == 1 and "yes" in rows["k1"]
             assert "ERR" in rows["k2"] and message in rows["k2"]
 
+    @pytest.mark.parametrize("weight", ["0", "2", "-1", "+1", "01", "1_0", "abc", "\u0663",
+                                        "-\u0663", "\uff11", pytest.param("", id="empty")])
+    def test_weight_other_than_one_refused(self, capsys, tmp_path, weight):
+        # the reader takes weight=1 or refuses the text with one message,
+        # where -1, +1 and abc once failed in three other ways and 01 read as 1
+        text = ("vertex u\nvertex v\nedge 1 u v\n"
+                f"edge 2 u v weight={weight}\nrot u 1 2\nrot v 2 1\n")
+        message = f"Seifert graph edge 2 has weight {weight}: weights must be 1"
+        with pytest.raises(InputError) as exc:
+            PlanarMultigraph.from_text(text)
+        assert str(exc.value) == message
+        (tmp_path / "g.txt").write_text(text, encoding="utf-8")
+        code, out, err = run(capsys, "theta", str(tmp_path / "g.txt"))
+        assert (code, out, err) == (2, "", f"error: {message}\n")
+        table = tmp_path / "t.csv"
+        table.write_text("name,class,params,expected\nk1,special_alternating,g.txt,point\n",
+                         encoding="utf-8")
+        code, out, _ = run(capsys, "batch", str(table))
+        row = out.splitlines()[1]
+        assert code == 1 and "ERR" in row and message in row
+
     def test_start_weights_are_no_option(self, data_dir):
         # a start that is no surface of the knot gives a wrong complex, so
         # the build has no option to choose its start
@@ -550,7 +571,8 @@ def _graph_literal(draw):
 def _theta_file(draw):
     # mostly Seifert graphs: weight 1, oriented from {a, c} to {b, d}
     edges = draw(st.lists(st.tuples(st.sampled_from("ac"), st.sampled_from("bd"),
-                                    st.sampled_from([1, 1, 1, 0, 2]), st.sampled_from("++-")),
+                                    st.sampled_from(["1"] * 5 + ["0", "2", "-1", "+1", "abc"]),
+                                    st.sampled_from("++-")),
                           min_size=1, max_size=5))
     names = sorted({end for u, v, _, _ in edges for end in (u, v)})
     lines = [f"vertex {v}" for v in names]
