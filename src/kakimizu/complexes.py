@@ -36,6 +36,7 @@ from __future__ import annotations
 from collections import Counter
 from collections.abc import Set
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import combinations
 from json.encoder import encode_basestring_ascii as _quote
 
@@ -284,6 +285,12 @@ def _maximal_cliques(adj: list):
 # at 106 MB); the shipped tables' largest literal is path(6)
 MAX_SHAPE_VERTICES = 1000
 
+# the representatives are remembered, most recently used first: the largest,
+# path(1000), keeps about 221 KiB and all 1 998 literals that
+# MAX_SHAPE_VERTICES admits would keep about 118 MiB (tracemalloc, Python
+# 3.11), so at most 32 are kept (about 7 MiB); the shipped tables name three
+SHAPE_MEMO_SIZE = 32
+
 
 @dataclass(frozen=True)
 class ComplexShape:
@@ -347,8 +354,15 @@ class ComplexShape:
             return f"explicit({self.size} vertices)"
         return self.kind
 
+    @lru_cache(maxsize=SHAPE_MEMO_SIZE)
     def as_complex(self) -> SimplicialComplex:
-        """A representative complex of this named shape with labels T1, T2, ..."""
+        """A representative complex of this named shape with labels T1, T2, ...
+
+        It is made and checked once and then shared, since a complex cannot
+        change: equal shapes get the one object while it is among the
+        SHAPE_MEMO_SIZE shapes used last.  An explicit shape raises
+        StructureError on every call, since a raise is not remembered.
+        """
         if self.kind == "point":
             return SimplicialComplex.from_maximal([["T1"]])
         if self.kind == "simplex":

@@ -30,6 +30,12 @@ take it whole, check its flags and return the complex.
 
 Records run independently; one bad row never aborts a batch.  Reports are
 canonical JSON, byte-identical across runs.
+
+The complex of a ``fibred``, ``table_expected`` or rule row is a constant:
+a shape's representative (:meth:`~kakimizu.complexes.ComplexShape.as_complex`)
+or one of the plumbing theorem's two complexes.  Each is made and checked
+once per process and then shared by every row that names it; each 2-bridge
+and theta row is built afresh.
 """
 
 from __future__ import annotations
@@ -37,8 +43,11 @@ from __future__ import annotations
 import csv
 import io
 import json
+import os
+import stat
 import time
 from dataclasses import dataclass
+from functools import cache
 from pathlib import Path
 
 from . import thetagraph, twobridge
@@ -116,6 +125,18 @@ def strip_fibred_summands(params: str) -> SimplicialComplex:
     return ComplexShape.point().as_complex()
 
 
+# the plumbing theorem's complexes by the product disks that give them
+_PLUMBING_SIMPLICES = {(): [["[S]", "[S^c]"]],
+                       ("A1",): [["[S^c]", "[S]"], ["[S]", "[T^c]"]]}
+
+
+@cache
+def _plumbing_complex(disks: tuple) -> SimplicialComplex:
+    """The checked complex of `disks`, a key of _PLUMBING_SIMPLICES, made
+    once and shared."""
+    return SimplicialComplex.from_maximal(_PLUMBING_SIMPLICES[disks])
+
+
 def plumbing_theorem_complex(params: str) -> SimplicialComplex:
     """Complex of a plumbing of two unique-surface, non-fibred pieces.
 
@@ -130,11 +151,9 @@ def plumbing_theorem_complex(params: str) -> SimplicialComplex:
     for key, value in fields.items():
         if value not in (None, "0", "1"):
             raise InputError(f"marking flag {key} must be 0 or 1, got {value!r}")
-    disks = [key for key, value in fields.items() if value == "1"]
-    if not disks:
-        return SimplicialComplex.from_maximal([["[S]", "[S^c]"]])
-    if disks == ["A1"]:
-        return SimplicialComplex.from_maximal([["[S^c]", "[S]"], ["[S]", "[T^c]"]])
+    disks = tuple(key for key, value in fields.items() if value == "1")
+    if disks in _PLUMBING_SIMPLICES:
+        return _plumbing_complex(disks)
     raise InputError("flag combination outside the plumbing theorem: "
                      f"product disks at {', '.join(disks)}")
 
@@ -148,7 +167,9 @@ def classify_and_compute(rec: KnotRecord,
     :func:`~kakimizu.complexes.assemble`, that
     :meth:`~kakimizu.complexes.SimplicialComplex.from_maximal`,
     :func:`~kakimizu.twobridge.build_complex` and
-    :func:`~kakimizu.thetagraph.build_complex` end in.
+    :func:`~kakimizu.thetagraph.build_complex` end in.  A 2-bridge or
+    theta row is built each time; the constant complex of any other row
+    was checked when it was first made and is shared from then on.
     """
     if rec.klass == "two_bridge":
         chain = twobridge.BandChain.parse(rec.params, max_bands=max_bands)
@@ -169,11 +190,18 @@ def classify_and_compute(rec: KnotRecord,
 
 def read_text(path, what: str) -> str:
     """The text of a UTF-8 file, less a byte-order mark at its start; a file
-    that cannot be opened or decoded is an InputError naming `what` it was
-    read as."""
+    that cannot be opened or decoded, or a path holding a NUL, is an
+    InputError naming `what` it was read as.
+
+    So is a character or block device, which is refused before it is
+    opened: ``/dev/zero`` never ends.  Regular files and pipes are read.
+    """
     try:
+        mode = os.stat(path).st_mode
+        if stat.S_ISCHR(mode) or stat.S_ISBLK(mode):
+            raise InputError(f"cannot read {what} {path}: a device is not a file")
         return Path(path).read_text(encoding="utf-8-sig")
-    except (OSError, UnicodeDecodeError) as exc:
+    except (OSError, ValueError) as exc:   # UnicodeDecodeError is a ValueError
         raise InputError(f"cannot read {what} {path}: {exc}") from exc
 
 

@@ -3,6 +3,7 @@ import hashlib
 import io
 import json
 import os
+import resource
 import subprocess
 import sys
 import tempfile
@@ -427,6 +428,48 @@ def test_non_utf8_file_exits_two(capsys, tmp_path, command):
     what = "table" if command == ["batch"] else "graph file"
     assert err.startswith(f"error: cannot read {what} {path}:")
     assert "Traceback" not in err
+
+
+def _address_space_512_mb():
+    # a child that reads a device into memory stops here, not at the
+    # machine's limit
+    resource.setrlimit(resource.RLIMIT_AS, (512 << 20, 512 << 20))
+
+
+def _run_limited(*argv, stdin=None):
+    return subprocess.run([sys.executable, "-m", "kakimizu", *argv],
+                          env=dict(os.environ, PYTHONPATH=str(SRC)), input=stdin,
+                          preexec_fn=_address_space_512_mb,
+                          capture_output=True, text=True, timeout=60)
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/zero"), reason="needs /dev/zero")
+class TestDevicePaths:
+    """A device may never end, so it is refused before it is read."""
+
+    @pytest.mark.parametrize("argv,what", [(["theta"], "graph file"),
+                                           (["fibred", "--graph"], "graph file"),
+                                           (["batch"], "table")])
+    def test_device_exits_two(self, argv, what):
+        proc = _run_limited(*argv, "/dev/zero")
+        assert (proc.returncode, proc.stdout) == (2, "")
+        assert proc.stderr == f"error: cannot read {what} /dev/zero: a device is not a file\n"
+
+    def test_device_row_is_a_row_error(self, tmp_path):
+        table = tmp_path / "t.csv"
+        table.write_text("name,class,params,expected\nk,special_alternating,/dev/zero,point\n"
+                         "f,fibred,-,point\n")
+        proc = _run_limited("batch", str(table))
+        assert proc.returncode == 1 and "Traceback" not in proc.stderr
+        assert "cannot read graph file /dev/zero: a device is not a file" in proc.stdout
+        assert "yes" in proc.stdout.splitlines()[1]   # row f
+
+    def test_pipe_is_read(self, data_dir):
+        path = data_dir / "theta_11_94.txt"
+        proc = _run_limited("theta", "/dev/stdin", "--json",
+                            stdin=path.read_text(encoding="utf-8"))
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == _run_limited("theta", str(path), "--json").stdout
 
 
 class TestByteOrderMark:

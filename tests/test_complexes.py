@@ -11,8 +11,9 @@ from pathlib import Path
 import pytest
 
 from kakimizu import complexes, thetagraph, twobridge
-from kakimizu.complexes import (MAX_SHAPE_VERTICES, ComplexShape, SimplicialComplex,
-                                assemble, label_text, recognize, rendered, to_dot, to_json)
+from kakimizu.complexes import (MAX_SHAPE_VERTICES, SHAPE_MEMO_SIZE, ComplexShape,
+                                SimplicialComplex, assemble, label_text, recognize, rendered,
+                                to_dot, to_json)
 from kakimizu.errors import InputError, SizeLimitError, StructureError
 
 from isomorphism import isomorphic, one_skeleton
@@ -381,6 +382,50 @@ class TestRecognize:
             assert shape != ComplexShape.parse(literal)
         with pytest.raises(StructureError):
             shape.as_complex()
+
+
+class TestShapeMemo:
+    """A shape's representative is made once and shared."""
+
+    def test_equal_shapes_get_one_complex(self):
+        assert ComplexShape.parse("path(4)").as_complex() is ComplexShape.path(4).as_complex()
+        assert ComplexShape.path(2).as_complex() is ComplexShape.simplex(1).as_complex()
+
+    def test_shared_complex_equals_a_fresh_build(self):
+        # oracle: the literal's maximal simplices on T1, T2, ..., written out
+        ComplexShape.as_complex.cache_clear()
+        literals = {"point": [["T1"]]}
+        for n in range(2, 13):
+            literals[f"path({n})"] = [[f"T{i}", f"T{i + 1}"] for i in range(1, n)]
+        for d in range(1, 13):
+            literals[f"simplex({d})"] = [[f"T{i}" for i in range(1, d + 2)]]
+        for literal, simplices in literals.items():
+            shared = ComplexShape.parse(literal).as_complex()
+            assert shared is ComplexShape.parse(literal).as_complex(), literal
+            assert to_json(shared) == to_json(SimplicialComplex.from_maximal(simplices)), literal
+
+    def test_sizes_do_not_collide(self):
+        # a memo keyed by kind alone would hand path(3) the complex of path(4)
+        ComplexShape.as_complex.cache_clear()
+        sizes = {literal: len(ComplexShape.parse(literal).as_complex().labels)
+                 for literal in ("path(2)", "path(3)", "path(4)", "simplex(2)", "simplex(3)")}
+        assert sizes == {"path(2)": 2, "path(3)": 3, "path(4)": 4, "simplex(2)": 3, "simplex(3)": 4}
+
+    def test_refusals_are_not_remembered(self):
+        ComplexShape.as_complex.cache_clear()
+        for shape, error in ((ComplexShape("explicit", 4), StructureError),
+                             (ComplexShape("path", 1), InputError)):   # bypasses path()
+            for _ in range(2):
+                with pytest.raises(error):
+                    shape.as_complex()
+        assert ComplexShape.as_complex.cache_info().currsize == 0
+
+    def test_memo_is_bounded(self):
+        ComplexShape.as_complex.cache_clear()
+        for n in range(3, 3 + 2 * SHAPE_MEMO_SIZE):
+            ComplexShape.path(n).as_complex()
+            assert ComplexShape.as_complex.cache_info().currsize <= SHAPE_MEMO_SIZE
+        assert ComplexShape.as_complex.cache_info().currsize == SHAPE_MEMO_SIZE
 
 
 class TestShape:

@@ -146,6 +146,12 @@ class TestThetaFileLoading:
         with pytest.raises(InputError):
             load_theta_file("no_such_file.txt")
 
+    def test_path_with_nul_is_an_input_error(self, tmp_path):
+        # a table field may hold a NUL, which no path can; the row fails
+        # alone instead of raising ValueError through the batch
+        with pytest.raises(InputError, match="^cannot read graph file .*: embedded null byte$"):
+            load_theta_file(tmp_path / "a\0b.txt")
+
 
 class TestLoadTable:
     def test_shipped_table(self, data_dir):
@@ -236,25 +242,59 @@ class TestRunBatch:
 
     def test_each_record_checked_once(self, data_dir, monkeypatch):
         # every complex is made and checked by the one assembler, which
-        # from_maximal and both builds end in; every record makes exactly
-        # one, its result
-        calls = []
+        # from_maximal and both builds end in; a 2-bridge or theta record
+        # makes exactly one, its result, and a constant complex is made by
+        # the first record that names it and shared by later ones
+        ComplexShape.as_complex.cache_clear()
+        pipeline._plumbing_complex.cache_clear()
+        made = []
         assemble = complexes.assemble
 
         def counting(masks, labels):
-            calls.append(assemble(masks, labels))
-            return calls[-1]
+            made.append(assemble(masks, labels))
+            return made[-1]
 
         monkeypatch.setattr(complexes, "assemble", counting)
         records = load_table(data_dir / "knots11_mixed.csv")
         classes = set()
         for rec in records:
-            calls.clear()
+            before = len(made)
             (result,) = run_batch([rec])
             assert result.error is None, rec.name
-            assert len(calls) == 1 and calls[0] is result.computed, rec.name
+            assert any(result.computed is c for c in made), rec.name
+            new = made[before:]
+            if (rec.klass in ("two_bridge", "special_alternating")
+                    or all(result.computed is not c for c in made[:before])):
+                assert len(new) == 1 and new[0] is result.computed, rec.name
+            else:
+                assert not new, rec.name
             classes.add(rec.klass)
         assert classes == set(pipeline.KNOT_CLASSES)
+        assert len(made) < len(records)   # some record shared a complex
+
+    def test_constant_rows_share_one_complex(self):
+        records = [KnotRecord("a", "fibred", "-"),
+                   KnotRecord("b", "table_expected", "point"),
+                   KnotRecord("c", "unique_base_plus_fibred", "base_unique=1;fibred_summands=2"),
+                   KnotRecord("d", "table_expected", "path(3)"),
+                   KnotRecord("e", "table_expected", " path(3) "),
+                   KnotRecord("f", "table_expected", "path(x)"),
+                   KnotRecord("g", "table_expected", "path(x)")]
+        a, b, c, d, e, f, g = run_batch(records)
+        assert a.computed is b.computed is c.computed is ComplexShape.point().as_complex()
+        assert d.computed is e.computed is ComplexShape.path(3).as_complex()
+        # the literal is parsed per row, so a bad one is an error every time
+        assert f.error == g.error == "bad shape literal 'path(x)'"
+
+    def test_plumbing_complexes_shared_with_their_labels(self):
+        rows = ["", "A1=0;A1p=0;A2=0;A2p=0", "A1=1", "A1=1;A2=0"]
+        edge, edge_again, path, path_again = (
+            r.computed for r in run_batch([KnotRecord(f"k{i}", "plumbing_unique_pair", params)
+                                           for i, params in enumerate(rows)]))
+        assert edge is edge_again and path is path_again
+        assert edge.labels == ("[S]", "[S^c]") and edge.maximal == ((0, 1),)
+        assert path.labels == ("[S^c]", "[S]", "[T^c]")
+        assert path.maximal == ((0, 1), (1, 2))
 
     def test_huge_summand_count_is_a_point_at_once(self):
         # deplumbing is one bijection whatever the count: nothing per summand
