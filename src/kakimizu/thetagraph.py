@@ -10,9 +10,11 @@ graph of the surface; its faces are the regions.
 
 The construction does each piece of work once per graph.  A graph is
 validated once, by its constructor, which keeps the face walks of the
-successor map it builds as it checks the rotation; each stage derives its
-output's faces from its input's.  The kept walks serve the prime and
-reduced check (:func:`build_theta`), every stage and the region signs.
+successor map it builds as it checks the rotation.  From then on the face
+walks are the embedding: each stage derives its output's faces from its
+input's and builds no rotation, so a stage's output has ``rotation``
+None.  The kept walks serve the prime and reduced check
+(:func:`build_theta`), every stage and the region signs.
 
 Each face traversal gives every boundary edge a sign, opposite in the two
 faces an edge borders.  Applying a region shifts each boundary weight by its
@@ -40,7 +42,7 @@ import heapq
 from bisect import bisect_left
 from collections import Counter
 from dataclasses import dataclass
-from itertools import chain, compress, repeat
+from itertools import chain, repeat
 from operator import itemgetter
 
 from . import complexes
@@ -89,7 +91,8 @@ class PlanarMultigraph:
     refuses a loop with InputError, and checks that each end appears
     exactly once at the right vertex, that the graph is connected, and that
     the face count satisfies Euler's formula V - E + F = 2; it keeps the
-    face walks of that check.
+    face walks of that check.  A stage of the theta construction holds its
+    output as face walks alone, with ``rotation`` None.
     """
 
     def __init__(self, vertices, edges, rotation):
@@ -164,7 +167,7 @@ class PlanarMultigraph:
         by first sides alone gives the order of the whole walks.
 
         Every graph keeps its faces, the walks of its Euler check or those
-        of the stage that made it, and returns a new list of them.
+        the stage that made it derived, and returns a new list of them.
         """
         return list(self._faces)
 
@@ -239,10 +242,10 @@ class PlanarMultigraph:
         return cls(vertices, edges, rotation)
 
 
-def _stage(g: PlanarMultigraph, edges: dict, rotation: dict, faces: list) -> PlanarMultigraph:
-    # a stage's output on g's vertices, with the faces the stage derived
+def _stage(vertices, edges: dict, faces: list) -> PlanarMultigraph:
+    # a stage's output, held as the face walks the stage derived: no rotation
     out = object.__new__(PlanarMultigraph)
-    out.vertices, out.edges, out.rotation, out._faces = list(g.vertices), edges, rotation, faces
+    out.vertices, out.edges, out.rotation, out._faces = list(vertices), edges, None, faces
     return out
 
 
@@ -284,7 +287,7 @@ def reduce_bigons(g: PlanarMultigraph) -> PlanarMultigraph:
     that stay, survivors substituted, are kept as the result's.  Takes
     the all weight-1 Seifert graph (:func:`build_theta` checks the weights),
     which is left as it is: the result has new Edge objects, for the
-    survivors only, and new rotations.
+    survivors only, and no rotation.
     """
     classes: dict = {}   # an edge on a bigon -> its class, a list its members share
     faces = []   # the faces that stay
@@ -322,7 +325,7 @@ def reduce_bigons(g: PlanarMultigraph) -> PlanarMultigraph:
     faces = sorted((walk if dropped.isdisjoint(map(itemgetter(0), walk))
                     else _rotate_min(list(map(moved, walk))) for walk in faces),
                    key=itemgetter(0)) or [((k, 0), (k, 1)) for k in edges]
-    return _stage(g, edges, {v: _darts_on(rot, edges) for v, rot in g.rotation.items()}, faces)
+    return _stage(g.vertices, edges, faces)
 
 
 def add_zero_edges(g: PlanarMultigraph) -> PlanarMultigraph:
@@ -342,10 +345,10 @@ def add_zero_edges(g: PlanarMultigraph) -> PlanarMultigraph:
     every other face, and whether it qualifies, stays as it was.  The
     faces wait on a heap in walk order, the least split or dropped for
     good, which inserts exactly where re-walking after every insertion
-    would.  The new ends go into each rotation that gains any in one pass.
-    A new edge is oriented like the least edge of its family, whose tail
-    vertex later insertions leave as it is.  The result shares the input's
-    Edge objects and keeps the faces the heap gives up, sorted again.
+    would.  A new edge is oriented like the least edge of its family, whose
+    tail vertex later insertions leave as it is.  The result shares the
+    input's Edge objects, keeps the faces the heap gives up, sorted again,
+    and has no rotation.
     """
     faces = g.faces()   # sorted, so already a heap
     edges = dict(g.edges)
@@ -356,8 +359,7 @@ def add_zero_edges(g: PlanarMultigraph) -> PlanarMultigraph:
         nbrs.setdefault(v, set()).add(u)
         e = edges[min(fam, key=_edge_key)]
         tails[pair] = e.u if e.direction == 1 else e.v
-    before: dict = {}   # an edge end -> the new ends placed just before it
-    touched, counter, done = set(), 0, []
+    counter, done = 0, []
     while faces:
         walk = heapq.heappop(faces)
         verts = [edges[eid].v if a else edges[eid].u for eid, a in walk]
@@ -374,32 +376,10 @@ def add_zero_edges(g: PlanarMultigraph) -> PlanarMultigraph:
         # orient the new twist site like the existing edges of its family,
         # so the bigons they bound get balanced region signs
         edges[eid] = Edge(u, v, 0, 1 if tails[frozenset((u, v))] == u else -1)
-        # the walk leaves u along w[i]; an end placed just before w[i] in
-        # u's rotation puts the new edge inside this face
-        before.setdefault(walk[i], []).append((eid, 0))
-        before.setdefault(walk[j], []).append((eid, 1))
-        touched.update((u, v))
         heapq.heappush(faces, _rotate_min(walk[:i] + ((eid, 0),) + walk[j:]))
         heapq.heappush(faces, _rotate_min(walk[i:j] + ((eid, 1),)))
     done.sort(key=itemgetter(0))   # a new side may sort before earlier faces' sides
-    return _stage(g, edges, {x: _place_ends(rot, before) if x in touched else list(rot)
-                             for x, rot in g.rotation.items()}, done)
-
-
-def _place_ends(rot: list, before: dict) -> list:
-    # an end placed just before d goes between d and the ends placed
-    # before d earlier, so d is preceded by its new ends in the order they
-    # came, each of them preceded in turn by its own
-    out = []
-    stack = [(d, False) for d in reversed(rot)]
-    while stack:
-        d, expanded = stack.pop()
-        if expanded or d not in before:
-            out.append(d)
-        else:
-            stack.append((d, True))
-            stack.extend((x, False) for x in reversed(before[d]))
-    return out
+    return _stage(g.vertices, edges, done)
 
 
 def _find_zero_insertion(verts: list, nbrs: dict):
@@ -432,34 +412,37 @@ def _find_zero_insertion(verts: list, nbrs: dict):
 def theta_subgraph(g: PlanarMultigraph) -> PlanarMultigraph:
     """Restrict to edges whose endpoint pair carries at least two edges, as
     they are; the result must be in one piece, and no bigon of it may join
-    two weight-positive edges."""
+    two weight-positive edges.
+
+    The result's faces are walked from g's: a kept side is followed by the
+    next side of its face, and a dropped side is crossed to the side after
+    its twin, which is the next end round the same vertex.  Each piece of
+    a subgraph of a sphere embedding is a sphere embedding, so V - E + F
+    is twice the number of pieces, and the result is in one piece exactly
+    when it is 2.
+    """
     pairs = {pair for pair, fam in g.parallel_families().items() if len(fam) >= 2}
     if not pairs:
         raise StructureError("theta graph is empty: the knot has a unique surface")
-    nbrs: dict = {}   # a theta vertex -> its family neighbours and itself
-    for pair in pairs:
-        for x in pair:
-            nbrs.setdefault(x, set()).update(pair)
-    verts = sorted(nbrs)
-    seen, stack = {verts[0]}, [verts[0]]
-    while stack:
-        near = nbrs[stack.pop()] - seen
-        stack += near
-        seen |= near
-    if len(seen) < len(verts):
+    edges = {eid: e for eid, e in g.edges.items() if frozenset((e.u, e.v)) in pairs}
+    after = {}   # a side of g -> the next side of its face
+    for walk in g.faces():
+        after.update(zip(walk, walk[1:] + walk[:1]))
+    succ = {}   # keyed by g's own sides, which _walk_faces meets by identity
+    for side, nxt in after.items():
+        if side[0] in edges:
+            while nxt[0] not in edges:
+                nxt = after[nxt[0], 1 - nxt[1]]
+            succ[side] = nxt
+    faces = _walk_faces(succ)
+    verts = sorted({x for e in edges.values() for x in (e.u, e.v)})
+    if len(verts) - len(edges) + len(faces) != 2:
         raise StructureError("theta graph falls into pieces: "
                              "its parallel families do not join every theta vertex")
-    edges = {eid: e for eid, e in g.edges.items() if frozenset((e.u, e.v)) in pairs}
-    tg = PlanarMultigraph(verts, edges, {v: _darts_on(g.rotation[v], edges) for v in verts})
-    for walk in tg.faces():
+    for walk in faces:
         if len(walk) == 2 and min(edges[eid].weight for eid, _ in walk) > 0:
             raise StructureError("bigon between weight-positive edges was not reduced")
-    return tg
-
-
-def _darts_on(rot: list, edges: dict) -> list:
-    # the ends of rot whose edges are keys of edges, in rotation order
-    return list(compress(rot, map(edges.__contains__, map(itemgetter(0), rot))))
+    return _stage(verts, edges, faces)
 
 
 def build_theta(g: PlanarMultigraph) -> PlanarMultigraph:

@@ -7,7 +7,8 @@ the constructor's Euler check confirms it.  Route graphs are seeded Seifert
 graphs with a known complex, and separable graphs join two random graphs at
 a cut vertex or by a bridge, :func:`add_loop` draws a loop inside a face
 (which the constructor refuses), and :func:`add_pendant_bridge` hangs a new
-vertex on a bridge.  :func:`fresh` validates a deep copy of a graph, which
+vertex on a bridge, embedded by the rotation :func:`rotation_of` reads off
+the faces.  :func:`fresh` validates a deep copy of a graph, which
 walks its faces again, and the text helpers write graph files.
 """
 
@@ -172,14 +173,35 @@ def add_loop(rng: random.Random, g: PlanarMultigraph) -> PlanarMultigraph:
     return PlanarMultigraph(g.vertices, edges, rotation)
 
 
+def rotation_of(g: PlanarMultigraph) -> dict:
+    """The rotation system that g's faces determine, also for a stage's
+    output, which has none: the rotation successor of an end is the face
+    successor of its twin.  Each vertex's ends start at the least."""
+    after = {}   # an end -> the next end round its vertex
+    for walk in g.faces():
+        for (eid, a), side in zip(walk, walk[1:] + walk[:1]):
+            after[eid, 1 - a] = side
+    rotation = {v: [] for v in g.vertices}
+    for end in sorted(after):
+        eid, a = end
+        rot = rotation[g.edges[eid].v if a else g.edges[eid].u]
+        if not rot:
+            rot.append(end)
+            while after[rot[-1]] != end:
+                rot.append(after[rot[-1]])
+    return rotation
+
+
 def add_pendant_bridge(g: PlanarMultigraph, weight: int) -> tuple:
     """A copy of `g` with a new vertex joined to its first vertex by a
     bridge of the given weight, and the bridge's id.  One face meets both
-    sides of the bridge, so every region's signs on it cancel."""
+    sides of the bridge, so every region's signs on it cancel.  The copy
+    is embedded by the rotation g's faces determine, so `g` may be a theta
+    graph."""
     bridge, pendant = f"B{len(g.edges)}", f"P{len(g.vertices)}"
     edges = {eid: Edge(e.u, e.v, e.weight, e.direction) for eid, e in g.edges.items()}
     edges[bridge] = Edge(g.vertices[0], pendant, weight, 1)
-    rotation = {x: list(r) for x, r in g.rotation.items()}
+    rotation = rotation_of(g)
     rotation[g.vertices[0]].append((bridge, 0))
     rotation[pendant] = [(bridge, 1)]
     return PlanarMultigraph(g.vertices + [pendant], edges, rotation), bridge

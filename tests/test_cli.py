@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 from kakimizu import fibred
 from kakimizu.cli import MAX_EXPAND_ENTRIES, main
 from kakimizu.errors import InputError
-from kakimizu.pipeline import load_table, load_theta_file, run_batch
+from kakimizu.pipeline import MAX_INPUT_CHARS, load_table, load_theta_file, run_batch
 from kakimizu.thetagraph import Edge, PlanarMultigraph
 from kakimizu.twobridge import DEFAULT_MAX_BANDS
 
@@ -470,6 +470,48 @@ class TestDevicePaths:
                             stdin=path.read_text(encoding="utf-8"))
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout == _run_limited("theta", str(path), "--json").stdout
+
+
+class TestLongInputs:
+    """Files and pipes are read up to MAX_INPUT_CHARS characters, and a
+    longer text is refused: read whole, a 2 GiB file ran the child out of
+    its 512 MB of address space."""
+
+    @staticmethod
+    def refusal(what, path):
+        return f"cannot read {what} {path}: longer than {MAX_INPUT_CHARS} characters"
+
+    @pytest.fixture
+    def sparse(self, tmp_path):
+        path = tmp_path / "sparse.txt"
+        with open(path, "wb") as f:
+            f.truncate(2 << 30)   # 2 GiB of NULs, with no blocks on disk
+        return path
+
+    @pytest.mark.parametrize("argv,what", [(["theta"], "graph file"),
+                                           (["fibred", "--graph"], "graph file"),
+                                           (["batch"], "table")])
+    def test_sparse_file_exits_two(self, sparse, argv, what):
+        proc = _run_limited(*argv, str(sparse))
+        assert (proc.returncode, proc.stdout) == (2, "")
+        assert proc.stderr == f"error: {self.refusal(what, sparse)}\n"
+
+    def test_sparse_row_is_a_row_error(self, sparse, tmp_path):
+        table = tmp_path / "t.csv"
+        table.write_text(f"name,class,params,expected\nk,special_alternating,{sparse},point\n"
+                         "f,fibred,-,point\n")
+        proc = _run_limited("batch", str(table))
+        assert proc.returncode == 1 and "Traceback" not in proc.stderr
+        assert self.refusal("graph file", sparse) in proc.stdout
+        assert "yes" in proc.stdout.splitlines()[1]   # row f
+
+    def test_pipe_one_over_the_bound_refused(self):
+        # a text of exactly the bound is read, and fails as a graph
+        proc = _run_limited("theta", "/dev/stdin", stdin="#" * MAX_INPUT_CHARS)
+        assert (proc.returncode, proc.stderr) == (2, "error: graph has no vertices\n")
+        proc = _run_limited("theta", "/dev/stdin", stdin="#" * (MAX_INPUT_CHARS + 1))
+        assert (proc.returncode, proc.stdout) == (2, "")
+        assert proc.stderr == f"error: {self.refusal('graph file', '/dev/stdin')}\n"
 
 
 class TestByteOrderMark:

@@ -10,6 +10,7 @@ from pathlib import Path
 
 import pytest
 
+from kakimizu import thetagraph
 from kakimizu.complexes import SimplicialComplex, recognize, to_json
 from kakimizu.errors import InputError, KakimizuError, SizeLimitError, StructureError
 from kakimizu.fibred import ReductionGraph, reduction_certificate, replay_certificate
@@ -20,7 +21,8 @@ from kakimizu.thetagraph import (DEFAULT_MAX_VERTICES, MAX_REGIONS, Edge, Planar
 
 from euler import euler_characteristic
 from randgraphs import (add_loop, add_pendant_bridge, cycle_text, fresh, graph_text,
-                        necklace_text, random_sphere_graph, route_graph, separable_graph)
+                        necklace_text, random_sphere_graph, route_graph, separable_graph,
+                        walk_vertices)
 from setoracles import (MoveError, all_full_passes, apply_region, labelled_pass_complex,
                         rewalking_add_zero_edges, set_is_connected, set_is_flag, theta_walk,
                         tuple_reachability)
@@ -48,7 +50,7 @@ for _ in range(40):
     except KakimizuError as exc:
         print("refused:", exc)
         continue
-    print(list(tg.edges), {v: tg.rotation[v] for v in tg.vertices})
+    print(list(tg.edges), tg.faces())
 """
 
 
@@ -123,9 +125,53 @@ def sequential_reduce_bigons(g, rng=None):
 
 
 def embedding(g):
-    """Everything reduce_bigons decides: edges in order with their data, and rotations."""
+    """Everything a stage decides: edges in order with their data, and
+    faces.  The faces determine the rotations, since the rotation successor
+    of an end is the face successor of its twin."""
     return ([(eid, e.u, e.v, e.weight, e.direction) for eid, e in g.edges.items()],
-            g.rotation)
+            g.faces())
+
+
+def slow_stages(g):
+    """Reference oracle for the stages: the bigon reduction and zero-edge
+    insertion of the one-at-a-time oracles, each a validated graph whose
+    rotation the oracles edited and walked afresh."""
+    reduced = sequential_reduce_bigons(g)
+    return reduced, rewalking_add_zero_edges(reduced)
+
+
+def families_subgraph(g):
+    """Reference oracle for the theta subgraph of g, which must have a
+    rotation: its parallel families of two or more edges, validated afresh
+    with g's rotation restricted to them.  The constructor refuses an empty
+    or disconnected one."""
+    fams = g.parallel_families()
+    edges = {eid: e for eid, e in g.edges.items() if len(fams[frozenset((e.u, e.v))]) >= 2}
+    verts = sorted({x for e in edges.values() for x in (e.u, e.v)})
+    return PlanarMultigraph(verts, edges, {v: [d for d in g.rotation[v] if d[0] in edges]
+                                           for v in verts})
+
+
+def family_pieces(g):
+    """The number of pieces the parallel families of two or more edges of g
+    make, by a search from family to family over shared vertices."""
+    nbrs = {}
+    for pair, fam in g.parallel_families().items():
+        if len(fam) >= 2:
+            for x in pair:
+                nbrs.setdefault(x, set()).update(pair)
+    pieces, seen = 0, set()
+    for start in nbrs:
+        if start in seen:
+            continue
+        pieces += 1
+        seen.add(start)
+        stack = [start]
+        while stack:
+            near = nbrs[stack.pop()] - seen
+            seen |= near
+            stack += near
+    return pieces
 
 
 def permutation_complex(tg, w0):
@@ -244,17 +290,24 @@ class TestFaces:
 
     def test_kept_faces_match_a_fresh_walk(self, data_dir):
         # a validated graph returns the walks of its Euler check, as a
-        # fresh copy walks them again, and a new list on every call
+        # fresh copy walks them again; a theta graph, which has no
+        # rotation, those of the oracles' rotation restricted to its
+        # edges; and each returns a new list on every call
         rng = random.Random(6)
         graphs = [PlanarMultigraph.from_text((data_dir / name).read_text()) for name in FIXTURES]
         graphs += [random_sphere_graph(rng, ops=rng.randint(2, 12)) for _ in range(100)]
-        graphs += [build_theta(route_graph(rng, r, 2, bundle=2)) for r in range(2, 6)]
-        for g in graphs:
+        expected = [fresh(g).faces() for g in graphs]
+        for r in range(2, 6):
+            g = route_graph(rng, r, 2, bundle=2)
+            graphs.append(build_theta(g))
+            assert graphs[-1].rotation is None
+            expected.append(families_subgraph(slow_stages(g)[1]).faces())
+        for g, walks in zip(graphs, expected):
             faces = g.faces()
-            assert faces == fresh(g).faces()
+            assert faces == walks
             faces[0] = ()
             faces.append(())
-            assert g.faces() == fresh(g).faces() != faces
+            assert g.faces() == walks != faces
 
 
 class TestParser:
@@ -362,9 +415,11 @@ class TestReduceBigons:
     def test_kept_faces_match_a_fresh_walk(self):
         # the result keeps the input's faces with merged edges substituted,
         # bigons of two edges gone, zero-edge insertion the faces its heap
-        # gives up, and the theta graph the walks of its own validation;
-        # each must equal a fresh walk.  Copies with every id prefixed zz,
-        # which sorts after the generated z<k>, give up faces out of order
+        # gives up, and the theta graph those its crossing walk derives;
+        # each must equal the slow oracles' fresh walk, the theta graph's
+        # on their rotation restricted to its edges.  Copies with every id
+        # prefixed zz, which sorts after the generated z<k>, give up faces
+        # out of order
         rng = random.Random(15)
         graphs = [parallel_edges(k) for k in range(1, 5)]
         graphs += [separable_graph(rng, rng.randint(1, 8)) for _ in range(60)]
@@ -384,16 +439,17 @@ class TestReduceBigons:
             graphs.append(PlanarMultigraph(g.vertices, edges, rotation))
         merged = built = 0
         for g in graphs:
+            slow_reduced, slow = slow_stages(g)
             reduced = reduce_bigons(g)
-            assert reduced.faces() == fresh(reduced).faces()
+            assert reduced.faces() == slow_reduced.faces()
             merged += len(reduced.edges) < len(g.edges)
             augmented = add_zero_edges(reduced)
-            assert augmented.faces() == fresh(augmented).faces()
+            assert augmented.faces() == slow.faces()
             try:
                 tg = theta_subgraph(augmented)
             except StructureError:
                 continue
-            assert tg.faces() == fresh(tg).faces()
+            assert tg.faces() == families_subgraph(slow).faces()
             built += 1
         assert merged >= 800 and built >= 350
 
@@ -435,12 +491,11 @@ class TestAddZeroEdges:
 
     def assert_matches_oracle(self, g):
         """add_zero_edges(reduce_bigons(g)) inserts what the re-walking
-        oracle does: ids, weights, directions, rotations and faces.
-        Returns the number of zero edges inserted."""
+        oracle does after the one-at-a-time reduction: ids, weights,
+        directions and faces.  Returns the number of zero edges inserted."""
         reduced = reduce_bigons(g)
-        fast, slow = add_zero_edges(reduced), rewalking_add_zero_edges(reduced)
-        assert embedding(fast) == embedding(slow)
-        assert fast.faces() == slow.faces()
+        fast = add_zero_edges(reduced)
+        assert embedding(fast) == embedding(slow_stages(g)[1])
         return len(fast.edges) - len(reduced.edges)
 
     def test_matches_rewalking_oracle_on_fixtures(self, data_dir):
@@ -502,13 +557,22 @@ class TestAddZeroEdges:
         assert time.perf_counter() - began < 2
 
     def test_intermediate_stages_stay_spherical(self, data_dir):
-        # re-run full validation on the output of every construction stage
-        for name in ("theta_11_94.txt", "theta_11_237.txt", "theta_11_340.txt"):
+        # each stage's output is held as its faces alone: every side of
+        # every edge lies on exactly one of them, each is a closed walk, and
+        # V - E + F = 2
+        for name in FIXTURES:
             g = PlanarMultigraph.from_text((data_dir / name).read_text())
             reduced = reduce_bigons(g)
-            PlanarMultigraph(reduced.vertices, reduced.edges, reduced.rotation)
-            augmented = add_zero_edges(reduced)
-            PlanarMultigraph(augmented.vertices, augmented.edges, augmented.rotation)
+            for stage in (reduced, add_zero_edges(reduced)):
+                assert stage.rotation is None
+                faces = stage.faces()
+                assert sorted(side for walk in faces for side in walk) == sorted(
+                    (eid, a) for eid in stage.edges for a in (0, 1))
+                for walk in faces:
+                    verts = walk_vertices(stage, walk)
+                    assert [stage.edges[eid].u if a else stage.edges[eid].v
+                            for eid, a in walk] == verts[1:] + verts[:1]
+                assert len(stage.vertices) - len(stage.edges) + len(faces) == 2
 
 
 class TestInputLeftAlone:
@@ -648,6 +712,62 @@ class TestThetaSubgraph:
             build_theta(PlanarMultigraph.from_text(text))
         assert str(err.value) == SPLIT
         assert "bigon" not in SPLIT and "unique surface" not in SPLIT
+
+    def test_three_pieces_refused(self, monkeypatch):
+        # a 13-edge Seifert graph found among random sphere graphs: its
+        # theta subgraph has three pieces, and the faces of the crossing
+        # walk count them, V - E + F being twice the number of pieces
+        text = ("vertex v0\nvertex v1\nvertex v2\nvertex v3\nvertex v4\nvertex v5\n"
+                "vertex v6\nvertex v7\nvertex v8\n"
+                "edge 1 v0 v1\nedge 3 v0 v2 dir=-\nedge 5 v0 v1\nedge 7 v3 v1 dir=-\n"
+                "edge 8 v2 v4\nedge 9 v4 v3\nedge 11 v0 v5 dir=-\nedge 13 v5 v6 dir=-\n"
+                "edge 14 v6 v1 dir=-\nedge 16 v5 v7\nedge 17 v7 v6 dir=-\n"
+                "edge 18 v3 v8 dir=-\nedge 19 v8 v4 dir=-\n"
+                "rot v0 11 1 5 3\nrot v1 7 5 1 14\nrot v2 3 8\nrot v3 18 9 7\n"
+                "rot v4 19 8 9\nrot v5 11 13 16\nrot v6 17 13 14\nrot v7 16 17\n"
+                "rot v8 18 19\n")
+        augmented = add_zero_edges(reduce_bigons(PlanarMultigraph.from_text(text)))
+        assert family_pieces(augmented) == 3
+        walked = []
+        walk_faces = thetagraph._walk_faces
+        monkeypatch.setattr(thetagraph, "_walk_faces",
+                            lambda succ: walked.append(walk_faces(succ)) or walked[-1])
+        with pytest.raises(StructureError, match=f"^{SPLIT}$"):
+            theta_subgraph(augmented)
+        (faces,) = walked
+        edges = {eid for walk in faces for eid, _ in walk}
+        verts = {x for eid in edges for x in (augmented.edges[eid].u, augmented.edges[eid].v)}
+        assert len(verts) - len(edges) + len(faces) == 6
+        with pytest.raises(StructureError, match=f"^{SPLIT}$"):
+            build_theta(PlanarMultigraph.from_text(text))
+
+    def test_split_verdict_matches_a_search_over_families(self):
+        # a search from family to family over shared vertices is the
+        # oracle for the count of pieces; the theta subgraph on the slow
+        # oracles' rotation must split alike
+        rng = random.Random(16)
+        graphs = [separable_graph(rng, rng.randint(1, 8)) for _ in range(400)]
+        for _ in range(800):
+            g = random_sphere_graph(rng, ops=rng.randint(2, 16))
+            for e in g.edges.values():
+                e.weight = 1
+            graphs.append(g)
+        outcomes = Counter()
+        for g in graphs:
+            augmented = add_zero_edges(reduce_bigons(g))
+            pieces = family_pieces(augmented)
+            try:
+                theta_subgraph(augmented)
+            except StructureError as exc:
+                outcomes[str(exc)] += 1
+                assert (str(exc) == SPLIT) == (pieces > 1)
+                if pieces > 1:
+                    with pytest.raises(StructureError, match="^graph is not connected$"):
+                        families_subgraph(slow_stages(g)[1])
+                continue
+            outcomes["built"] += 1
+            assert pieces == 1
+        assert outcomes == {"built": 522, EMPTY: 327, UNREDUCED: 311, SPLIT: 40}
 
     def test_single_twist_region_has_no_theta(self):
         # all crossings in one twist region: reduction leaves a lone edge,
